@@ -14,6 +14,7 @@ values are safe to cache and to hash.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .arith import inv_mod, is_odd_prime
@@ -81,31 +82,20 @@ def _grlex_key(mono: Monomial):
 
 @dataclass(frozen=True)
 class AlgebraContext:
-    """The ambient algebra E(x_1..x_m) (x) P(y_1..y_m) over Z/p.
-
-    ``block`` marks how many leading generator pairs form the invariant-side
-    block when the context was produced by the power map; it is bookkeeping
-    only and does not change the ring structure.
-    """
+    """The ambient algebra E(x_1..x_m) (x) P(y_1..y_m) over Z/p."""
 
     p: int
     m: int
-    block: int = 0
 
     def __post_init__(self):
         if not is_odd_prime(self.p):
             raise ValueError("p must be an odd prime, got %r" % (self.p,))
         if self.m < 0:
             raise ValueError("m must be >= 0")
-        if not 0 <= self.block <= self.m:
-            raise ValueError("block must lie in 0..m")
 
     @property
     def h(self) -> int:
         return (self.p - 1) // 2
-
-    def with_block(self, block: int) -> "AlgebraContext":
-        return AlgebraContext(self.p, self.m, block)
 
     def _empty_ys(self) -> tuple[int, ...]:
         return (0,) * self.m
@@ -369,7 +359,11 @@ class Element:
         y_images = {i: img for i, img in y_images.items() if img != ctx.y(i)}
         if not x_images and not y_images:
             return self
-        ypow_cache: dict[tuple[int, int], Element] = {}
+
+        @cache
+        def y_power(idx: int, e: int) -> Element:
+            return _even_pow(y_images[idx], e)
+
         out = ctx.zero()
         for mono, c in self.terms.items():
             fixed_xs = tuple(i for i in mono.xs if i not in x_images)
@@ -395,12 +389,7 @@ class Element:
             for i, e in enumerate(mono.ys):
                 idx = i + 1
                 if e and idx in y_images:
-                    key = (idx, e)
-                    power = ypow_cache.get(key)
-                    if power is None:
-                        power = _even_pow(y_images[idx], e)
-                        ypow_cache[key] = power
-                    term = term * power
+                    term = term * y_power(idx, e)
             out = out + term.scalar_mul(sign)
         return out
 
@@ -571,7 +560,12 @@ def relabel(a: Element, new_ctx: AlgebraContext, index_map: Mapping[int, int]) -
 
 
 def embed(a: Element, new_ctx: AlgebraContext) -> Element:
-    """Reinterpret a inside a context with at least as many generator pairs."""
+    """Reinterpret a inside a context with at least as many generator pairs.
+
+    Returns a itself when new_ctx is already its context.
+    """
+    if new_ctx == a.ctx:
+        return a
     if new_ctx.p != a.ctx.p:
         raise ContextMismatchError("embed cannot change p")
     if new_ctx.m < a.ctx.m:
@@ -580,11 +574,6 @@ def embed(a: Element, new_ctx: AlgebraContext) -> Element:
     return Element._make(
         new_ctx, {Monomial(m.xs, m.ys + pad): c for m, c in a.terms.items()}
     )
-
-
-def with_block(a: Element, block: int) -> Element:
-    """The same element over the same algebra, with the block marker reset."""
-    return Element._make(a.ctx.with_block(block), dict(a.terms))
 
 
 def split_monomial(mono: Monomial, n: int) -> tuple[Monomial, Monomial]:

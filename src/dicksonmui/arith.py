@@ -35,29 +35,11 @@ def fraction_mod(x: "Fraction | int", p: int) -> int:
     return fr.numerator * inv_mod(fr.denominator, p) % p
 
 
-def p_adic_digits(r: int, p: int) -> tuple[int, ...]:
-    """Base-p digits of r >= 0, least significant first; () for r = 0."""
-    if r < 0:
-        raise ValueError("negative integer has no p-adic digits")
-    out = []
-    while r:
-        r, d = divmod(r, p)
-        out.append(d)
-    return tuple(out)
-
-
 def digit(r: int, i: int, p: int) -> int:
     """The i-th base-p digit of r, with digit(r, i) = 0 for all i < 0."""
     if i < 0:
         return 0
     return (r // p**i) % p
-
-
-def from_digits(digits: Sequence[int], p: int) -> int:
-    val = 0
-    for d in reversed(digits):
-        val = val * p + d
-    return val
 
 
 def binom_mod(n: int, k: int, p: int) -> int:
@@ -95,19 +77,13 @@ def mu_mod(q: int, p: int, reps: int = 1) -> int:
 class MilnorStats(NamedTuple):
     """Bookkeeping attached to a Milnor index pair (S, R) in degree q."""
 
-    weight: int  # sum (p^i - 1) r_i over i = 1..len(R)
     sign_exp: int  # len(S) + sum(S) + sum i * r_i
-    r_star: tuple[int, ...]  # (q - 2 sum R, r_1, ..., r_{n-1})
     r0: int  # q - len(S) - 2 sum R
 
 
 def seq_stats(S: Sequence[int], R: Sequence[int], q: int, p: int) -> MilnorStats:
-    S, R = tuple(S), tuple(R)
-    total = sum(R)
-    weight = sum((p**i - 1) * r for i, r in enumerate(R, start=1))
     sign_exp = len(S) + sum(S) + sum(i * r for i, r in enumerate(R, start=1))
-    r_star = (q - 2 * total,) + R[:-1]
-    return MilnorStats(weight, sign_exp, r_star, q - len(S) - 2 * total)
+    return MilnorStats(sign_exp, q - len(S) - 2 * sum(R))
 
 
 def st_operation_degree(S: Sequence[int], R: Sequence[int], p: int) -> int:

@@ -19,6 +19,7 @@ import sys
 
 from . import closed_forms as cf
 from .algebra import AlgebraContext, Element, render_text
+from .arith import is_odd_prime
 from .duality import mixed_decompose
 from .grammar import ParseError, parse_text, render_latex, to_json
 from .invariants import L, Ltilde, M, Mtilde, Q, U, V
@@ -31,7 +32,7 @@ class UsageError(Exception):
 
 
 def _prime(p: int) -> int:
-    if p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, int(p**0.5) + 1, 2)):
+    if not is_odd_prime(p):
         raise UsageError("--p must be an odd prime, got %d" % p)
     return p
 
@@ -153,8 +154,8 @@ def _closed_form(family: str, p: int, r: int, n: int | None,
         if s is None or not -1 <= s < n:
             raise UsageError("family M needs -1 <= s < n")
         return cf.power_on_mtilde(r, n, s, ctx)
-    if s is None or not 0 <= s < n:
-        raise UsageError("family Q needs 0 <= s < n")
+    if s is None or not 0 <= s <= n:
+        raise UsageError("family Q needs 0 <= s <= n")
     return cf.power_on_q(r, n, s, ctx)
 
 

@@ -85,7 +85,8 @@ MTILDE_UPPER_TERMS_RESOLVED = True
 
 
 def power_on_mtilde(
-    r: int, n: int, s: int, ctx: AlgebraContext, resolved: bool = True
+    r: int, n: int, s: int, ctx: AlgebraContext,
+    resolved: bool = MTILDE_UPPER_TERMS_RESOLVED,
 ) -> ClosedFormResult:
     """P^r Mtilde_{n,s} in closed form; s = -1 targets Ltilde_n.
 

@@ -19,12 +19,14 @@ functional annihilates everything.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Sequence
 
 from .algebra import AlgebraContext, Element, embed
 from .arith import seq_stats, solve_exact
 from .invariants import Q, U, V, Mtilde
 from .steenrod import (
+    InvariantExpansion,
     NotInSpanError,
     _candidates,
     admissible_indices,
@@ -43,51 +45,40 @@ def dim_bracket(p: int, s: int) -> int:
 
 # ---------------------------------------------------------------- pairings
 
-_mixed_candidate_cache: dict[tuple, list] = {}
-
-
-def _mixed_candidates(p: int, k: int, d: int, xcount: int) -> list:
+@cache
+def _mixed_candidates(p: int, k: int, d: int, xcount: int) -> tuple[tuple[tuple, dict], ...]:
     """Degree-d keys (S, H, eps, m) with len(S) + eps = xcount, paired with
     the raw term maps of Mtilde_S Qtilde^H U_{k+1}^eps V_{k+1}^m."""
-    ck = (p, k, d, xcount)
-    got = _mixed_candidate_cache.get(ck)
-    if got is None:
-        big = AlgebraContext(p, k + 1)
-        got = []
-        for eps in (0, 1):
-            if eps > xcount:
-                continue
-            m = 0
-            while True:
-                rem = d - (eps + 2 * m) * p**k
-                if rem < 0:
-                    break
-                for (S, H), _terms in _candidates(p, k, rem, xcount - eps):
-                    elt = embed(basis_element(p, k, S, H), big)
-                    if eps:
-                        elt = elt * U(big, k + 1)
-                    if m:
-                        elt = elt * V(big, k + 1) ** m
-                    got.append(((S, H, eps, m), elt.terms))
-                m += 1
-        _mixed_candidate_cache[ck] = got
-    return got
+    big = AlgebraContext(p, k + 1)
+    got = []
+    for eps in (0, 1):
+        if eps > xcount:
+            continue
+        m = 0
+        while True:
+            rem = d - (eps + 2 * m) * p**k
+            if rem < 0:
+                break
+            for (S, H), _terms in _candidates(p, k, rem, xcount - eps):
+                elt = embed(basis_element(p, k, S, H), big)
+                if eps:
+                    elt = elt * U(big, k + 1)
+                if m:
+                    elt = elt * V(big, k + 1) ** m
+                got.append(((S, H, eps, m), elt.terms))
+            m += 1
+    return tuple(got)
 
 
-_mixed_cache: dict[tuple[int, Element], dict] = {}
-
-
+@cache
 def mixed_decompose(a: Element, k: int) -> dict[tuple, int]:
     """Coordinates of a in {Mtilde_S Qtilde^H U_{k+1}^eps V_{k+1}^m}.
 
     a must be homogeneous over k+1 pairs and lie in the span (raises
-    NotInSpanError otherwise).  Zero coordinates are omitted.
+    NotInSpanError otherwise).  Zero coordinates are omitted.  The result
+    is cached and shared: read it, do not mutate it.
     """
-    got = _mixed_cache.get((k, a))
-    if got is not None:
-        return got
     if a.is_zero():
-        _mixed_cache[(k, a)] = {}
         return {}
     if a.ctx.m != k + 1:
         raise ValueError("element must live over k+1 generator pairs")
@@ -106,7 +97,6 @@ def mixed_decompose(a: Element, k: int) -> dict[tuple, int]:
         for (key, _), cf in zip(cands, sol):
             if cf:
                 out[key] = cf
-    _mixed_cache[(k, a)] = out
     return out
 
 
@@ -119,18 +109,16 @@ def mixed_pairing(
     return mixed_decompose(img, k).get((tuple(S), tuple(H), eps, m), 0)
 
 
-_invariant_cache: dict[tuple[int, Element], object] = {}
+@cache
+def _invariant_expansion(img: Element, n: int) -> InvariantExpansion:
+    return invariant_decompose(img, n)
 
 
 def invariant_pairing(img: Element, n: int, S: Sequence[int], H: Sequence[int]) -> int:
     """<m̃_S q̃_H, img> for an n-pair invariant element img."""
     if any(h < 0 for h in H):
         return 0
-    exp = _invariant_cache.get((n, img))
-    if exp is None:
-        exp = invariant_decompose(img, n)
-        _invariant_cache[(n, img)] = exp
-    return exp.scalar(tuple(S), tuple(H))
+    return _invariant_expansion(img, n).scalar(tuple(S), tuple(H))
 
 
 def pairing_sign_exp(

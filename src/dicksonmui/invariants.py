@@ -20,6 +20,7 @@ forms of V and Q are kept as independent cross-checks.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from typing import Sequence
 
 from .algebra import (
@@ -31,22 +32,9 @@ from .algebra import (
 )
 from .arith import matrix_rank_mod
 
-# Invariants are cached once per (p, name, params) in their minimal
-# context and embedded on demand.  Entries are immutable Elements, so
-# concurrent readers are safe and double insertion is idempotent.
-_cache: dict[tuple, Element] = {}
-
-
-def _minimal(p: int, m: int) -> AlgebraContext:
-    return AlgebraContext(p, m)
-
-
-def _cached(key: tuple, m: int, builder) -> Element:
-    el = _cache.get(key)
-    if el is None:
-        el = builder(_minimal(key[0], m))
-        _cache[key] = el
-    return el
+# Each invariant is built once per (p, params) in its minimal context by
+# a cached builder; the public fronts validate, then embed the result in
+# the caller's context.  Elements are immutable, so sharing them is safe.
 
 
 def bracket_e(ctx: AlgebraContext, es: Sequence[int]) -> Element:
@@ -59,13 +47,14 @@ def bracket_e(ctx: AlgebraContext, es: Sequence[int]) -> Element:
         raise ValueError("bracket exponents must be >= 0")
     if ctx.m < k:
         raise ValueError("context has %d pairs, bracket needs %d" % (ctx.m, k))
-    el = _cached((ctx.p, "bracket_e", es), k, lambda c: _bracket_e(c, es))
-    return embed(el, ctx)
+    return embed(_bracket_e(ctx.p, es), ctx)
 
 
-def _bracket_e(ctx: AlgebraContext, es: tuple[int, ...]) -> Element:
+@cache
+def _bracket_e(p: int, es: tuple[int, ...]) -> Element:
     k = len(es)
-    rows = [[ctx.y(i, ctx.p ** e) for e in es] for i in range(1, k + 1)]
+    ctx = AlgebraContext(p, k)
+    rows = [[ctx.y(i, p**e) for e in es] for i in range(1, k + 1)]
     return determinant(rows)
 
 
@@ -77,14 +66,15 @@ def bracket_x(ctx: AlgebraContext, es: Sequence[int]) -> Element:
         raise ValueError("bracket exponents must be >= 0")
     if ctx.m < k:
         raise ValueError("context has %d pairs, bracket needs %d" % (ctx.m, k))
-    el = _cached((ctx.p, "bracket_x", es), k, lambda c: _bracket_x(c, es))
-    return embed(el, ctx)
+    return embed(_bracket_x(ctx.p, es), ctx)
 
 
-def _bracket_x(ctx: AlgebraContext, es: tuple[int, ...]) -> Element:
+@cache
+def _bracket_x(p: int, es: tuple[int, ...]) -> Element:
     k = len(es) + 1
+    ctx = AlgebraContext(p, k)
     rows = [[ctx.x(i) for i in range(1, k + 1)]]
-    rows += [[ctx.y(i, ctx.p ** e) for i in range(1, k + 1)] for e in es]
+    rows += [[ctx.y(i, p**e) for i in range(1, k + 1)] for e in es]
     # transpose: columns are indexed by the generator pair, rows by exponent
     rows = [list(col) for col in zip(*rows)]
     return determinant(rows)
@@ -110,18 +100,26 @@ def M(ctx: AlgebraContext, k: int, s: int) -> Element:
 
 def Ltilde(ctx: AlgebraContext, n: int) -> Element:
     """Ltilde_n = L_n^h, of degree p^n - 1."""
-    key = (ctx.p, "Ltilde", n)
-    el = _cached(key, n, lambda c: L(c, n) ** c.h)
-    return embed(el, ctx)
+    return embed(_ltilde(ctx.p, n), ctx)
+
+
+@cache
+def _ltilde(p: int, n: int) -> Element:
+    c = AlgebraContext(p, n)
+    return L(c, n) ** c.h
 
 
 def Q(ctx: AlgebraContext, n: int, s: int) -> Element:
     """The Dickson invariant Q_{n,s} = L_{n,s} / L_n, 0 <= s <= n."""
     if not 0 <= s <= n:
         raise ValueError("s must lie in 0..n")
-    key = (ctx.p, "Q", n, s)
-    el = _cached(key, n, lambda c: exact_div(L(c, n, s), L(c, n)))
-    return embed(el, ctx)
+    return embed(_q(ctx.p, n, s), ctx)
+
+
+@cache
+def _q(p: int, n: int, s: int) -> Element:
+    c = AlgebraContext(p, n)
+    return exact_div(L(c, n, s), L(c, n))
 
 
 def Mtilde(ctx: AlgebraContext, n: int, s: int) -> Element:
@@ -130,27 +128,39 @@ def Mtilde(ctx: AlgebraContext, n: int, s: int) -> Element:
         return Ltilde(ctx, n)
     if not 0 <= s < n:
         raise ValueError("s must lie in -1..n-1")
-    key = (ctx.p, "Mtilde", n, s)
-    el = _cached(key, n, lambda c: M(c, n, s) * L(c, n) ** (c.h - 1))
-    return embed(el, ctx)
+    return embed(_mtilde(ctx.p, n, s), ctx)
+
+
+@cache
+def _mtilde(p: int, n: int, s: int) -> Element:
+    c = AlgebraContext(p, n)
+    return M(c, n, s) * L(c, n) ** (c.h - 1)
 
 
 def U(ctx: AlgebraContext, k: int) -> Element:
     """U_k = M_{k,k-1} L_{k-1}^(h-1), of degree p^(k-1)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    key = (ctx.p, "U", k)
-    el = _cached(key, k, lambda c: M(c, k, k - 1) * L(c, k - 1) ** (c.h - 1))
-    return embed(el, ctx)
+    return embed(_u(ctx.p, k), ctx)
+
+
+@cache
+def _u(p: int, k: int) -> Element:
+    c = AlgebraContext(p, k)
+    return M(c, k, k - 1) * L(c, k - 1) ** (c.h - 1)
 
 
 def V(ctx: AlgebraContext, k: int) -> Element:
     """V_k = L_k / L_{k-1}, of degree 2 p^(k-1)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    key = (ctx.p, "V", k)
-    el = _cached(key, k, lambda c: exact_div(L(c, k), L(c, k - 1)))
-    return embed(el, ctx)
+    return embed(_v(ctx.p, k), ctx)
+
+
+@cache
+def _v(p: int, k: int) -> Element:
+    c = AlgebraContext(p, k)
+    return exact_div(L(c, k), L(c, k - 1))
 
 
 def V_product(ctx: AlgebraContext, k: int) -> Element:

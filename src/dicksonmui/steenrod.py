@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, Sequence
 
 from .algebra import (
@@ -115,9 +116,15 @@ def total_power(a: Element, r_max: int) -> list[Element]:
 
 
 def p_power(r: int, a: Element) -> Element:
-    """P^r(a) through the Cartan-formula oracle."""
+    """P^r(a) through the Cartan-formula oracle.
+
+    P^r kills y^e for r > e and x outright, so P^r(a) = 0 once r exceeds
+    every monomial's y-exponent sum; the work is then bounded by a, not r.
+    """
     if r < 0:
         raise ValueError("r must be >= 0")
+    if r > max((sum(mono.ys) for mono in a.terms), default=0):
+        return a.ctx.zero()
     return total_power(a, r)[r]
 
 
@@ -140,7 +147,7 @@ def d_star_p(n: int, a: Element) -> Element:
     if n == 0:
         return a
     ctx = a.ctx
-    big = AlgebraContext(ctx.p, ctx.m + n, block=ctx.block + n)
+    big = AlgebraContext(ctx.p, ctx.m + n)
     scal = pow(-_h_factorial(ctx), n, ctx.p)
     mini = AlgebraContext(ctx.p, n + 1)
     u_img = U(mini, n + 1)
@@ -176,8 +183,6 @@ def compose_check(s: int, n: int, a: Element) -> bool:
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
-_basis_cache: dict[tuple, Element] = {}
-
 
 def basis_element(p: int, n: int, S: Sequence[int], H: Sequence[int]) -> Element:
     """The invariant monomial Mtilde_{n,s1}..Mtilde_{n,sk} * Ltilde_n^{h0}
@@ -189,41 +194,35 @@ def basis_element(p: int, n: int, S: Sequence[int], H: Sequence[int]) -> Element
         raise ValueError("H entries must be >= 0")
     if list(S) != sorted(set(S)) or any(not 0 <= s < n for s in S):
         raise ValueError("S must be strictly increasing within 0..n-1")
-    key = (p, n, S, H)
-    el = _basis_cache.get(key)
-    if el is None:
-        c = AlgebraContext(p, n)
-        el = c.one()
-        for s in S:
-            el = el * Mtilde(c, n, s)
-        if n:
-            el = el * Ltilde(c, n) ** H[0]
-            for i in range(1, n):
-                el = el * Q(c, n, i) ** H[i]
-        _basis_cache[key] = el
+    return _basis_element(p, n, S, H)
+
+
+@cache
+def _basis_element(p: int, n: int, S: tuple[int, ...], H: tuple[int, ...]) -> Element:
+    c = AlgebraContext(p, n)
+    el = c.one()
+    for s in S:
+        el = el * Mtilde(c, n, s)
+    if n:
+        el = el * Ltilde(c, n) ** H[0]
+        for i in range(1, n):
+            el = el * Q(c, n, i) ** H[i]
     return el
 
 
-_candidate_cache: dict[tuple, list[tuple[Key, dict[Monomial, int]]]] = {}
-
-
-def _candidates(p: int, n: int, d: int, xcount: int):
+@cache
+def _candidates(p: int, n: int, d: int, xcount: int) -> tuple[tuple[Key, dict], ...]:
     """All basis keys (S, H) of degree d with |S| = xcount, paired with
-    their raw term maps over n pairs."""
-    ck = (p, n, d, xcount)
-    got = _candidate_cache.get(ck)
-    if got is None:
-        got = []
-        weights = [p**n - 1] + [2 * (p**n - p**i) for i in range(1, n)]
-        for S in itertools.combinations(range(n), xcount):
-            rem = d - sum(p**n - 2 * p**s for s in S)
-            if rem < 0 or rem % 2:
-                continue
-            for H in _weighted_sums(weights, rem):
-                el = basis_element(p, n, S, H)
-                got.append(((S, H), dict(el.terms)))
-        _candidate_cache[ck] = got
-    return got
+    their raw term maps over n pairs (read-only: shared with the cache)."""
+    got = []
+    weights = [p**n - 1] + [2 * (p**n - p**i) for i in range(1, n)]
+    for S in itertools.combinations(range(n), xcount):
+        rem = d - sum(p**n - 2 * p**s for s in S)
+        if rem < 0 or rem % 2:
+            continue
+        for H in _weighted_sums(weights, rem):
+            got.append(((S, H), basis_element(p, n, S, H).terms))
+    return tuple(got)
 
 
 def _weighted_sums(weights: list[int], total: int) -> Iterator[tuple[int, ...]]:
@@ -283,9 +282,9 @@ def invariant_decompose(a: Element, n: int) -> InvariantExpansion:
     ctx = a.ctx
     if not 0 <= n <= ctx.m:
         raise ValueError("block size must lie in 0..m")
-    tail_ctx = AlgebraContext(ctx.p, ctx.m - n, block=max(ctx.block - n, 0))
+    tail_ctx = AlgebraContext(ctx.p, ctx.m - n)
     if n == 0:
-        entries = {} if a.is_zero() else {((), ()): Element._make(tail_ctx, dict(a.terms))}
+        entries = {} if a.is_zero() else {((), ()): a}
         return InvariantExpansion(ctx, 0, tail_ctx, entries)
     groups: dict[Monomial, dict[Monomial, int]] = {}
     for mono, c in a:
@@ -312,16 +311,9 @@ def invariant_decompose(a: Element, n: int) -> InvariantExpansion:
 
 # Power-map expansions are expensive and endlessly re-read during the
 # Milnor sweeps; Elements hash by value, so (n, a) is a sound memo key.
-_expansion_cache: dict[tuple[int, Element], InvariantExpansion] = {}
-
-
+@cache
 def power_expansion(n: int, a: Element) -> InvariantExpansion:
-    key = (n, a)
-    exp = _expansion_cache.get(key)
-    if exp is None:
-        exp = invariant_decompose(d_star_p(n, a), n)
-        _expansion_cache[key] = exp
-    return exp
+    return invariant_decompose(d_star_p(n, a), n)
 
 
 def milnor_st(S: Sequence[int], R: Sequence[int], a: Element, n: "int | None" = None) -> Element:
@@ -352,11 +344,11 @@ def milnor_st(S: Sequence[int], R: Sequence[int], a: Element, n: "int | None" = 
     exp = power_expansion(n, a)
     tail = exp.cofactor(S, (stats.r0,) + R[: n - 1] if n else ())
     if tail.is_zero():
-        return Element._make(a.ctx, {})
+        return tail
     scale = mu_mod(q, a.ctx.p, n)
     if stats.sign_exp % 2:
         scale = -scale % a.ctx.p
-    return Element._make(a.ctx, dict(tail.scalar_mul(inv_mod(scale, a.ctx.p)).terms))
+    return tail.scalar_mul(inv_mod(scale, a.ctx.p))
 
 
 def admissible_indices(q: int, n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -196,7 +196,7 @@ def assemble_from_milnor(n: int, a: Element) -> Element:
     Milnor operation values — the round trip behind the extraction."""
     ctx = a.ctx
     p, q = ctx.p, a.degree()
-    big = AlgebraContext(p, ctx.m + n, block=ctx.block + n)
+    big = AlgebraContext(p, ctx.m + n)
     shift = {i: i + n for i in range(1, ctx.m + 1)}
     scale0 = mu_mod(q, p, n)
     out = big.zero()
@@ -710,12 +710,12 @@ def _execute(task: dict) -> list[dict]:
 
 
 def _worker_count(workers: "int | None") -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get(WORKERS_ENV, "")
-    if env.strip():
-        return max(1, int(env))
-    return 1
+    """The requested worker count (argument, else environment, else 1),
+    clamped to 1..cpu_count so no request forks more processes than cores."""
+    if workers is None:
+        env = os.environ.get(WORKERS_ENV, "")
+        workers = int(env) if env.strip() else 1
+    return max(1, min(workers, os.cpu_count() or 1))
 
 
 def _run_tasks(tasks: list[dict], workers: int, budget: int) -> list[dict]:

@@ -24,8 +24,6 @@ def test_context_validation():
         AlgebraContext(2, 1)
     with pytest.raises(ValueError):
         AlgebraContext(9, 1)
-    with pytest.raises(ValueError):
-        AlgebraContext(3, 2, block=3)
     assert AlgebraContext(7, 4).h == 3
 
 
@@ -134,6 +132,7 @@ def test_embed(ctx):
     a = ctx.x(2) * ctx.y(1, 3)
     b = embed(a, big)
     assert b.ctx is big and b.degree() == a.degree()
+    assert embed(a, AlgebraContext(3, 2)) is a  # same context: no copy
     with pytest.raises(ValueError):
         embed(b, ctx)  # cannot shrink
 

@@ -85,6 +85,16 @@ def test_closed_form(capsys):
     assert code == 2 and "--k" in err
 
 
+def test_closed_form_q_accepts_s_equal_n(capsys):
+    # Q_{n,n} = 1, which power_on_q accepts; the CLI agrees
+    code, out, _ = run(capsys, "closed-form", "--p", "3", "--family", "Q",
+                       "--n", "1", "--s", "1", "--r", "0")
+    assert code == 0 and out == "1"
+    code, _, err = run(capsys, "closed-form", "--p", "3", "--family", "Q",
+                       "--n", "1", "--s", "2", "--r", "0")
+    assert code == 2 and "family Q" in err
+
+
 def test_table_pinned_cells(capsys):
     code, out, _ = run(capsys, "table", "--p", "3", "--family", "Q", "--n", "2")
     assert code == 0

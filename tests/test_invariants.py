@@ -126,3 +126,14 @@ def test_apply_matrix_rejects_singular():
 def test_dimension_unknown_name():
     with pytest.raises(ValueError):
         dimension("W", 3, 1)
+
+
+def test_invariants_are_built_once_per_p_and_params():
+    from dicksonmui import invariants
+
+    c2 = ctx3(2)
+    assert Q(c2, 2, 1) is Q(ctx3(2), 2, 1)  # memoized, embedded without a copy
+    before = invariants._q.cache_info().currsize
+    big = Q(ctx3(4), 2, 1)
+    assert invariants._q.cache_info().currsize == before  # not keyed on the context
+    assert big.ctx == ctx3(4) and render_text(big) == render_text(Q(c2, 2, 1))

@@ -87,9 +87,16 @@ def test_frozen_p1_actions(c2):
 def test_d_star_p_on_generators(c1):
     out = d_star_p(1, c1.x(1))
     big = out.ctx
-    assert (big.p, big.m, big.block) == (3, 2, 1)
+    assert (big.p, big.m) == (3, 2)
     assert render_text(out) == "2*x1*y2 + x2*y1"
     assert render_text(d_star_p(1, c1.y(1))) == "y2^3 + 2*y2*y1^2"
+
+
+def test_d_star_p_output_adds_to_plain_context(c1, c2):
+    # a context is just (p, m): the power map's output mixes with any
+    # element over the same number of pairs
+    got = d_star_p(1, c1.y(1)) + c2.y(1)
+    assert render_text(got) == "y2^3 + 2*y2*y1^2 + y1"
 
 
 def test_d_star_p_is_multiplicative(c1):
@@ -174,3 +181,10 @@ def test_compose_check(c1):
 def test_mu_mod():
     assert mu_mod(2, 3) == 2
     assert mu_mod(2, 3, reps=2) == 1
+
+
+def test_p_power_beyond_every_y_exponent_is_zero(c1):
+    # instability: no layer beyond the largest y-exponent sum is built
+    assert p_power(10**6, c1.y(1)).is_zero()
+    assert p_power(3, c1.x(1) * c1.y(1, 2)).is_zero()
+    assert p_power(2, c1.y(1, 2)) == c1.y(1, 6)
