@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .arith import inv_mod, is_odd_prime
@@ -484,8 +485,16 @@ def _det(rows, ctx) -> Element:
 def exact_div(a: Element, b: Element) -> Element:
     """The exact quotient a / b of purely polynomial elements.
 
-    Raises InexactDivisionError when b does not divide a; division is by
-    leading-term elimination in graded-lex order.
+    Raises InexactDivisionError when b does not divide a.  Division is by
+    leading-term elimination in graded-lex order, heap-driven as in
+    Johnson (1974) and Monagan & Pearce (2007): every exponent vector is
+    packed into one int with fields (sum(ys), ys[0], ..., ys[m-1]), most
+    significant first, so integer order is graded-lex order.  Each field
+    has bit_length(D) + 1 bits, D the largest total degree in a; every
+    remainder term stays at or below the current lead, so no field
+    overflows into its neighbour.  The remainder is keyed on packed ints,
+    each divisor term is an offset from the divisor's lead, and a max-heap
+    of the remainder's keys yields each lead without scanning the rest.
     """
     if a.ctx != b.ctx:
         raise ContextMismatchError("exact_div across contexts")
@@ -494,26 +503,48 @@ def exact_div(a: Element, b: Element) -> Element:
     if b.is_zero():
         raise ZeroDivisionError("division by the zero element")
     ctx = a.ctx
-    p = ctx.p
+    p, m = ctx.p, ctx.m
+    width = max((sum(mono.ys) for mono in a.terms), default=0).bit_length() + 1
+    mask = (1 << width) - 1
+    shifts = [width * (m - 1 - i) for i in range(m)]
+
+    def pack(ys):
+        key = sum(ys)
+        for e in ys:
+            key = (key << width) | e
+        return key
+
     lead_b = max(b.terms, key=_grlex_key)
     cb_inv = inv_mod(b.terms[lead_b], p)
-    rem = dict(a.terms)
+    lead_b_key = pack(lead_b.ys)
+    # the divisor's other terms as (packed offset from its lead, -coefficient)
+    tail = [(pack(mb.ys) - lead_b_key, p - vb) for mb, vb in b.terms.items() if mb != lead_b]
+    rem = {pack(mono.ys): c for mono, c in a.terms.items()}
+    heap = [-key for key in rem]
+    heapify(heap)
     quo: dict[Monomial, int] = {}
-    while rem:
-        lead = max(rem, key=_grlex_key)
-        diff = tuple(ea - eb for ea, eb in zip(lead.ys, lead_b.ys))
+    while heap:
+        lead = -heappop(heap)
+        c = rem.pop(lead, 0)
+        if not c:
+            continue  # cancelled, or a second entry for a key already eliminated
+        diff = tuple(((lead >> s) & mask) - eb for s, eb in zip(shifts, lead_b.ys))
         if any(d < 0 for d in diff):
             raise InexactDivisionError("leading term not divisible")
-        c = rem[lead] * cb_inv % p
-        qmono = Monomial((), diff)
-        quo[qmono] = c
-        for mb, vb in b.terms.items():
-            mono = Monomial((), tuple(d + e for d, e in zip(diff, mb.ys)))
-            v = (rem.get(mono, 0) - c * vb) % p
-            if v:
-                rem[mono] = v
+        c = c * cb_inv % p
+        quo[Monomial((), diff)] = c
+        for offset, nvb in tail:
+            key = lead + offset
+            old = rem.get(key)
+            if old is None:
+                rem[key] = c * nvb % p
+                heappush(heap, -key)
             else:
-                rem.pop(mono, None)
+                v = (old + c * nvb) % p
+                if v:
+                    rem[key] = v
+                else:
+                    del rem[key]
     return Element._make(ctx, quo)
 
 

@@ -7,7 +7,7 @@ reduces mod p only at the end, so no precision is ever lost.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import NamedTuple, Sequence
 
 
@@ -43,9 +43,16 @@ def digit(r: int, i: int, p: int) -> int:
 
 
 def binom_mod(n: int, k: int, p: int) -> int:
+    """C(n, k) mod the prime p by Lucas's theorem: the product of
+    C(n_i, k_i) over the base-p digits n_i of n and k_i of k."""
     if k < 0 or k > n:
         return 0
-    return factorial(n) // (factorial(k) * factorial(n - k)) % p
+    out = 1
+    while k and out:
+        n, ni = divmod(n, p)
+        k, ki = divmod(k, p)
+        out = out * comb(ni, ki) % p
+    return out
 
 
 def multinomial_mod(b: int, R: Sequence[int], p: int) -> int:
@@ -81,7 +88,7 @@ class MilnorStats(NamedTuple):
     r0: int  # q - len(S) - 2 sum R
 
 
-def seq_stats(S: Sequence[int], R: Sequence[int], q: int, p: int) -> MilnorStats:
+def seq_stats(S: Sequence[int], R: Sequence[int], q: int) -> MilnorStats:
     sign_exp = len(S) + sum(S) + sum(i * r for i, r in enumerate(R, start=1))
     return MilnorStats(sign_exp, q - len(S) - 2 * sum(R))
 

@@ -136,8 +136,8 @@ def pairing_sign_exp(
     t, tp = len(S), len(Sp)
     h = (p - 1) // 2
     total = (
-        seq_stats(S, R, 0, p).sign_exp
-        + seq_stats(Sp, Rp, 0, p).sign_exp
+        seq_stats(S, R, 0).sign_exp
+        + seq_stats(Sp, Rp, 0).sign_exp
         + s
         + delta
         + (t + dim_bracket(p, s)) * tp

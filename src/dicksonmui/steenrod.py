@@ -336,7 +336,7 @@ def milnor_st(S: Sequence[int], R: Sequence[int], a: Element, n: "int | None" = 
     if a.is_zero():
         return a
     q = a.degree()
-    stats = seq_stats(S, R, q, a.ctx.p)
+    stats = seq_stats(S, R, q)
     if stats.r0 < 0:
         raise ValueError(
             "(S=%s, R=%s) is inadmissible in degree %d (r0 = %d)" % (S, R, q, stats.r0)

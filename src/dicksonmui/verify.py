@@ -204,7 +204,7 @@ def assemble_from_milnor(n: int, a: Element) -> Element:
         st = milnor_st(S, R, a, n)
         if st.is_zero():
             continue
-        stats = seq_stats(S, R, q, p)
+        stats = seq_stats(S, R, q)
         c = scale0 if stats.sign_exp % 2 == 0 else (p - scale0) % p
         head = embed(basis_element(p, n, S, (stats.r0,) + R[: n - 1]), big)
         out = out + head * relabel(st, big, shift).scalar_mul(c)

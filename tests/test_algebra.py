@@ -1,5 +1,7 @@
 """Ring arithmetic: graded signs, exactness, context discipline."""
 
+import random
+
 import pytest
 
 from dicksonmui.algebra import (
@@ -106,6 +108,61 @@ def test_exact_div(ctx):
         exact_div(ctx.y(1, 2) + ctx.y(2), ctx.y(1))
     with pytest.raises(ZeroDivisionError):
         exact_div(ctx.y(1), ctx.zero())
+
+
+def _random_poly(rng, ctx, nterms, max_exp):
+    # a sparse, usually non-homogeneous polynomial; zero when every
+    # coefficient happens to cancel
+    out = ctx.zero()
+    for _ in range(nterms):
+        ys = [rng.randint(0, max_exp) for _ in range(ctx.m)]
+        out = out + ctx.monomial(ys=ys, c=rng.randrange(1, ctx.p))
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_exact_div_recovers_random_factor(p, m):
+    rng = random.Random(1000 * p + m)
+    ctx = AlgebraContext(p, m)
+    for _ in range(25):
+        a = _random_poly(rng, ctx, rng.randint(1, 8), 6)
+        b = _random_poly(rng, ctx, rng.randint(1, 5), 4)
+        if b.is_zero():
+            continue
+        assert exact_div(a * b, b) == a
+        assert exact_div(ctx.zero(), b).is_zero()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_exact_div_rejects_non_multiples(p):
+    ctx = AlgebraContext(p, 2)
+    y1, y2 = ctx.y(1), ctx.y(2)
+    b = y1 * y2 + y2 + 1
+    with pytest.raises(InexactDivisionError):
+        exact_div(b * (y1 + 1) + y1, b)
+    with pytest.raises(InexactDivisionError):
+        exact_div(y2, y1 + y2 * y2)  # divisor of higher degree
+    with pytest.raises(InexactDivisionError):
+        exact_div(ctx.one(), y1 + 1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_exact_div_at_packing_boundary(p):
+    # exponents of p^4 next to small ones: a packed field too narrow for
+    # p^4 (or sized by the divisor) would fold terms into each other
+    ctx = AlgebraContext(p, 3)
+    big = p**4
+    y1, y2, y3 = ctx.y(1), ctx.y(2), ctx.y(3)
+    cases = [
+        (ctx.y(1, big) + y2, y2 + 1),
+        (ctx.y(1, big) * ctx.y(2, big) + y2 * y2 + 1, ctx.y(1, big) - y2),
+        (ctx.y(3, big - 1) + y1 * y2, ctx.y(2, big + 1) + 2 * y3 + y1),
+        (ctx.y(1, 2 * big) + ctx.y(2, big), y2 * y3 + y1 + 1),
+    ]
+    for a, b in cases:
+        assert exact_div(a * b, b) == a
+        assert exact_div(a * b, a) == b
 
 
 def test_relabel_needs_injective_map(ctx):

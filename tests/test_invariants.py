@@ -128,6 +128,15 @@ def test_dimension_unknown_name():
         dimension("W", 3, 1)
 
 
+def test_q41_at_p5_multiplies_back():
+    # the largest Dickson cell at p = 5 (L_{4,1} / L_4); checked by
+    # multiplying back, since the recursion oracle costs far more
+    ctx = AlgebraContext(5, 4)
+    q = Q(ctx, 4, 1)
+    assert len(q) == 10600
+    assert q * L(ctx, 4) == L(ctx, 4, 1)
+
+
 def test_invariants_are_built_once_per_p_and_params():
     from dicksonmui import invariants
 

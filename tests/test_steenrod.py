@@ -1,10 +1,12 @@
 """Steenrod operations: the Cartan oracle, the block power map, and
 Milnor-basis extraction."""
 
+import math
+
 import pytest
 
 from dicksonmui.algebra import AlgebraContext, embed, render_text
-from dicksonmui.arith import mu_mod, seq_stats
+from dicksonmui.arith import binom_mod, mu_mod, seq_stats
 from dicksonmui.invariants import Mtilde, Q, U, V
 from dicksonmui.steenrod import (
     admissible_indices,
@@ -169,8 +171,18 @@ def test_milnor_nonzero_exterior_stratum(c2):
 def test_admissible_indices():
     idx = list(admissible_indices(2, 1))  # degree of y
     assert ((), (0,)) in idx and ((0,), (0,)) in idx
-    assert all(seq_stats(S, R, 2, 3).r0 >= 0 for S, R in idx)
+    assert all(seq_stats(S, R, 2).r0 >= 0 for S, R in idx)
     assert all(len(R) == 1 for _, R in idx)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_binom_mod_matches_comb(p):
+    ns = list(range(p**3 + 2 * p)) + [p**4 - 1, p**4 + p + 2, 2 * p**4 + 1]
+    for n in ns:
+        ks = range(n + 1) if n <= p**3 + 2 * p else range(0, n + 1, max(1, n // 97))
+        for k in ks:
+            assert binom_mod(n, k, p) == math.comb(n, k) % p, (n, k)
+        assert binom_mod(n, -1, p) == binom_mod(n, n + 1, p) == 0
 
 
 def test_compose_check(c1):
