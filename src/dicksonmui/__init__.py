@@ -48,8 +48,33 @@ from .steenrod import (
     total_power,
 )
 from .verify import run_suite
+from . import duality as _duality, invariants as _invariants, steenrod as _steenrod
 
 __version__ = "0.1.0"
+
+# every memoised builder: invariants keyed on (p, params), the basis and
+# power-map expansions, and the mixed U/V decompositions
+_CACHED_BUILDERS = (
+    _invariants._bracket_e,
+    _invariants._bracket_x,
+    _invariants._ltilde,
+    _invariants._q,
+    _invariants._mtilde,
+    _invariants._u,
+    _invariants._v,
+    _steenrod._basis_element,
+    _steenrod._candidates,
+    _steenrod.power_expansion,
+    _duality._mixed_candidates,
+    _duality.mixed_decompose,
+    _duality._invariant_expansion,
+)
+
+
+def clear_caches() -> None:
+    """Empty every memoised builder, so the next call computes cold."""
+    for builder in _CACHED_BUILDERS:
+        builder.cache_clear()
 
 __all__ = [
     "AlgebraContext",
@@ -71,6 +96,7 @@ __all__ = [
     "basis_element",
     "bockstein",
     "bracket_identities",
+    "clear_caches",
     "expand_mq",
     "expand_uv",
     "d_star_p",

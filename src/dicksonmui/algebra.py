@@ -39,38 +39,6 @@ class Monomial(NamedTuple):
         return len(self.xs) + 2 * sum(self.ys)
 
 
-def monomial_mul(a: Monomial, b: Monomial):
-    """Graded product of monomials: (sign, Monomial), or None when it dies.
-
-    The sign is the Koszul sign from moving the exterior factors of b past
-    those of a into one increasing list; a repeated exterior index kills
-    the product.
-    """
-    if not a.xs:
-        merged = b.xs
-        inversions = 0
-    elif not b.xs:
-        merged = a.xs
-        inversions = 0
-    else:
-        out = []
-        inversions = 0
-        ia, na = 0, len(a.xs)
-        for jb in b.xs:
-            while ia < na and a.xs[ia] < jb:
-                out.append(a.xs[ia])
-                ia += 1
-            if ia < na and a.xs[ia] == jb:
-                return None
-            # jb jumps over everything still unprocessed in a.xs
-            inversions += na - ia
-            out.append(jb)
-        out.extend(a.xs[ia:])
-        merged = tuple(out)
-    ys = tuple(ea + eb for ea, eb in zip(a.ys, b.ys))
-    return (-1 if inversions % 2 else 1), Monomial(merged, ys)
-
-
 def monomial_sort_key(mono: Monomial):
     """Display order: total degree first, highest-index generators dominant."""
     return (mono.degree(), tuple(reversed(mono.ys)), tuple(reversed(mono.xs)))
@@ -79,6 +47,30 @@ def monomial_sort_key(mono: Monomial):
 def _grlex_key(mono: Monomial):
     # division order on purely polynomial monomials
     return (sum(mono.ys), mono.ys)
+
+
+def _pack(ys: Iterable[int], width: int, key: int = 0) -> int:
+    """Append the exponents ys to key as fields of width bits each, the
+    first exponent most significant.  While every field of a sum of packed
+    keys stays below 2**width, adding keys adds exponent vectors."""
+    for e in ys:
+        key = (key << width) | e
+    return key
+
+
+def _unpacker(width: int, m: int):
+    """The inverse of _pack for m fields: key -> its lowest m fields as a
+    tuple, most significant first; higher fields are dropped."""
+    mask = (1 << width) - 1
+    shifts = range(width * (m - 1), -1, -width)
+
+    def unpack(key: int) -> tuple[int, ...]:
+        ys = []  # a plain loop: cheaper than a comprehension per call
+        for s in shifts:
+            ys.append((key >> s) & mask)
+        return tuple(ys)
+
+    return unpack
 
 
 @dataclass(frozen=True)
@@ -267,20 +259,7 @@ class Element:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        p = self.ctx.p
-        out: dict[Monomial, int] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                hit = monomial_mul(ma, mb)
-                if hit is None:
-                    continue
-                sign, mono = hit
-                v = (out.get(mono, 0) + sign * ca * cb) % p
-                if v:
-                    out[mono] = v
-                else:
-                    out.pop(mono, None)
-        return Element._make(self.ctx, out)
+        return _mul(self, other)
 
     def __rmul__(self, other) -> "Element":
         if isinstance(other, int):
@@ -403,6 +382,79 @@ class Element:
         return "<Element p=%d m=%d %s>" % (self.ctx.p, self.ctx.m, render_text(self))
 
 
+def _mask_groups(a: Element, width: int):
+    """a's terms as [(bitmask, xs, {packed ys: coefficient})], one entry
+    per exterior part; bit i of the mask stands for x_i."""
+    groups: dict[tuple[int, ...], dict[int, int]] = {}
+    for (xs, ys), c in a.terms.items():
+        group = groups.get(xs)
+        if group is None:
+            group = groups[xs] = {}
+        group[_pack(ys, width)] = c
+    out = []
+    for xs, group in groups.items():
+        mask = 0
+        for i in xs:
+            mask |= 1 << i
+        out.append((mask, xs, group))
+    return out
+
+
+def _mul(a: Element, b: Element) -> Element:
+    """The graded product a*b over packed exponent keys.
+
+    Each operand is grouped by exterior bitmask and each y-vector packed
+    into one int (_pack).  Every field is bit_length(da + db) bits wide,
+    da and db the operands' largest y-degree sums, so no field of
+    ka + kb carries into its neighbour.  For each pair of masks, xa & xb
+    kills the whole block, and the Koszul sign of moving the x's of b past
+    those of a is read once per block: the parity of the pairs i in xa,
+    j in xb with i > j, one popcount per j.  Coefficients accumulate
+    unreduced, with one % p per output key; the output is unpacked into
+    Monomials one mask group at a time.
+    """
+    ctx = a.ctx
+    if not a.terms or not b.terms:
+        return ctx.zero()
+    p = ctx.p
+    da = max([sum(mono.ys) for mono in a.terms])
+    db = max([sum(mono.ys) for mono in b.terms])
+    width = (da + db).bit_length() or 1  # unpacking needs a nonzero width
+    groups_b = _mask_groups(b, width)
+    # output mask -> (its exterior indices, {packed ys: unreduced coefficient})
+    out: dict[int, tuple[tuple[int, ...], dict[int, int]]] = {}
+    for xa, xs_a, ga in _mask_groups(a, width):
+        for xb, xs_b, gb in groups_b:
+            if xa & xb:
+                continue
+            inversions = 0
+            for j in xs_b:
+                inversions += (xa >> j).bit_count()
+            sign = -1 if inversions & 1 else 1
+            x = xa | xb
+            if x in out:
+                acc = out[x][1]
+            else:
+                acc = {}
+                out[x] = (tuple(sorted(xs_a + xs_b)), acc)
+            get = acc.get
+            outer, inner = (ga, gb) if len(ga) <= len(gb) else (gb, ga)
+            for ko, co in outer.items():
+                co *= sign
+                for ki, ci in inner.items():
+                    k = ko + ki
+                    acc[k] = get(k, 0) + co * ci
+    unpack = _unpacker(width, ctx.m)
+    terms: dict[Monomial, int] = {}
+    while out:
+        xs, acc = out.popitem()[1]
+        for k, c in acc.items():
+            c %= p
+            if c:
+                terms[Monomial(xs, unpack(k))] = c
+    return Element._make(ctx, terms)
+
+
 def _poly_pow(a: Element, e: int) -> Element:
     """a^e for purely polynomial a, with a Frobenius fast path mod p."""
     ctx = a.ctx
@@ -505,14 +557,10 @@ def exact_div(a: Element, b: Element) -> Element:
     ctx = a.ctx
     p, m = ctx.p, ctx.m
     width = max((sum(mono.ys) for mono in a.terms), default=0).bit_length() + 1
-    mask = (1 << width) - 1
-    shifts = [width * (m - 1 - i) for i in range(m)]
+    unpack = _unpacker(width, m)
 
     def pack(ys):
-        key = sum(ys)
-        for e in ys:
-            key = (key << width) | e
-        return key
+        return _pack(ys, width, sum(ys))
 
     lead_b = max(b.terms, key=_grlex_key)
     cb_inv = inv_mod(b.terms[lead_b], p)
@@ -528,7 +576,7 @@ def exact_div(a: Element, b: Element) -> Element:
         c = rem.pop(lead, 0)
         if not c:
             continue  # cancelled, or a second entry for a key already eliminated
-        diff = tuple(((lead >> s) & mask) - eb for s, eb in zip(shifts, lead_b.ys))
+        diff = tuple(e - eb for e, eb in zip(unpack(lead), lead_b.ys))
         if any(d < 0 for d in diff):
             raise InexactDivisionError("leading term not divisible")
         c = c * cb_inv % p

@@ -6,8 +6,9 @@ Subcommands: ``invariant`` builds one invariant and prints it,
 exact verification suites, and ``table`` prints an oracle-checked grid
 of actions in symbolic (invariant-basis) form.
 
-Exit codes: 0 on success, 1 when a verification cell fails, 2 on usage
-or domain errors (bad indices, unparsable input, inadmissible operation).
+Exit codes: 0 on success, 1 when a verification cell fails, 2 on usage,
+domain or arithmetic errors (bad indices, unparsable input, inadmissible
+operation, inexact division, a non-invertible residue).
 """
 
 from __future__ import annotations
@@ -407,7 +408,8 @@ def main(argv: "list[str] | None" = None) -> int:
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ValueError, ArithmeticError) as exc:
+        # ArithmeticError covers InexactDivisionError and ZeroDivisionError
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

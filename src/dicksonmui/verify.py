@@ -697,15 +697,16 @@ def _execute(task: dict) -> list[dict]:
         out = fn(*task["args"])
     except Exception as exc:  # a crashing cell is a failing cell
         out = {"status": "FAIL", "reason": "%s: %s" % (type(exc).__name__, exc)}
-    dt = round(time.perf_counter() - t0, 4)
+    dt = time.perf_counter() - t0
     rows = out if isinstance(out, list) else [out]
+    # each row of a multi-row cell carries an equal share of its time
+    share = round(dt / max(len(rows), 1), 6)
     final = []
     for r in rows:
         row = {"suite": task["suite"], "cell": r.pop("cell", task["cell"])}
         row.update(r)
+        row["seconds"] = share
         final.append(row)
-    if len(final) == 1:
-        final[0]["seconds"] = dt
     return final
 
 
@@ -742,7 +743,8 @@ def _run_tasks(tasks: list[dict], workers: int, budget: int) -> list[dict]:
     for t in tasks:
         if t["skip"]:
             rows.append({"suite": t["suite"], "cell": t["cell"], "status": "SKIP",
-                         "reason": "budget: ~%d raw monomials > %d" % (t["est"], budget)})
+                         "reason": "budget: ~%d raw monomials > %d" % (t["est"], budget),
+                         "seconds": 0.0})
         else:
             rows.extend(next(it))
     return rows

@@ -165,6 +165,106 @@ def test_exact_div_at_packing_boundary(p):
         assert exact_div(a * b, a) == b
 
 
+def _koszul_merge(a, b):
+    # the graded product of two tuple monomials, (sign, Monomial), or None
+    # when a repeated exterior index kills it; the sign counts the x's of a
+    # that each x of b jumps over while the two sorted lists merge
+    out = []
+    inversions = 0
+    ia, na = 0, len(a.xs)
+    for jb in b.xs:
+        while ia < na and a.xs[ia] < jb:
+            out.append(a.xs[ia])
+            ia += 1
+        if ia < na and a.xs[ia] == jb:
+            return None
+        inversions += na - ia
+        out.append(jb)
+    out.extend(a.xs[ia:])
+    ys = tuple(ea + eb for ea, eb in zip(a.ys, b.ys))
+    return (-1 if inversions % 2 else 1), Monomial(tuple(out), ys)
+
+
+def _reference_mul(a, b):
+    # the pairwise product over tuple monomials: an oracle for the packed
+    # kernel behind Element.__mul__
+    p = a.ctx.p
+    out = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            hit = _koszul_merge(ma, mb)
+            if hit is not None:
+                sign, mono = hit
+                out[mono] = (out.get(mono, 0) + sign * ca * cb) % p
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _random_element(rng, ctx, nterms, max_exp):
+    # exterior parts included; repeated monomials add up, so the term count
+    # may fall short of nterms
+    out = ctx.zero()
+    for _ in range(nterms):
+        xs = sorted(rng.sample(range(1, ctx.m + 1), rng.randint(0, ctx.m)))
+        ys = [rng.randint(0, max_exp) for _ in range(ctx.m)]
+        out = out + ctx.monomial(xs, ys, rng.randrange(1, ctx.p))
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+def test_mul_matches_pairwise_reference(p, m):
+    rng = random.Random(100 * p + m)
+    ctx = AlgebraContext(p, m)
+    fixed = [ctx.zero(), ctx.one(), ctx.scalar(p - 1)]
+    if m:
+        fixed += [ctx.x(m), ctx.y(1, 3), ctx.monomial(range(1, m + 1), [1] * m, 2)]
+    operands = fixed + [
+        _random_element(rng, ctx, rng.randint(1, 12), rng.choice([1, 3, 9]))
+        for _ in range(14)
+    ]
+    for a in operands:
+        for b in operands:
+            prod = a * b
+            assert prod.ctx == ctx
+            assert prod.terms == _reference_mul(a, b)
+            assert all(0 < c < p for c in prod.terms.values())
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_mul_at_packing_boundary(p):
+    # y1^(p^4) * y1 next to small exponents: the sum of the largest degrees
+    # sets the field width, so a field one bit short folds y1^(p^4 + 1)
+    # into its neighbour
+    ctx = AlgebraContext(p, 3)
+    big = p**4
+    y1, y2, y3 = ctx.y(1), ctx.y(2), ctx.y(3)
+    cases = [
+        (ctx.y(1, big), y1),
+        (ctx.y(1, big) + y2 * y3, y1 + ctx.y(3, 2) + 1),
+        (ctx.x(1) * ctx.y(2, big - 1) + ctx.x(3) * y1, ctx.x(2) * ctx.y(2, big) + y3),
+        (ctx.y(1, big) * ctx.y(2, big) * ctx.y(3, big), ctx.y(1, big) + ctx.y(3, 1)),
+        (ctx.y(3, 2 * big - 1) + ctx.x(2), ctx.y(3, 1) - ctx.x(1) * ctx.x(3)),
+    ]
+    assert (ctx.y(1, big) * y1).terms == {Monomial((), (big + 1, 0, 0)): 1}
+    for a, b in cases:
+        assert (a * b).terms == _reference_mul(a, b)
+        assert (b * a).terms == _reference_mul(b, a)
+
+
+def test_exterior_generators_anticommute():
+    ctx = AlgebraContext(5, 4)
+    for i in range(1, 5):
+        assert (ctx.x(i) * ctx.x(i)).is_zero()
+        for j in range(1, 5):
+            if i != j:
+                assert ctx.x(i) * ctx.x(j) == -(ctx.x(j) * ctx.x(i))
+                assert not (ctx.x(i) * ctx.x(j)).is_zero()
+    # a longer word: moving x4 past x1 x2 x3 costs three transpositions
+    x123 = ctx.x(1) * ctx.x(2) * ctx.x(3)
+    assert ctx.x(4) * x123 == -(x123 * ctx.x(4))
+    assert (x123 * ctx.x(4)).terms == {Monomial((1, 2, 3, 4), (0, 0, 0, 0)): 1}
+
+
 def test_relabel_needs_injective_map(ctx):
     big = AlgebraContext(3, 3)
     a = ctx.x(1) * ctx.y(2)

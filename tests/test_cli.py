@@ -1,11 +1,14 @@
 """End-to-end CLI behaviour: output formats, exit codes, report schema."""
 
 import json
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
 import pytest
 
+from dicksonmui.algebra import exact_div
+from dicksonmui.arith import fraction_mod
 from dicksonmui.cli import main
 
 
@@ -195,3 +198,33 @@ def test_table_empty_range(capsys):
     code, out, _ = run(capsys, "table", "--p", "3", "--family", "Q", "--n", "1",
                        "--max-r", "-1")
     assert code == 0 and out.splitlines() == ["r  s=0"]
+
+
+def _inexact_division(r, a):
+    ctx = a.ctx
+    return exact_div(ctx.y(1, 2) + ctx.y(2), ctx.y(1))
+
+
+def _zero_residue(r, a):
+    return a.scalar_mul(fraction_mod(Fraction(1, 3), 3))
+
+
+def _closed_form_shift(r, a):
+    raise ArithmeticError("negative shift with nonzero coefficient")
+
+
+@pytest.mark.parametrize("fake, message", [
+    (_inexact_division, "leading term not divisible"),
+    (_zero_residue, "inverse of 0 mod 3"),
+    (_closed_form_shift, "negative shift"),
+])
+def test_arithmetic_errors_exit_two(capsys, monkeypatch, fake, message):
+    # InexactDivisionError, ZeroDivisionError and the closed forms'
+    # ArithmeticError end in "error: ..." and exit code 2, not a traceback
+    import dicksonmui.cli as cli
+
+    monkeypatch.setattr(cli, "p_power", fake)
+    code, out, err = run(capsys, "steenrod", "apply", "--p", "3", "--op", "P^1",
+                         "--expr", "y1*y2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err

@@ -200,3 +200,34 @@ def test_p_power_beyond_every_y_exponent_is_zero(c1):
     assert p_power(10**6, c1.y(1)).is_zero()
     assert p_power(3, c1.x(1) * c1.y(1, 2)).is_zero()
     assert p_power(2, c1.y(1, 2)) == c1.y(1, 6)
+
+
+def _memoised_builders():
+    # every functools.cache function defined at module level in the package
+    import dicksonmui
+
+    found = {}
+    for name in ("algebra", "arith", "closed_forms", "duality", "grammar",
+                 "invariants", "steenrod", "verify"):
+        module = getattr(dicksonmui, name)
+        for attr, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                found["%s.%s" % (name, attr)] = obj
+    return found
+
+
+def test_clear_caches_empties_every_builder():
+    from dicksonmui import clear_caches
+    from dicksonmui.duality import mixed_decompose
+
+    builders = _memoised_builders()
+    ctx = AlgebraContext(3, 2)
+    assert not Q(ctx, 2, 1).is_zero()
+    assert not milnor_st((), (1, 1), V(ctx, 2), 2).is_zero()
+    mixed_decompose(U(ctx, 2), 1)
+    filled = {name for name, fn in builders.items() if fn.cache_info().currsize}
+    assert {"invariants._q", "steenrod.power_expansion",
+            "duality.mixed_decompose"} <= filled
+    clear_caches()
+    assert {name: fn.cache_info().currsize for name, fn in builders.items()} == \
+        dict.fromkeys(builders, 0)

@@ -1,8 +1,12 @@
-"""Scheduling guards of the verification runner."""
+"""Scheduling guards and report rows of the verification runner."""
 
+import json
 import os
+from importlib import resources
 
-from dicksonmui.verify import WORKERS_ENV, _worker_count
+import jsonschema
+
+from dicksonmui.verify import WORKERS_ENV, _worker_count, run_suite
 
 
 def test_worker_count_is_clamped_to_cpu_count(monkeypatch):
@@ -25,3 +29,26 @@ def test_worker_count_from_environment(monkeypatch):
     # an explicit count wins over the environment
     monkeypatch.setenv(WORKERS_ENV, "1000000")
     assert _worker_count(1) == 1
+
+
+def _schema():
+    return json.loads(
+        resources.files("dicksonmui").joinpath("report_schema.json").read_text())
+
+
+def test_every_row_carries_seconds():
+    # block_pairing cells return many rows; each gets an equal share of the
+    # cell's time
+    rep = run_suite("duality", p_values=(3,), grid="small")
+    jsonschema.validate(rep, _schema())
+    pairing = [row for row in rep["cells"] if row["cell"].startswith("pairing/")]
+    assert len(pairing) > 1000
+    assert all("seconds" in row for row in rep["cells"])
+    assert sum(row["seconds"] for row in pairing) > 0
+
+
+def test_budget_skips_carry_zero_seconds():
+    rep = run_suite("closed-forms", p_values=(3,), max_n=1, budget=0)
+    jsonschema.validate(rep, _schema())
+    assert rep["counts"]["skip"] == len(rep["cells"]) > 0
+    assert all(row["seconds"] == 0.0 for row in rep["cells"])
