@@ -344,7 +344,9 @@ class Element:
         def y_power(idx: int, e: int) -> Element:
             return _even_pow(y_images[idx], e)
 
-        out = ctx.zero()
+        p = ctx.p
+        # every term's image adds into one unreduced dict
+        acc: dict[Monomial, int] = {}
         for mono, c in self.terms.items():
             fixed_xs = tuple(i for i in mono.xs if i not in x_images)
             fixed_ys = tuple(
@@ -363,15 +365,16 @@ class Element:
                     mapped.append(x_images[i])
                 else:
                     fixed_seen += 1
-            term = Element._make(ctx, {Monomial(fixed_xs, fixed_ys): c})
+            term = Element._make(ctx, {Monomial(fixed_xs, fixed_ys): c if sign > 0 else p - c})
             for img in reversed(mapped):
                 term = img * term
             for i, e in enumerate(mono.ys):
                 idx = i + 1
                 if e and idx in y_images:
                     term = term * y_power(idx, e)
-            out = out + term.scalar_mul(sign)
-        return out
+            for m, v in term.terms.items():
+                acc[m] = acc.get(m, 0) + v
+        return Element._make(ctx, {m: v % p for m, v in acc.items() if v % p})
 
     # -- rendering ---------------------------------------------------------
 
@@ -455,6 +458,15 @@ def _mul(a: Element, b: Element) -> Element:
     return Element._make(ctx, terms)
 
 
+def frobenius(a: Element) -> Element:
+    """a^p for purely polynomial a: mod p the p-th power of a sum is the
+    sum of p-th powers, and c^p = c, so only the exponents change."""
+    p = a.ctx.p
+    return Element._make(
+        a.ctx, {Monomial((), tuple(v * p for v in m.ys)): c for m, c in a.terms.items()}
+    )
+
+
 def _poly_pow(a: Element, e: int) -> Element:
     """a^e for purely polynomial a, with a Frobenius fast path mod p."""
     ctx = a.ctx
@@ -462,11 +474,7 @@ def _poly_pow(a: Element, e: int) -> Element:
     if e == 0:
         return ctx.one()
     if e >= p:
-        frob = Element._make(
-            ctx,
-            {Monomial((), tuple(v * p for v in m.ys)): c for m, c in a.terms.items()},
-        )
-        out = _poly_pow(frob, e // p)
+        out = _poly_pow(frobenius(a), e // p)
         rem = e % p
         if rem:
             out = out * _poly_pow(a, rem)

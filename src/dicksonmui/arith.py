@@ -7,6 +7,7 @@ reduces mod p only at the end, so no precision is ever lost.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import comb, factorial
 from typing import NamedTuple, Sequence
 
@@ -109,27 +110,32 @@ def solve_exact(
     index the equations.  Returns the unique coefficient vector, None when
     the system is inconsistent.  Raises ArithmeticError when the columns
     are linearly dependent, since none of our generating sets should be.
+
+    Rows are reduced in key order (the target's keys, then the columns'
+    other keys) only until every unknown has a pivot; the solution read
+    off that square part is then checked against every equation it touches.
     """
     ncols = len(columns)
-    keys = set(target)
-    for col in columns:
-        keys.update(col)
+    # a key shared by several columns may come twice; its second row
+    # reduces to zero
+    keys = chain(target, (key for col in columns for key in col if key not in target))
     # Sparse row-reduction: rows indexed by equation keys, entry j is the
     # coefficient of unknown c_j; slot ncols holds the right-hand side.
     pivots: dict[int, dict[int, int]] = {}
     for key in keys:
-        row = {j: col[key] % p for j, col in enumerate(columns) if key in col and col[key] % p}
+        if len(pivots) == ncols:
+            break
+        row = {j: col[key] % p for j, col in enumerate(columns) if col.get(key, 0) % p}
         t = target.get(key, 0) % p
         if t:
             row[ncols] = t
         while row:
-            lead = min(j for j in row if j != ncols) if any(j != ncols for j in row) else ncols
+            lead = min(row)
             if lead == ncols:
                 return None  # 0 == nonzero
             if lead in pivots:
-                piv = pivots[lead]
                 factor = row[lead]
-                for j, v in piv.items():
+                for j, v in pivots[lead].items():
                     nv = (row.get(j, 0) - factor * v) % p
                     if nv:
                         row[j] = nv
@@ -143,13 +149,22 @@ def solve_exact(
         raise ArithmeticError("linearly dependent columns in exact solve")
     # Back-substitute to a fully reduced system, then read coefficients.
     solution = [0] * ncols
-    for lead in sorted(pivots, reverse=True):
+    for lead in range(ncols - 1, -1, -1):
         row = pivots[lead]
         val = row.get(ncols, 0)
         for j, v in row.items():
             if j != lead and j != ncols:
                 val = (val - v * solution[j]) % p
         solution[lead] = val
+    # The unread equations: sum_j c_j * columns[j] must equal the target
+    # on every key of the target and of each column used.
+    residual = {key: -v for key, v in target.items()}
+    for c, col in zip(solution, columns):
+        if c:
+            for key, v in col.items():
+                residual[key] = residual.get(key, 0) + c * v
+    if any(v % p for v in residual.values()):
+        return None
     return solution
 
 

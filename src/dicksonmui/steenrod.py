@@ -29,6 +29,7 @@ from .algebra import (
     Element,
     Monomial,
     embed,
+    frobenius,
     relabel,
     split_monomial,
 )
@@ -199,15 +200,22 @@ def basis_element(p: int, n: int, S: Sequence[int], H: Sequence[int]) -> Element
 
 @cache
 def _basis_element(p: int, n: int, S: tuple[int, ...], H: tuple[int, ...]) -> Element:
+    """One product from a cached smaller basis element: peel the last
+    Mtilde factor, else split H = p (H // p) + H % p (the p-th power only
+    scales exponents), else peel one Ltilde_n or Q_{n,i} factor.  The
+    recursion depth is at most |S| + n (p - 1) + log_p(max H) + 1."""
     c = AlgebraContext(p, n)
-    el = c.one()
-    for s in S:
-        el = el * Mtilde(c, n, s)
-    if n:
-        el = el * Ltilde(c, n) ** H[0]
-        for i in range(1, n):
-            el = el * Q(c, n, i) ** H[i]
-    return el
+    if S:
+        return _basis_element(p, n, S[:-1], H) * Mtilde(c, n, S[-1])
+    if max(H, default=0) >= p:
+        el = frobenius(_basis_element(p, n, (), tuple(h // p for h in H)))
+        low = tuple(h % p for h in H)
+        return el * _basis_element(p, n, (), low) if any(low) else el
+    i = max((i for i, h in enumerate(H) if h), default=None)
+    if i is None:
+        return c.one()
+    lower = H[:i] + (H[i] - 1,) + H[i + 1 :]
+    return _basis_element(p, n, (), lower) * (Ltilde(c, n) if i == 0 else Q(c, n, i))
 
 
 @cache

@@ -20,7 +20,6 @@ import os
 import random
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
 from . import closed_forms as cf
@@ -727,7 +726,9 @@ def _run_tasks(tasks: list[dict], workers: int, budget: int) -> list[dict]:
             runnable.append(t)
     if workers > 1 and len(runnable) > 1:
         try:
+            # imported here: a pool is rare, and the imports cost every start-up
             import multiprocessing as mp
+            from concurrent.futures import ProcessPoolExecutor
 
             chunk = max(1, len(runnable) // (workers * 8))
             with ProcessPoolExecutor(

@@ -308,3 +308,19 @@ def test_monomial_iteration(ctx):
     assert items[Monomial((), (1, 0))] == 2
     assert items[Monomial((1,), (0, 0))] == 1
     assert len(a) == 2
+
+
+def test_substitute_sums_images_and_drops_cancelled_terms():
+    ctx = AlgebraContext(5, 3)
+    x1, x2, x3, y1, y2 = ctx.x(1), ctx.x(2), ctx.x(3), ctx.y(1), ctx.y(2)
+    # y1 -> y2 makes y1 - y2 cancel to an empty term map
+    assert (y1 - y2).substitute(y_images={1: y2}).terms == {}
+    # swapping x1 and x2 reorders x1 x2 at the cost of a sign
+    assert (x1 * x2).substitute(x_images={1: x2, 2: x1}) == -(x1 * x2)
+    # many source terms landing on shared targets: each coefficient is
+    # the reduced sum of its contributions
+    a = sum((y1 ** i * y2 ** (2 - i)).scalar_mul(i + 1) for i in range(3))
+    assert a.substitute(y_images={1: y1 + y2, 2: y1 + y2}) == (y1 + y2) ** 2  # 6 = 1
+    b = x3 * y1 + x1 * y2
+    assert b.substitute(x_images={1: x3}, y_images={1: y2}) == x3 * y2 + x3 * y2
+    assert all(0 < c < 5 for c in b.substitute(y_images={2: y1 + y2 + y2}).terms.values())

@@ -7,8 +7,10 @@ import pytest
 
 from dicksonmui.algebra import AlgebraContext, embed, render_text
 from dicksonmui.arith import binom_mod, mu_mod, seq_stats
-from dicksonmui.invariants import Mtilde, Q, U, V
+from dicksonmui.invariants import Ltilde, Mtilde, Q, U, V
 from dicksonmui.steenrod import (
+    NotInSpanError,
+    _candidates,
     admissible_indices,
     basis_element,
     bockstein,
@@ -117,8 +119,6 @@ def test_invariant_decompose_round_trip(c1):
 
 
 def test_decompose_rejects_non_span(c2):
-    from dicksonmui.steenrod import NotInSpanError
-
     # y1 alone is not a GL_2-invariant of the leading two pairs
     with pytest.raises(NotInSpanError):
         invariant_decompose(c2.y(1), 2)
@@ -127,6 +127,52 @@ def test_decompose_rejects_non_span(c2):
 def test_basis_element(c2):
     assert basis_element(3, 2, (0, 1), (0, 0)) == Mtilde(c2, 2, 0) * Mtilde(c2, 2, 1)
     assert basis_element(3, 1, (), (2,)) == AlgebraContext(3, 1).y(1, 2)
+
+
+def _basis_by_definition(p, n, S, H):
+    # Mtilde_{n,s1} .. Mtilde_{n,sk} * Ltilde_n^{h0} * Q_{n,1}^{h1} ..,
+    # every factor multiplied in from 1
+    c = AlgebraContext(p, n)
+    el = c.one()
+    for s in S:
+        el = el * Mtilde(c, n, s)
+    el = el * Ltilde(c, n) ** H[0]
+    for i in range(1, n):
+        el = el * Q(c, n, i) ** H[i]
+    return el
+
+
+# (p, n, degree, |S|): every shape has keys with some h_i >= p, so the
+# p-th-power split is taken as well as the single-factor steps
+BASIS_SHAPES = [
+    (3, 1, 20, 0), (3, 1, 21, 1), (3, 2, 56, 0), (3, 2, 63, 1), (3, 2, 66, 2),
+    (3, 3, 161, 1), (3, 3, 170, 2), (5, 1, 43, 1), (5, 2, 144, 0), (5, 2, 159, 1),
+    (5, 2, 182, 2), (5, 3, 239, 1),
+]
+
+
+@pytest.mark.parametrize("p, n, d, xcount", BASIS_SHAPES)
+def test_basis_element_matches_product_definition(p, n, d, xcount):
+    keys = [key for key, _ in _candidates(p, n, d, xcount)]
+    assert keys
+    for S, H in keys:
+        assert basis_element(p, n, S, H) == _basis_by_definition(p, n, S, H)
+
+
+def test_basis_element_large_exponent_has_bounded_depth():
+    c = AlgebraContext(3, 1)
+    assert basis_element(3, 1, (), (2000,)) == Ltilde(c, 1) ** 2000
+
+
+def test_decompose_rejects_mismatch_outside_target_support():
+    # one term of Ltilde_2 pins the only degree-8 candidate's coefficient;
+    # only Ltilde_2's other terms show the element is not invariant
+    c = AlgebraContext(3, 2)
+    lt = Ltilde(c, 2)
+    assert len(lt) > 1
+    mono, coef = next(iter(lt))
+    with pytest.raises(NotInSpanError):
+        invariant_decompose(c.monomial(mono.xs, mono.ys, coef), 2)
 
 
 def test_milnor_identity_and_bockstein_strata(c1):

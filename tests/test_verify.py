@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
@@ -52,3 +54,24 @@ def test_budget_skips_carry_zero_seconds():
     jsonschema.validate(rep, _schema())
     assert rep["counts"]["skip"] == len(rep["cells"]) > 0
     assert all(row["seconds"] == 0.0 for row in rep["cells"])
+
+
+def test_import_leaves_the_process_pool_out():
+    code = "import sys, dicksonmui; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def _without_seconds(report):
+    rows = [{k: v for k, v in row.items() if k != "seconds"} for row in report["cells"]]
+    return dict(report, seconds=None, workers=None, cells=rows)
+
+
+def test_worker_pool_gives_the_serial_report():
+    args = dict(p_values=(3,), max_n=1)
+    serial = run_suite("closed-forms", workers=1, **args)
+    pooled = run_suite("closed-forms", workers=2, **args)
+    assert len(serial["cells"]) > 1
+    assert _without_seconds(pooled) == _without_seconds(serial)
