@@ -343,7 +343,7 @@ def milnor_st(S: Sequence[int], R: Sequence[int], a: Element, n: "int | None" = 
         raise ValueError("S must be strictly increasing within 0..n-1")
     if a.is_zero():
         return a
-    q = a.degree()
+    q, inv_mu = _degree_and_inverse_mu(n, a)
     stats = seq_stats(S, R, q)
     if stats.r0 < 0:
         raise ValueError(
@@ -353,10 +353,16 @@ def milnor_st(S: Sequence[int], R: Sequence[int], a: Element, n: "int | None" = 
     tail = exp.cofactor(S, (stats.r0,) + R[: n - 1] if n else ())
     if tail.is_zero():
         return tail
-    scale = mu_mod(q, a.ctx.p, n)
-    if stats.sign_exp % 2:
-        scale = -scale % a.ctx.p
-    return tail.scalar_mul(inv_mod(scale, a.ctx.p))
+    return tail.scalar_mul(-inv_mu if stats.sign_exp % 2 else inv_mu)
+
+
+# A Milnor sweep reads many (S, R) off one (n, a); the degree scan and the
+# inverse of mu(q)^n depend on (n, a) alone.
+@cache
+def _degree_and_inverse_mu(n: int, a: Element) -> tuple[int, int]:
+    """(q, mu(q)^-n mod p) for homogeneous nonzero a of degree q."""
+    q = a.degree()
+    return q, inv_mod(mu_mod(q, a.ctx.p, n), a.ctx.p)
 
 
 def admissible_indices(q: int, n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -1,14 +1,18 @@
 """Ring arithmetic: graded signs, exactness, context discipline."""
 
+import math
 import random
 
 import pytest
 
 from dicksonmui.algebra import (
+    PAIRWISE_MAX_PAIRS,
     AlgebraContext,
     ContextMismatchError,
     InexactDivisionError,
     Monomial,
+    _mul_packed,
+    _mul_pairwise,
     embed,
     exact_div,
     relabel,
@@ -186,8 +190,8 @@ def _koszul_merge(a, b):
 
 
 def _reference_mul(a, b):
-    # the pairwise product over tuple monomials: an oracle for the packed
-    # kernel behind Element.__mul__
+    # the pairwise product over tuple monomials: an oracle for both kernels
+    # behind Element.__mul__
     p = a.ctx.p
     out = {}
     for ma, ca in a.terms.items():
@@ -199,15 +203,47 @@ def _reference_mul(a, b):
     return {mono: c for mono, c in out.items() if c}
 
 
+def _random_monomial(rng, ctx, max_exp, c):
+    xs = sorted(rng.sample(range(1, ctx.m + 1), rng.randint(0, ctx.m)))
+    ys = [rng.randint(0, max_exp) for _ in range(ctx.m)]
+    return ctx.monomial(xs, ys, c)
+
+
 def _random_element(rng, ctx, nterms, max_exp):
     # exterior parts included; repeated monomials add up, so the term count
     # may fall short of nterms
     out = ctx.zero()
     for _ in range(nterms):
-        xs = sorted(rng.sample(range(1, ctx.m + 1), rng.randint(0, ctx.m)))
-        ys = [rng.randint(0, max_exp) for _ in range(ctx.m)]
-        out = out + ctx.monomial(xs, ys, rng.randrange(1, ctx.p))
+        out = out + _random_monomial(rng, ctx, max_exp, rng.randrange(1, ctx.p))
     return out
+
+
+def _element_with_terms(rng, ctx, nterms):
+    # exactly nterms terms, coefficient 1 each, so no two of them cancel
+    out = ctx.zero()
+    while len(out) < nterms:
+        mono = _random_monomial(rng, ctx, 12, 1)
+        if mono.terms.keys() & out.terms.keys():
+            continue
+        out = out + mono
+    return out
+
+
+def _nearly_square(n):
+    # the factors (d, n // d) of n with d as close to sqrt(n) as possible
+    d = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
+    return d, n // d
+
+
+def _kernels_match_reference(a, b):
+    expected = _reference_mul(a, b)
+    prod = a * b
+    assert prod.ctx == a.ctx
+    assert prod.terms == expected
+    assert all(0 < c < a.ctx.p for c in prod.terms.values())
+    # both kernels, whichever one the size selects for __mul__
+    assert _mul_pairwise(a, b).terms == expected
+    assert _mul_packed(a, b).terms == expected
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -215,19 +251,25 @@ def _random_element(rng, ctx, nterms, max_exp):
 def test_mul_matches_pairwise_reference(p, m):
     rng = random.Random(100 * p + m)
     ctx = AlgebraContext(p, m)
+    # at m = 0 every element is a scalar
     fixed = [ctx.zero(), ctx.one(), ctx.scalar(p - 1)]
     if m:
         fixed += [ctx.x(m), ctx.y(1, 3), ctx.monomial(range(1, m + 1), [1] * m, 2)]
+        # products of exactly PAIRWISE_MAX_PAIRS term pairs and of one more,
+        # both as a scalar times a wide operand and as two nearly square
+        # operands; random exterior parts make x_i x_i collisions common
+        for pairs in (PAIRWISE_MAX_PAIRS, PAIRWISE_MAX_PAIRS + 1):
+            fixed += [_element_with_terms(rng, ctx, k) for k in (pairs,) + _nearly_square(pairs)]
     operands = fixed + [
         _random_element(rng, ctx, rng.randint(1, 12), rng.choice([1, 3, 9]))
         for _ in range(14)
     ]
+    if m:
+        sizes = {len(a) * len(b) for a in operands for b in operands}
+        assert {PAIRWISE_MAX_PAIRS, PAIRWISE_MAX_PAIRS + 1} <= sizes
     for a in operands:
         for b in operands:
-            prod = a * b
-            assert prod.ctx == ctx
-            assert prod.terms == _reference_mul(a, b)
-            assert all(0 < c < p for c in prod.terms.values())
+            _kernels_match_reference(a, b)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -247,8 +289,8 @@ def test_mul_at_packing_boundary(p):
     ]
     assert (ctx.y(1, big) * y1).terms == {Monomial((), (big + 1, 0, 0)): 1}
     for a, b in cases:
-        assert (a * b).terms == _reference_mul(a, b)
-        assert (b * a).terms == _reference_mul(b, a)
+        _kernels_match_reference(a, b)
+        _kernels_match_reference(b, a)
 
 
 def test_exterior_generators_anticommute():

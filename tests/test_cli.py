@@ -1,6 +1,9 @@
 """End-to-end CLI behaviour: output formats, exit codes, report schema."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -228,3 +231,16 @@ def test_arithmetic_errors_exit_two(capsys, monkeypatch, fake, message):
                          "--expr", "y1*y2")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
+
+
+def _module_run(*argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-m", "dicksonmui", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    ok = _module_run("invariant", "--p", "3", "--name", "V", "--k", "2")
+    assert ok.returncode == 0 and ok.stdout.strip() == "y2^3 + 2*y2*y1^2"
+    bad = _module_run("invariant", "--p", "4", "--name", "V", "--k", "2")
+    assert bad.returncode == 2 and "odd prime" in bad.stderr
