@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from heapq import heapify, heappop, heappush
-from operator import add
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .arith import inv_mod, is_odd_prime
@@ -321,7 +321,9 @@ class Element:
 
         Unmapped generators stay fixed.  Every x-image must be a sum of
         odd-degree monomials and every y-image even, so Koszul reordering
-        stays consistent.
+        stays consistent.  Each term's image is a chain of products over
+        packed keys (_mul_blocks) at one field width for the whole call;
+        the images add into one accumulator, unpacked once at the end.
         """
         ctx = self.ctx
         x_images = dict(x_images or {})
@@ -343,42 +345,61 @@ class Element:
         y_images = {i: img for i, img in y_images.items() if img != ctx.y(i)}
         if not x_images and not y_images:
             return self
+        # One field width for the whole call.  A term's image has y-degree
+        # at most its fixed exponents plus each mapped factor's top y-degree
+        # times its exponent; every partial product stays under that bound,
+        # so no field of any key carries.
+        x_top = {i: _top_degree(img) for i, img in x_images.items()}
+        y_top = [_top_degree(y_images[i]) if i in y_images else 1 for i in range(1, ctx.m + 1)]
+        bound = 0
+        for xs, ys in self.terms:
+            d = sum(map(mul, ys, y_top))
+            for i in xs:
+                d += x_top.get(i, 0)
+            if d > bound:
+                bound = d
+        width = bound.bit_length() or 1
+        x_groups = {i: _mask_groups(img, width) for i, img in x_images.items()}
 
         @cache
-        def y_power(idx: int, e: int) -> Element:
-            return _even_pow(y_images[idx], e)
+        def y_power(idx: int, e: int) -> Groups:
+            return _mask_groups(_even_pow(y_images[idx], e), width)
 
         p = ctx.p
-        # every term's image adds into one unreduced dict
-        acc: dict[Monomial, int] = {}
-        for mono, c in self.terms.items():
-            fixed_xs = tuple(i for i in mono.xs if i not in x_images)
-            fixed_ys = tuple(
-                e if (i + 1) not in y_images else 0 for i, e in enumerate(mono.ys)
-            )
+        # every term's image adds into one unreduced accumulator
+        out: Groups = {}
+        for (xs, ys), c in self.terms.items():
             # pull each mapped exterior factor to the front, keeping their
             # relative order; each move costs a sign per fixed odd factor
             # it jumps over
-            sign = 1
-            mapped = []
-            fixed_seen = 0
-            for i in mono.xs:
-                if i in x_images:
-                    if fixed_seen % 2:
-                        sign = -sign
-                    mapped.append(x_images[i])
+            fixed_xs = []
+            fixed_mask = 0
+            chain = []  # the factors that multiply on the left, in order
+            for i in xs:
+                if i in x_groups:
+                    if len(fixed_xs) % 2:
+                        c = -c
+                    chain.append(x_groups[i])
                 else:
-                    fixed_seen += 1
-            term = Element._make(ctx, {Monomial(fixed_xs, fixed_ys): c if sign > 0 else p - c})
-            for img in reversed(mapped):
-                term = img * term
-            for i, e in enumerate(mono.ys):
-                idx = i + 1
-                if e and idx in y_images:
-                    term = term * y_power(idx, e)
-            for m, v in term.terms.items():
-                acc[m] = acc.get(m, 0) + v
-        return Element._make(ctx, {m: v % p for m, v in acc.items() if v % p})
+                    fixed_xs.append(i)
+                    fixed_mask |= 1 << i
+            chain.reverse()
+            # y-powers are even, so multiplying them on the left costs no sign
+            fixed_ys = []
+            for i, e in enumerate(ys, 1):
+                if e and i in y_images:
+                    chain.append(y_power(i, e))
+                    e = 0
+                fixed_ys.append(e)
+            term = {fixed_mask: (tuple(fixed_xs), {_pack(fixed_ys, width): 1})}
+            *inner, last = chain or [_UNIT_GROUPS]
+            for g in inner:
+                prod: Groups = {}
+                _mul_blocks(prod, g, term, 1)
+                term = _reduce_groups(prod, p)
+            # the last product adds c times itself into out
+            _mul_blocks(out, last, term, c)
+        return _unpack_groups(ctx, out, width)
 
     # -- rendering ---------------------------------------------------------
 
@@ -394,22 +415,98 @@ _set_terms = Element.terms.__set__
 _set_hash = Element._hash.__set__
 
 
-def _mask_groups(a: Element, width: int):
-    """a's terms as [(bitmask, xs, {packed ys: coefficient})], one entry
-    per exterior part; bit i of the mask stands for x_i."""
+# Monomial(xs, ys) without the Python-level frame of NamedTuple.__new__
+_new_tuple = tuple.__new__
+
+# Packed operands and accumulators share one shape: exterior bitmask (bit i
+# for x_i) -> (its exterior indices, {packed ys: coefficient}).
+Groups = dict[int, tuple[tuple[int, ...], dict[int, int]]]
+
+# the unit element 1 in that shape, at every width
+_UNIT_GROUPS: Groups = {0: ((), {0: 1})}
+
+
+def _mask_groups(a: Element, width: int) -> Groups:
+    """a's terms grouped by exterior part, each y-vector packed (_pack)."""
     groups: dict[tuple[int, ...], dict[int, int]] = {}
     for (xs, ys), c in a.terms.items():
         group = groups.get(xs)
         if group is None:
             group = groups[xs] = {}
         group[_pack(ys, width)] = c
-    out = []
+    out: Groups = {}
     for xs, group in groups.items():
         mask = 0
         for i in xs:
             mask |= 1 << i
-        out.append((mask, xs, group))
+        out[mask] = (xs, group)
     return out
+
+
+def _top_degree(a: Element) -> int:
+    """The largest y-degree sum of a's terms; 0 for the zero element."""
+    return max([sum(mono.ys) for mono in a.terms], default=0)
+
+
+def _mul_blocks(out: Groups, a: Groups, b: Groups, scale: int) -> None:
+    """Add scale * (a * b) into out, unreduced.
+
+    The operands' keys must share one field width wide enough for every
+    sum of keys.  For each pair of masks, xa & xb kills the whole block,
+    and the Koszul sign of moving the x's of b past those of a is read
+    once per block: the parity of the pairs i in xa, j in xb with i > j,
+    one popcount per j.
+    """
+    for xa, (xs_a, ga) in a.items():
+        for xb, (xs_b, gb) in b.items():
+            if xa & xb:
+                continue
+            inversions = 0
+            for j in xs_b:
+                inversions += (xa >> j).bit_count()
+            sign = -scale if inversions & 1 else scale
+            x = xa | xb
+            if x in out:
+                acc = out[x][1]
+            else:
+                acc = {}
+                out[x] = (tuple(sorted(xs_a + xs_b)), acc)
+            get = acc.get
+            outer, inner = (ga, gb) if len(ga) <= len(gb) else (gb, ga)
+            for ko, co in outer.items():
+                co *= sign
+                for ki, ci in inner.items():
+                    k = ko + ki
+                    acc[k] = get(k, 0) + co * ci
+
+
+def _reduce_groups(groups: Groups, p: int) -> Groups:
+    """groups with every coefficient reduced mod p and zeros dropped."""
+    out: Groups = {}
+    for x, (xs, acc) in groups.items():
+        reduced = {}
+        for k, c in acc.items():
+            c %= p
+            if c:
+                reduced[k] = c
+        if reduced:
+            out[x] = (xs, reduced)
+    return out
+
+
+def _unpack_groups(ctx: AlgebraContext, groups: Groups, width: int) -> Element:
+    """The Element of an unreduced accumulator, emptied one mask group at a
+    time as it is unpacked into Monomials."""
+    p = ctx.p
+    unpack = _unpacker(width, ctx.m)
+    terms: dict[Monomial, int] = {}
+    while groups:
+        xs, acc = groups.popitem()[1]
+        for k, c in acc.items():
+            c %= p
+            if c:
+                terms[_new_tuple(Monomial, (xs, unpack(k)))] = c
+    return Element._make(ctx, terms)
 
 
 # Products of at most this many term pairs go to _mul_pairwise, larger ones
@@ -438,10 +535,6 @@ def _mul(a: Element, b: Element) -> Element:
     if len(a.terms) * len(b.terms) <= PAIRWISE_MAX_PAIRS:
         return _mul_pairwise(a, b)
     return _mul_packed(a, b)
-
-
-# Monomial(xs, ys) without the Python-level frame of NamedTuple.__new__
-_new_tuple = tuple.__new__
 
 
 def _mul_pairwise(a: Element, b: Element) -> Element:
@@ -489,58 +582,18 @@ def _mul_pairwise(a: Element, b: Element) -> Element:
 
 
 def _mul_packed(a: Element, b: Element) -> Element:
-    """The graded product a*b over packed exponent keys.
+    """The graded product a*b over packed exponent keys (_mul_blocks).
 
-    Each operand is grouped by exterior bitmask and each y-vector packed
-    into one int (_pack).  Every field is bit_length(da + db) bits wide,
-    da and db the operands' largest y-degree sums, so no field of
-    ka + kb carries into its neighbour.  For each pair of masks, xa & xb
-    kills the whole block, and the Koszul sign of moving the x's of b past
-    those of a is read once per block: the parity of the pairs i in xa,
-    j in xb with i > j, one popcount per j.  Coefficients accumulate
-    unreduced, with one % p per output key; the output is unpacked into
-    Monomials one mask group at a time.
+    Every field is bit_length(da + db) bits wide, da and db the operands'
+    largest y-degree sums, so no field of ka + kb carries into its
+    neighbour.  Coefficients accumulate unreduced, with one % p per output
+    key.
     """
-    ctx = a.ctx
-    if not a.terms or not b.terms:
-        return ctx.zero()
-    p = ctx.p
-    da = max([sum(mono.ys) for mono in a.terms])
-    db = max([sum(mono.ys) for mono in b.terms])
-    width = (da + db).bit_length() or 1  # unpacking needs a nonzero width
-    groups_b = _mask_groups(b, width)
-    # output mask -> (its exterior indices, {packed ys: unreduced coefficient})
-    out: dict[int, tuple[tuple[int, ...], dict[int, int]]] = {}
-    for xa, xs_a, ga in _mask_groups(a, width):
-        for xb, xs_b, gb in groups_b:
-            if xa & xb:
-                continue
-            inversions = 0
-            for j in xs_b:
-                inversions += (xa >> j).bit_count()
-            sign = -1 if inversions & 1 else 1
-            x = xa | xb
-            if x in out:
-                acc = out[x][1]
-            else:
-                acc = {}
-                out[x] = (tuple(sorted(xs_a + xs_b)), acc)
-            get = acc.get
-            outer, inner = (ga, gb) if len(ga) <= len(gb) else (gb, ga)
-            for ko, co in outer.items():
-                co *= sign
-                for ki, ci in inner.items():
-                    k = ko + ki
-                    acc[k] = get(k, 0) + co * ci
-    unpack = _unpacker(width, ctx.m)
-    terms: dict[Monomial, int] = {}
-    while out:
-        xs, acc = out.popitem()[1]
-        for k, c in acc.items():
-            c %= p
-            if c:
-                terms[Monomial(xs, unpack(k))] = c
-    return Element._make(ctx, terms)
+    # unpacking needs a nonzero width
+    width = (_top_degree(a) + _top_degree(b)).bit_length() or 1
+    out: Groups = {}
+    _mul_blocks(out, _mask_groups(a, width), _mask_groups(b, width), 1)
+    return _unpack_groups(a.ctx, out, width)
 
 
 def frobenius(a: Element) -> Element:
@@ -746,14 +799,6 @@ def embed(a: Element, new_ctx: AlgebraContext) -> Element:
     return Element._make(
         new_ctx, {Monomial(m.xs, m.ys + pad): c for m, c in a.terms.items()}
     )
-
-
-def split_monomial(mono: Monomial, n: int) -> tuple[Monomial, Monomial]:
-    """Split into (leading n pairs, remaining pairs); no sign is incurred
-    because exterior indices are stored in increasing order."""
-    bxs = tuple(i for i in mono.xs if i <= n)
-    xxs = tuple(i - n for i in mono.xs if i > n)
-    return Monomial(bxs, mono.ys[:n]), Monomial(xxs, mono.ys[n:])
 
 
 def render_text(a: Element) -> str:

@@ -1,9 +1,10 @@
 """Steenrod operations on E(x) (x) P(y), realized two independent ways.
 
 The oracle realization is generator rules plus the Cartan formula:
-``bockstein`` is the derivation with beta x = y, and ``total_power`` /
-``p_power`` build P^r from P^0 = id, P^1 y = y^p, P^r x = 0 (r >= 1) by
-convolving per-factor power series.  Instability (P^r z = 0 for
+``bockstein`` is the derivation with beta x = y, and ``total_power``
+builds P^0..P^r from P^0 = id, P^1 y = y^p, P^r x = 0 (r >= 1) by
+convolving per-factor power series; ``p_power`` sums the same formula
+over the splits of one r only.  Instability (P^r z = 0 for
 2r > deg z) falls out of the rules instead of being special-cased.
 
 The structural realization is the power map ``d_star_p``: degree-wise it
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterator, Sequence
@@ -31,7 +33,6 @@ from .algebra import (
     embed,
     frobenius,
     relabel,
-    split_monomial,
 )
 from .arith import binom_mod, inv_mod, mu_mod, seq_stats, solve_exact
 from .invariants import U, V, Ltilde, Mtilde, Q
@@ -117,16 +118,79 @@ def total_power(a: Element, r_max: int) -> list[Element]:
 
 
 def p_power(r: int, a: Element) -> Element:
-    """P^r(a) through the Cartan-formula oracle.
+    """P^r(a) through the Cartan formula, one layer only.
 
-    P^r kills y^e for r > e and x outright, so P^r(a) = 0 once r exceeds
-    every monomial's y-exponent sum; the work is then bounded by a, not r.
+    P^r(x_S y^E) = x_S * sum over J with j_1 + .. + j_m = r of
+    prod C(e_i, j_i) y_i^{e_i + (p-1) j_i}.  By Lucas's theorem only the
+    j_i whose base-p digits lie under those of e_i contribute, and the last
+    j is fixed by the others, so the work follows the output, not r:
+    P^r kills y^e for r > e, and P^r(a) = 0 once r exceeds every
+    monomial's y-exponent sum.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
-    if r > max((sum(mono.ys) for mono in a.terms), default=0):
-        return a.ctx.zero()
-    return total_power(a, r)[r]
+    ctx = a.ctx
+    p = ctx.p
+    if not ctx.m:  # scalars: only P^0 acts
+        return a if r == 0 else ctx.zero()
+    out: dict[Monomial, int] = {}
+    for (xs, ys), coeff in a.terms.items():
+        # (exponents so far, r still to place, coefficient so far)
+        splits = [((), r, coeff)]
+        rest = sum(ys)
+        for e in ys[:-1]:
+            rest -= e
+            # the later exponents can absorb at most `rest`, so this j lies
+            # in [left - rest, left]; one candidate list serves every prefix
+            lefts = [left for _, left, _ in splits]
+            cands = _lucas_terms(e, p, min(lefts) - rest, max(lefts))
+            js = [j for j, _ in cands]
+            nxt = []
+            for head, left, c in splits:
+                for j, cj in cands[bisect_left(js, left - rest):bisect_right(js, left)]:
+                    nxt.append((head + (e + (p - 1) * j,), left - j, c * cj % p))
+            splits = nxt
+            if not splits:
+                break
+        e = ys[-1]
+        for head, left, c in splits:
+            c = c * binom_mod(e, left, p) % p
+            if c:
+                key = Monomial(xs, head + (e + (p - 1) * left,))
+                v = (out.get(key, 0) + c) % p
+                if v:
+                    out[key] = v
+                else:
+                    out.pop(key, None)
+    return Element._make(ctx, out)
+
+
+def _lucas_terms(e: int, p: int, lo: int, hi: int) -> list[tuple[int, int]]:
+    """Every (j, C(e, j) mod p) with lo <= j <= hi and C(e, j) nonzero mod p,
+    in increasing order of j.
+
+    By Lucas's theorem those j are the ones whose base-p digits each lie
+    at or under the digit of e in the same place.  They are built most
+    significant digit first; a prefix is dropped once no choice of the
+    lower digits, which add between 0 and e mod place, lands in [lo, hi].
+    """
+    digits = []
+    n = e
+    while n:
+        n, d = divmod(n, p)
+        digits.append(d)
+    place = p ** len(digits)
+    out = [(0, 1)]
+    for d in reversed(digits):
+        place //= p
+        low_max = e % place
+        out = [
+            (j + t * place, c * math.comb(d, t) % p)
+            for j, c in out
+            for t in range(d + 1)
+            if lo <= j + t * place + low_max and j + t * place <= hi
+        ]
+    return [(j, c) for j, c in out if lo <= j <= hi]
 
 
 def _h_factorial(ctx: AlgebraContext) -> int:
@@ -294,16 +358,25 @@ def invariant_decompose(a: Element, n: int) -> InvariantExpansion:
     if n == 0:
         entries = {} if a.is_zero() else {((), ()): a}
         return InvariantExpansion(ctx, 0, tail_ctx, entries)
-    groups: dict[Monomial, dict[Monomial, int]] = {}
-    for mono, c in a:
-        head, tail = split_monomial(mono, n)
-        groups.setdefault(tail, {})[head] = c
+    # (tail xs, tail ys) -> (head degree, head exterior count) -> {head: c};
+    # xs is sorted, so the block's exterior indices come first
+    groups: dict[tuple, dict[tuple[int, int], dict[Monomial, int]]] = {}
+    for (xs, ys), c in a.terms.items():
+        k = bisect_right(xs, n)
+        head_ys = ys[:n]
+        tail = (xs[k:], ys[n:])
+        shapes = groups.get(tail)
+        if shapes is None:
+            shapes = groups[tail] = {}
+        shape = (k + 2 * sum(head_ys), k)
+        target = shapes.get(shape)
+        if target is None:
+            target = shapes[shape] = {}
+        target[Monomial(xs[:k], head_ys)] = c
     entries: dict[Key, dict[Monomial, int]] = {}
-    for tail, block in groups.items():
-        by_shape: dict[tuple[int, int], dict[Monomial, int]] = {}
-        for bm, c in block.items():
-            by_shape.setdefault((bm.degree(), len(bm.xs)), {})[bm] = c
-        for (d, xc), target in by_shape.items():
+    for (txs, tys), shapes in groups.items():
+        tail = Monomial(tuple(i - n for i in txs), tys)
+        for (d, xc), target in shapes.items():
             cands = _candidates(ctx.p, n, d, xc)
             sol = solve_exact([terms for _, terms in cands], target, ctx.p) if cands else None
             if sol is None:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from . import closed_forms as cf
 from . import duality
-from .algebra import AlgebraContext, Element, render_text
+from .algebra import AlgebraContext, Element, Monomial, embed, relabel, render_text
 from .arith import mu_mod, seq_stats, st_operation_degree
 from .grammar import from_json, parse_text, render_latex, to_json
 from .invariants import (
@@ -50,7 +50,6 @@ from .steenrod import (
     p_power,
     total_power,
 )
-from .algebra import embed, relabel
 
 SUITE_NAMES = ("core", "invariants", "steenrod", "closed-forms", "duality")
 DEFAULT_BUDGET = 200_000
@@ -555,9 +554,11 @@ def _duality_tasks(p_values, grid):
 
 
 def _rand_monomial(rng: random.Random, ctx: AlgebraContext, max_e: int = 5) -> Element:
+    # valid by construction (sorted distinct indices in 1..m, exponents and
+    # a coefficient in range), so it skips ctx.monomial's checks
     xs = tuple(sorted(rng.sample(range(1, ctx.m + 1), rng.randint(0, min(ctx.m, 2)))))
     ys = tuple(rng.randint(0, max_e) for _ in range(ctx.m))
-    return ctx.monomial(xs, ys, rng.randint(1, ctx.p - 1))
+    return Element._make(ctx, {Monomial(xs, ys): rng.randint(1, ctx.p - 1)})
 
 
 def _rand_element(rng: random.Random, ctx: AlgebraContext, terms: int = 2,

@@ -9,8 +9,10 @@ from dicksonmui.algebra import (
     PAIRWISE_MAX_PAIRS,
     AlgebraContext,
     ContextMismatchError,
+    Element,
     InexactDivisionError,
     Monomial,
+    _even_pow,
     _mul_packed,
     _mul_pairwise,
     embed,
@@ -18,6 +20,7 @@ from dicksonmui.algebra import (
     relabel,
     render_text,
 )
+from dicksonmui.invariants import U, V, apply_matrix, gl_generators
 
 
 @pytest.fixture
@@ -366,3 +369,131 @@ def test_substitute_sums_images_and_drops_cancelled_terms():
     b = x3 * y1 + x1 * y2
     assert b.substitute(x_images={1: x3}, y_images={1: y2}) == x3 * y2 + x3 * y2
     assert all(0 < c < 5 for c in b.substitute(y_images={2: y1 + y2 + y2}).terms.values())
+
+
+def _reference_substitute(a, x_images, y_images):
+    # the per-term substitution over Element products: an oracle for the
+    # packed Element.substitute.  Each term's image is built on its own and
+    # added in; the mapped x's multiply on the left, the y-powers on the right.
+    ctx = a.ctx
+    p = ctx.p
+    acc = {}
+    for mono, c in a.terms.items():
+        fixed_xs = tuple(i for i in mono.xs if i not in x_images)
+        fixed_ys = tuple(e if (i + 1) not in y_images else 0 for i, e in enumerate(mono.ys))
+        sign = 1
+        mapped = []
+        fixed_seen = 0
+        for i in mono.xs:
+            if i in x_images:
+                if fixed_seen % 2:
+                    sign = -sign
+                mapped.append(x_images[i])
+            else:
+                fixed_seen += 1
+        term = Element._make(ctx, {Monomial(fixed_xs, fixed_ys): c if sign > 0 else p - c})
+        for img in reversed(mapped):
+            term = img * term
+        for i, e in enumerate(mono.ys):
+            if e and (i + 1) in y_images:
+                term = term * _even_pow(y_images[i + 1], e)
+        for m, v in term.terms.items():
+            acc[m] = acc.get(m, 0) + v
+    return {m: v % p for m, v in acc.items() if v % p}
+
+
+def _random_parity_element(rng, ctx, nterms, max_exp, odd):
+    # a sum of monomials whose exterior parts all have odd (or all even)
+    # length, so the element is odd (or even) as a whole
+    out = ctx.zero()
+    for _ in range(nterms):
+        lengths = [k for k in range(ctx.m + 1) if k % 2 == odd]
+        if not lengths:
+            break
+        xs = sorted(rng.sample(range(1, ctx.m + 1), rng.choice(lengths)))
+        ys = [rng.randint(0, max_exp) for _ in range(ctx.m)]
+        out = out + ctx.monomial(xs, ys, rng.randrange(1, ctx.p))
+    return out
+
+
+def _random_images(rng, ctx):
+    # per generator: unmapped, identity, or a random image with up to three
+    # terms (odd ones for x, even ones, exterior pairs included, for y)
+    x_images, y_images = {}, {}
+    for i in range(1, ctx.m + 1):
+        for images, odd, gen in ((x_images, 1, ctx.x(i)), (y_images, 0, ctx.y(i))):
+            kind = rng.choice(["unmapped", "identity", "image", "image"])
+            if kind == "identity":
+                images[i] = gen
+            elif kind == "image":
+                images[i] = _random_parity_element(rng, ctx, rng.randint(1, 3), 2, odd)
+    return x_images, y_images
+
+
+def _substitute_matches_reference(a, x_images, y_images):
+    got = a.substitute(x_images, y_images)
+    assert got.ctx == a.ctx
+    assert got.terms == _reference_substitute(a, x_images, y_images)
+    assert all(0 < c < a.ctx.p for c in got.terms.values())
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_substitute_matches_reference(p, m):
+    rng = random.Random(1000 + 10 * p + m)
+    ctx = AlgebraContext(p, m)
+    for _ in range(12):
+        a = _random_element(rng, ctx, rng.randint(1, 6), 3)
+        _substitute_matches_reference(a, *_random_images(rng, ctx))
+    # a multi-term odd image and an even image carrying two exterior
+    # factors on every generator; zero images; identity images; x's mapped
+    # with every y left fixed
+    odd = {i: ctx.x(i) * ctx.y(m, 2) + ctx.x(1) * ctx.y(i).scalar_mul(2) if i != 1
+           else ctx.x(1) * ctx.y(m) - ctx.x(m) for i in range(1, m + 1)}
+    even = {i: ctx.x(1) * ctx.x(m) + ctx.y(i) * ctx.y(1) if m > 1 else ctx.y(1, 2) + 1
+            for i in range(1, m + 1)}
+    zero = {i: ctx.zero() for i in range(1, m + 1)}
+    identity_x = {i: ctx.x(i) for i in range(1, m + 1)}
+    identity_y = {i: ctx.y(i) for i in range(1, m + 1)}
+    maps = [(odd, even), (zero, {}), ({}, zero), ({1: ctx.zero()}, {m: ctx.zero()}),
+            (identity_x, even), (odd, identity_y), (odd, {})]
+    for x_images, y_images in maps:
+        for _ in range(3):
+            a = _random_element(rng, ctx, 5, 2)
+            _substitute_matches_reference(a, x_images, y_images)
+    a = _random_element(rng, ctx, 5, 2)
+    assert a.substitute(identity_x, identity_y) is a
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("n", [2, 3])
+def test_apply_matrix_matches_reference(p, n):
+    rng = random.Random(10 * p + n)
+    ctx = AlgebraContext(p, n)
+    sources = [U(ctx, n), V(ctx, n), _random_element(rng, ctx, 6, 3)]
+    for g in gl_generators(n, p):
+        x_images = {i: sum((ctx.x(j).scalar_mul(g[i - 1][j - 1]) for j in range(1, n + 1)),
+                           ctx.zero()) for i in range(1, n + 1)}
+        y_images = {i: sum((ctx.y(j).scalar_mul(g[i - 1][j - 1]) for j in range(1, n + 1)),
+                           ctx.zero()) for i in range(1, n + 1)}
+        for a in sources:
+            assert apply_matrix(a, g).terms == _reference_substitute(a, x_images, y_images)
+
+
+def test_substitute_at_field_width_bound():
+    # x1 -> x1 y2^3 + x2 y1^3 has top y-degree 3 and y2 -> y1^2 + y3^2 has
+    # 2, so x1 y2^2 images reach y-degree 3 + 2 * 2 = 7 = 2^3 - 1: x2 y1^7
+    # fills a 3-bit field.  With one fixed y1 more the bound is 8 = 2^3, and
+    # x2 y1^8 needs 4 bits.  A field one bit short folds either into its
+    # neighbour.
+    ctx = AlgebraContext(5, 3)
+    x1, x2, y1, y2, y3 = ctx.x(1), ctx.x(2), ctx.y(1), ctx.y(2), ctx.y(3)
+    x_images = {1: x1 * ctx.y(2, 3) + x2 * ctx.y(1, 3)}
+    y_images = {2: ctx.y(1, 2) + ctx.y(3, 2)}
+    seven = (x1 * ctx.y(2, 2)).substitute(x_images, y_images)
+    assert seven.coefficient(Monomial((2,), (7, 0, 0))) == 1
+    assert max(sum(mono.ys) for mono in seven.terms) == 7
+    eight = (x1 * y1 * ctx.y(2, 2)).substitute(x_images, y_images)
+    assert eight.coefficient(Monomial((2,), (8, 0, 0))) == 1
+    for a in (x1 * ctx.y(2, 2), x1 * y1 * ctx.y(2, 2), x1 * y2 + y3 * ctx.y(2, 2)):
+        _substitute_matches_reference(a, x_images, y_images)

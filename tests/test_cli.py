@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib import resources
 
@@ -244,3 +245,13 @@ def test_python_dash_m_runs_the_cli():
     assert ok.returncode == 0 and ok.stdout.strip() == "y2^3 + 2*y2*y1^2"
     bad = _module_run("invariant", "--p", "4", "--name", "V", "--k", "2")
     assert bad.returncode == 2 and "odd prime" in bad.stderr
+
+
+def test_p_power_on_a_huge_exponent_is_immediate():
+    # P^r y1^r = y1^(pr): one Cartan split, however large r is
+    r = "100000000000"
+    t0 = time.monotonic()
+    out = _module_run("steenrod", "apply", "--p", "3", "--op", "P^" + r, "--expr", "y1^" + r)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "y1^300000000000"
+    assert time.monotonic() - t0 < 10

@@ -2,6 +2,7 @@
 Milnor-basis extraction."""
 
 import math
+import random
 
 import pytest
 
@@ -62,6 +63,56 @@ def test_total_power_is_prefix_of_cartan(c2):
     assert len(series) == 4
     for r, layer in enumerate(series):
         assert layer == p_power(r, a)
+
+
+def _random_power_source(rng, ctx):
+    # exponents near multiples of p and p^2, where Lucas's theorem zeroes
+    # many binomials, next to small ones
+    p = ctx.p
+    out = ctx.zero()
+    for _ in range(rng.randint(1, 4)):
+        xs = sorted(rng.sample(range(1, ctx.m + 1), rng.randint(0, ctx.m)))
+        ys = [rng.choice([0, 1, 2, p - 1, p, p + 1, 2 * p + 1, p * p - 1, p * p, p * p + p])
+              for _ in range(ctx.m)]
+        out = out + ctx.monomial(xs, ys, rng.randrange(1, p))
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_p_power_matches_total_power(p, m):
+    # r runs up to two past the largest exponent sum, so it lands at and
+    # past every monomial's sum
+    rng = random.Random(100 * p + m)
+    ctx = AlgebraContext(p, m)
+    for _ in range(15):
+        a = _random_power_source(rng, ctx)
+        top = max((sum(mono.ys) for mono in a.terms), default=0)
+        series = total_power(a, top + 2)
+        for r, layer in enumerate(series):
+            assert p_power(r, a) == layer, (render_text(a), r)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_p_power_lucas_zeros(p):
+    ctx = AlgebraContext(p, 2)
+    y1, y2 = ctx.y(1), ctx.y(2)
+    # C(p, 1) = 0 and C(p + 1, 1) = 1 mod p
+    assert p_power(1, ctx.y(1, p)).is_zero()
+    assert p_power(1, ctx.y(1, p + 1)) == ctx.y(1, p + 1 + (p - 1))
+    # C(p^2, j) = 0 for 0 < j < p^2; only the splits p^2 + 0 and 0 + p^2
+    # survive
+    sq, cube = p * p, p**3
+    big = ctx.y(1, sq) * ctx.y(2, sq)
+    assert p_power(p, ctx.y(1, sq)).is_zero()
+    assert p_power(sq, big) == ctx.y(1, cube) * ctx.y(2, sq) + ctx.y(1, sq) * ctx.y(2, cube)
+    # C(2p + 1, p + 1) = C(2, 1) C(1, 1) = 2
+    e = 2 * p + 1
+    assert p_power(p + 1, ctx.y(1, e)) == ctx.y(1, e + (p - 1) * (p + 1)).scalar_mul(2)
+    for a in (big, ctx.y(1, p) * y2, ctx.x(1) * ctx.y(2, p * p - 1) + y1):
+        top = max(sum(mono.ys) for mono in a.terms)
+        for r, layer in enumerate(total_power(a, top + 1)):
+            assert p_power(r, a) == layer
 
 
 def test_cartan_spot_check(c2):
