@@ -360,12 +360,14 @@ class Element:
                 bound = d
         width = bound.bit_length() or 1
         x_groups = {i: _mask_groups(img, width) for i, img in x_images.items()}
+        p = ctx.p
 
         @cache
         def y_power(idx: int, e: int) -> Groups:
-            return _mask_groups(_even_pow(y_images[idx], e), width)
+            if e == 1:
+                return _mask_groups(y_images[idx], width)
+            return _pow_groups(y_power(idx, 1), e, p)
 
-        p = ctx.p
         # every term's image adds into one unreduced accumulator
         out: Groups = {}
         for (xs, ys), c in self.terms.items():
@@ -394,9 +396,7 @@ class Element:
             term = {fixed_mask: (tuple(fixed_xs), {_pack(fixed_ys, width): 1})}
             *inner, last = chain or [_UNIT_GROUPS]
             for g in inner:
-                prod: Groups = {}
-                _mul_blocks(prod, g, term, 1)
-                term = _reduce_groups(prod, p)
+                term = _product_groups(g, term, p)
             # the last product adds c times itself into out
             _mul_blocks(out, last, term, c)
         return _unpack_groups(ctx, out, width)
@@ -492,6 +492,40 @@ def _reduce_groups(groups: Groups, p: int) -> Groups:
         if reduced:
             out[x] = (xs, reduced)
     return out
+
+
+def _product_groups(a: Groups, b: Groups, p: int) -> Groups:
+    """a * b over packed keys (_mul_blocks), reduced mod p."""
+    prod: Groups = {}
+    _mul_blocks(prod, a, b, 1)
+    return _reduce_groups(prod, p)
+
+
+def _pow_groups(groups: Groups, e: int, p: int) -> Groups:
+    """The e-th power (e >= 1) of an even element in packed form, reduced
+    mod p.
+
+    Square-and-multiply over _mul_blocks.  For a purely polynomial base and
+    e >= p, e is split into base-p digits as in _poly_pow: the p-th power is
+    Frobenius, which on packed keys is key * p.  The keys must be wide
+    enough for e times groups' top y-degree; every partial power, Frobenius
+    included, stays under that, so no field carries.
+    """
+    if e >= p and groups.keys() == {0}:
+        frob: Groups = {0: ((), {k * p: c for k, c in groups[0][1].items()})}
+        out = _pow_groups(frob, e // p, p)
+        if e % p:
+            out = _product_groups(out, _pow_groups(groups, e % p, p), p)
+        return out
+    out = None
+    base = groups
+    while True:
+        if e & 1:
+            out = base if out is None else _product_groups(out, base, p)
+        e >>= 1
+        if not e:
+            return out
+        base = _product_groups(base, base, p)
 
 
 def _unpack_groups(ctx: AlgebraContext, groups: Groups, width: int) -> Element:
@@ -618,21 +652,6 @@ def _poly_pow(a: Element, e: int) -> Element:
             out = out * _poly_pow(a, rem)
         return out
     out = ctx.one()
-    base = a
-    while e:
-        if e & 1:
-            out = out * base
-        e >>= 1
-        if e:
-            base = base * base
-    return out
-
-
-def _even_pow(a: Element, e: int) -> Element:
-    """Power of an even-degree element (may carry exterior pairs)."""
-    if a.is_polynomial():
-        return _poly_pow(a, e)
-    out = a.ctx.one()
     base = a
     while e:
         if e & 1:

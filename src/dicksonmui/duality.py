@@ -20,7 +20,7 @@ functional annihilates everything.
 from __future__ import annotations
 
 from functools import cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .algebra import AlgebraContext, Element, embed
 from .arith import seq_stats, solve_exact
@@ -162,6 +162,90 @@ def _matched_s(p: int, n: int, delta: int, e: int, j: int) -> "int | None":
     return None
 
 
+def duality_block(
+    p: int,
+    n: int,
+    k: int,
+    delta: int,
+    Sp: Sequence[int],
+    Rp: Sequence[int],
+    cases: Iterable[tuple[Sequence[int], Sequence[int], int, int]],
+) -> list[dict]:
+    """Evaluate the duality cells (S, R, e, j) of cases against one U/V-side
+    operation St^{Sp,Rp}; returns one report dict per case, in order.
+
+    status PASS means the two pairings agreed (or the left one vanished
+    on a cell with no matching s); FAIL is a genuine inequality; SKIP
+    marks cells where one side's operation is inadmissible, which forces
+    the other side's dual index out of existence as well.
+
+    (Sp, Rp) and delta are checked once, before any case; each case's
+    R, e, j and S are checked as it is reached.  What depends only on the
+    block is computed once: the U/V-side image, the matched s of each
+    e + 2j, and the M/Q-side pairing of each (s, S, R).
+    """
+    Sp, Rp = tuple(Sp), tuple(Rp)
+    if len(Rp) != n:
+        raise ValueError("need len(R) = k and len(Rp) = n")
+    if delta not in (0, 1):
+        raise ValueError("delta, e must be 0/1 and j >= 0")
+    _check_exterior(Sp, n)
+    r0p = (2 - delta) * p**k - len(Sp) - 2 * sum(Rp)
+    if r0p >= 0:
+        big = AlgebraContext(p, k + 1)
+        img = milnor_st(Sp, Rp, U(big, k + 1) if delta else V(big, k + 1), n)
+        ctxn = AlgebraContext(p, n)
+        Hp = (r0p,) + Rp[: n - 1]
+    q_mq = (2 - delta) * p**n
+    matched: dict[int, "int | None"] = {}  # e + 2j -> s
+    rhs_of: dict[tuple, int] = {}  # (s, S, R) -> signed M/Q-side pairing
+    reports = []
+    for S, R, e, j in cases:
+        S, R = tuple(S), tuple(R)
+        if len(R) != k:
+            raise ValueError("need len(R) = k and len(Rp) = n")
+        if e not in (0, 1) or j < 0:
+            raise ValueError("delta, e must be 0/1 and j >= 0")
+        _check_exterior(S, k)
+        rep = {
+            "p": p, "n": n, "k": k, "delta": delta,
+            "S": S, "R": R, "Sp": Sp, "Rp": Rp, "e": e, "j": j,
+            "s": None, "status": "SKIP", "reason": "", "lhs": None, "rhs": None,
+        }
+        reports.append(rep)
+        if r0p < 0:
+            rep["reason"] = "operation inadmissible on U/V; right dual index nonexistent"
+            continue
+        H = (q_mq - e - 2 * j - len(S) - 2 * sum(R),) + R[: k - 1]
+        if e + 2 * j in matched:
+            s = matched[e + 2 * j]
+        else:
+            s = matched[e + 2 * j] = _matched_s(p, n, delta, e, j)
+        rep["s"] = s
+        if s is None:
+            lhs = mixed_pairing(img, k, S, H, e, j)
+            rep["lhs"], rep["rhs"] = lhs, 0
+            rep["status"] = "PASS" if lhs == 0 else "FAIL"
+            rep["reason"] = "no matching s; left pairing must vanish"
+            continue
+        if H[0] < 0:
+            # equivalently: St^{S,R} inadmissible on the matched M/Q target
+            rep["reason"] = "operation inadmissible on M/Q; left dual index nonexistent"
+            continue
+        lhs = mixed_pairing(img, k, S, H, e, j)
+        key = (s, S, R)
+        rhs = rhs_of.get(key)
+        if rhs is None:
+            target = Mtilde(ctxn, n, s) if delta else Q(ctxn, n, s)
+            rhs = invariant_pairing(milnor_st(S, R, target, k), n, Sp, Hp)
+            if pairing_sign_exp(p, n, k, delta, s, S, R, Sp, Rp):
+                rhs = (p - rhs) % p
+            rhs_of[key] = rhs
+        rep["lhs"], rep["rhs"] = lhs, rhs
+        rep["status"] = "PASS" if lhs == rhs else "FAIL"
+    return reports
+
+
 def duality_case(
     p: int,
     n: int,
@@ -174,56 +258,8 @@ def duality_case(
     e: int,
     j: int,
 ) -> dict:
-    """Evaluate one duality cell; returns a report dict.
-
-    status PASS means the two pairings agreed (or the left one vanished
-    on a cell with no matching s); FAIL is a genuine inequality; SKIP
-    marks cells where one side's operation is inadmissible, which forces
-    the other side's dual index out of existence as well.
-    """
-    S, R, Sp, Rp = tuple(S), tuple(R), tuple(Sp), tuple(Rp)
-    if len(R) != k or len(Rp) != n:
-        raise ValueError("need len(R) = k and len(Rp) = n")
-    if delta not in (0, 1) or e not in (0, 1) or j < 0:
-        raise ValueError("delta, e must be 0/1 and j >= 0")
-    _check_exterior(S, k)
-    _check_exterior(Sp, n)
-    rep = {
-        "p": p, "n": n, "k": k, "delta": delta,
-        "S": S, "R": R, "Sp": Sp, "Rp": Rp, "e": e, "j": j,
-        "s": None, "status": "SKIP", "reason": "", "lhs": None, "rhs": None,
-    }
-    t, tp = len(S), len(Sp)
-    r0p = (2 - delta) * p**k - tp - 2 * sum(Rp)
-    if r0p < 0:
-        rep["reason"] = "operation inadmissible on U/V; right dual index nonexistent"
-        return rep
-    big = AlgebraContext(p, k + 1)
-    uv = U(big, k + 1) if delta else V(big, k + 1)
-    img = milnor_st(Sp, Rp, uv, n)
-    H = ((2 - delta) * p**n - e - 2 * j - t - 2 * sum(R),) + R[: k - 1]
-    s = _matched_s(p, n, delta, e, j)
-    rep["s"] = s
-    if s is None:
-        lhs = mixed_pairing(img, k, S, H, e, j)
-        rep["lhs"], rep["rhs"] = lhs, 0
-        rep["status"] = "PASS" if lhs == 0 else "FAIL"
-        rep["reason"] = "no matching s; left pairing must vanish"
-        return rep
-    if H[0] < 0:
-        # equivalently: St^{S,R} inadmissible on the matched M/Q target
-        rep["reason"] = "operation inadmissible on M/Q; left dual index nonexistent"
-        return rep
-    ctxn = AlgebraContext(p, n)
-    target = Mtilde(ctxn, n, s) if delta else Q(ctxn, n, s)
-    lhs = mixed_pairing(img, k, S, H, e, j)
-    rimg = milnor_st(S, R, target, k)
-    rhs = invariant_pairing(rimg, n, Sp, (r0p,) + Rp[: n - 1])
-    if pairing_sign_exp(p, n, k, delta, s, S, R, Sp, Rp):
-        rhs = (p - rhs) % p
-    rep["lhs"], rep["rhs"] = lhs, rhs
-    rep["status"] = "PASS" if lhs == rhs else "FAIL"
-    return rep
+    """Evaluate one duality cell; returns its report dict (duality_block)."""
+    return duality_block(p, n, k, delta, Sp, Rp, [(S, R, e, j)])[0]
 
 
 # ------------------------------------------------------------- expansions

@@ -15,6 +15,7 @@ a repeated exterior factor gives 0).
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 
 from .algebra import AlgebraContext, Element, Monomial, monomial_sort_key, render_text
 
@@ -35,21 +36,26 @@ def parse_text(text: str, ctx: AlgebraContext) -> Element:
         return ctx.zero()
     # normalize "a - b" into "a + -b" so one split suffices
     s = s.replace("-", "+-").lstrip("+")
-    out = ctx.zero()
+    terms: dict[Monomial, int] = {}
     for raw in s.split("+"):
         raw = raw.strip()
         if not raw:
             raise ParseError("empty term in %r" % text)
-        out = out + _parse_term(raw, ctx)
-    return out
+        mono, c = _parse_term(raw, ctx)
+        terms[mono] = terms.get(mono, 0) + c
+    return Element(ctx, terms)
 
 
-def _parse_term(raw: str, ctx: AlgebraContext) -> Element:
+def _parse_term(raw: str, ctx: AlgebraContext) -> tuple[Monomial, int]:
+    """One term as (monomial, integer coefficient); the coefficient is 0
+    when an exterior factor repeats."""
     coeff = 1
     if raw.startswith("-"):
         coeff = -1
         raw = raw[1:].strip()
-    term = None
+    xs: list[int] = []
+    ys = [0] * ctx.m
+    repeated = False
     for piece in raw.split("*"):
         piece = piece.strip()
         if not piece:
@@ -66,16 +72,21 @@ def _parse_term(raw: str, ctx: AlgebraContext) -> Element:
         if kind == "x":
             if exp is not None:
                 raise ParseError("exterior generators take no exponent: %r" % piece)
-            factor = ctx.x(idx)
+            # x_idx joins on the right and moves left past every larger
+            # index, one Koszul sign each; a repeated x squares to zero
+            pos = bisect_left(xs, idx)
+            if pos < len(xs) and xs[pos] == idx:
+                repeated = True
+            else:
+                if (len(xs) - pos) % 2:
+                    coeff = -coeff
+                xs.insert(pos, idx)
         else:
             e = 1 if exp is None else int(exp)
             if e < 0:
                 raise ParseError("negative exponent in %r" % piece)
-            factor = ctx.y(idx, e)
-        term = factor if term is None else term * factor
-    if term is None:
-        term = ctx.one()
-    return term.scalar_mul(coeff)
+            ys[idx - 1] += e
+    return Monomial(tuple(xs), tuple(ys)), 0 if repeated else coeff
 
 
 def to_json(a: Element) -> dict:

@@ -30,6 +30,7 @@ from .algebra import (
     AlgebraContext,
     Element,
     Monomial,
+    _new_tuple,
     embed,
     frobenius,
     relabel,
@@ -74,46 +75,31 @@ def total_power(a: Element, r_max: int) -> list[Element]:
     ctx = a.ctx
     p = ctx.p
     out: list[dict[Monomial, int]] = [{} for _ in range(r_max + 1)]
-    zero_ys = ctx._empty_ys()
-    for mono, coeff in a:
-        series: list[dict[Monomial, int]] = [{Monomial(mono.xs, zero_ys): coeff}]
-        for i, e in enumerate(mono.ys):
-            if e == 0:
-                continue
+    for (xs, ys), coeff in a.terms.items():
+        # the convolution so far, flat: (r, exponents so far, coefficient).
+        # Distinct j give distinct exponents, so no two entries share a key.
+        series = [(0, (), coeff)]
+        for e in ys:
             factor = []
             for j in range(min(e, r_max) + 1):
                 cj = binom_mod(e, j, p)
                 if cj:
-                    factor.append((j, cj, e + (p - 1) * j))
-            nxt: list[dict[Monomial, int]] = [
-                {} for _ in range(min(len(series) - 1 + min(e, r_max), r_max) + 1)
-            ]
-            for r1, layer in enumerate(series):
-                if not layer:
-                    continue
+                    factor.append((j, cj, (e + (p - 1) * j,)))
+            nxt = []
+            for r, head, c in series:
                 for j, cj, exp in factor:
-                    r = r1 + j
-                    if r > r_max:
+                    if r + j > r_max:
                         break
-                    dest = nxt[r]
-                    for mo, c in layer.items():
-                        ys = list(mo.ys)
-                        ys[i] = exp
-                        key = Monomial(mo.xs, tuple(ys))
-                        v = (dest.get(key, 0) + c * cj) % p
-                        if v:
-                            dest[key] = v
-                        elif key in dest:
-                            del dest[key]
+                    nxt.append((r + j, head + exp, c * cj))
             series = nxt
-        for r, layer in enumerate(series):
+        for r, ys_r, c in series:
             dest = out[r]
-            for key, c in layer.items():
-                v = (dest.get(key, 0) + c) % p
-                if v:
-                    dest[key] = v
-                elif key in dest:
-                    del dest[key]
+            key = _new_tuple(Monomial, (xs, ys_r))
+            v = (dest.get(key, 0) + c) % p
+            if v:
+                dest[key] = v
+            else:
+                dest.pop(key, None)
     return [Element._make(ctx, layer) for layer in out]
 
 

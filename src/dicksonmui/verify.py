@@ -440,31 +440,36 @@ DUALITY_SHAPES = ((1, 1), (1, 2), (2, 1))
 
 def _block_pairing(p: int, n: int, k: int, delta: int, Sp: tuple, Rp: tuple,
                    degmax: int) -> list[dict]:
-    rows = []
     base = "pairing/p%d/n%dk%d/d%d/Sp(%s)/Rp(%s)" % (p, n, k, delta, _fmt(Sp), _fmt(Rp))
+    cases, labels = [], []
     for S in _subsets(k):
         for R in itertools.product(range(p**n + 2), repeat=k):
             if 2 * sum(R) + len(S) > (2 - delta) * p**n + 4:
                 continue
             if st_operation_degree(S, R, p) > degmax:
                 continue
+            label = "%s/S(%s)/R(%s)/e" % (base, _fmt(S), _fmt(R))
             for e in (0, 1):
                 for j in range(p**n + 2):
                     if e + 2 * j > (2 - delta) * p**n + 2:
                         continue
-                    rep = duality.duality_case(p, n, k, delta, S, R, Sp, Rp, e, j)
-                    row = {
-                        "cell": "%s/S(%s)/R(%s)/e%d/j%d" % (base, _fmt(S), _fmt(R), e, j),
-                        "status": rep["status"],
-                        "params": {"p": p, "n": n, "k": k, "delta": delta,
-                                   "S": list(S), "R": list(R), "Sp": list(Sp),
-                                   "Rp": list(Rp), "e": e, "j": j, "s": rep["s"]},
-                    }
-                    if rep["reason"]:
-                        row["reason"] = rep["reason"]
-                    if rep["status"] == "FAIL":
-                        row["lhs"], row["rhs"] = str(rep["lhs"]), str(rep["rhs"])
-                    rows.append(row)
+                    cases.append((S, R, e, j))
+                    labels.append("%s%d/j%d" % (label, e, j))
+    rows = []
+    reps = duality.duality_block(p, n, k, delta, Sp, Rp, cases)
+    for label, (S, R, e, j), rep in zip(labels, cases, reps):
+        row = {
+            "cell": label,
+            "status": rep["status"],
+            "params": {"p": p, "n": n, "k": k, "delta": delta,
+                       "S": list(S), "R": list(R), "Sp": list(Sp),
+                       "Rp": list(Rp), "e": e, "j": j, "s": rep["s"]},
+        }
+        if rep["reason"]:
+            row["reason"] = rep["reason"]
+        if rep["status"] == "FAIL":
+            row["lhs"], row["rhs"] = str(rep["lhs"]), str(rep["rhs"])
+        rows.append(row)
     return rows
 
 

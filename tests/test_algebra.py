@@ -12,7 +12,6 @@ from dicksonmui.algebra import (
     Element,
     InexactDivisionError,
     Monomial,
-    _even_pow,
     _mul_packed,
     _mul_pairwise,
     embed,
@@ -396,7 +395,8 @@ def _reference_substitute(a, x_images, y_images):
             term = img * term
         for i, e in enumerate(mono.ys):
             if e and (i + 1) in y_images:
-                term = term * _even_pow(y_images[i + 1], e)
+                for _ in range(e):
+                    term = term * y_images[i + 1]
         for m, v in term.terms.items():
             acc[m] = acc.get(m, 0) + v
     return {m: v % p for m, v in acc.items() if v % p}
@@ -497,3 +497,25 @@ def test_substitute_at_field_width_bound():
     assert eight.coefficient(Monomial((2,), (8, 0, 0))) == 1
     for a in (x1 * ctx.y(2, 2), x1 * y1 * ctx.y(2, 2), x1 * y2 + y3 * ctx.y(2, 2)):
         _substitute_matches_reference(a, x_images, y_images)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_substitute_y_powers_across_frobenius(p):
+    # y-exponents p - 1, p, p^2 and p^2 + 1: just under, at and past the
+    # base-p digit steps where a polynomial image is raised by Frobenius
+    # (packed key * p), and the same exponents on images carrying an
+    # exterior pair, which are raised by squaring
+    ctx = AlgebraContext(p, 2)
+    x1, x2, y1, y2 = ctx.x(1), ctx.x(2), ctx.y(1), ctx.y(2)
+    assert (ctx.y(1, p)).substitute(y_images={1: y1 + y2}) == ctx.y(1, p) + ctx.y(2, p)
+    maps = [
+        {1: y1 + y2.scalar_mul(2)},
+        {1: y1 * y2 + ctx.y(2, 2) + 1, 2: ctx.y(1, 3)},
+        {2: x1 * x2 + y1},
+        {1: x1 * x2 * y2 + y2.scalar_mul(p - 1), 2: y1 + x1 * x2},
+    ]
+    for y_images in maps:
+        for e in (p - 1, p, p * p, p * p + 1):
+            for a in (ctx.y(1, e) * y2, x1 * ctx.y(1, e), x2 * ctx.y(2, e) + y1,
+                      (x1 * x2 * ctx.y(2, e)).scalar_mul(2)):
+                _substitute_matches_reference(a, {}, y_images)

@@ -1,19 +1,29 @@
 """Pairing adjointness between the operations on the U/V family and the
 operations on the Mtilde/Q family, with both re-expansion directions."""
 
+import itertools
+
 import pytest
 
+from dicksonmui import duality
 from dicksonmui.algebra import AlgebraContext
+from dicksonmui.arith import st_operation_degree
 from dicksonmui.duality import (
+    _check_exterior,
+    _matched_s,
     expand_mq,
     expand_uv,
     dim_bracket,
+    duality_block,
+    invariant_pairing,
     mixed_decompose,
+    mixed_pairing,
     pairing_sign_exp,
     duality_case,
 )
 from dicksonmui.invariants import Mtilde, Q, U, V
 from dicksonmui.steenrod import NotInSpanError, admissible_indices, milnor_st
+from dicksonmui.verify import _subsets
 
 
 def test_dim_bracket():
@@ -130,3 +140,128 @@ def test_pairing_sign_even_where_pairings_are_nonzero():
     assert pairing_sign_exp(3, 1, 1, 1, -1, (), (0,), (), (0,)) == 1
     rep = duality_case(3, 1, 1, 1, (), (0,), (), (0,), 1, 0)
     assert rep["status"] == "PASS" and rep["lhs"] == 0
+
+
+def _reference_duality_case(p, n, k, delta, S, R, Sp, Rp, e, j):
+    # one cell on its own, every value recomputed: an oracle for
+    # duality_block, which shares the block's work across its cases
+    S, R, Sp, Rp = tuple(S), tuple(R), tuple(Sp), tuple(Rp)
+    if len(R) != k or len(Rp) != n:
+        raise ValueError("need len(R) = k and len(Rp) = n")
+    if delta not in (0, 1) or e not in (0, 1) or j < 0:
+        raise ValueError("delta, e must be 0/1 and j >= 0")
+    _check_exterior(S, k)
+    _check_exterior(Sp, n)
+    rep = {
+        "p": p, "n": n, "k": k, "delta": delta,
+        "S": S, "R": R, "Sp": Sp, "Rp": Rp, "e": e, "j": j,
+        "s": None, "status": "SKIP", "reason": "", "lhs": None, "rhs": None,
+    }
+    t, tp = len(S), len(Sp)
+    r0p = (2 - delta) * p**k - tp - 2 * sum(Rp)
+    if r0p < 0:
+        rep["reason"] = "operation inadmissible on U/V; right dual index nonexistent"
+        return rep
+    big = AlgebraContext(p, k + 1)
+    uv = U(big, k + 1) if delta else V(big, k + 1)
+    img = milnor_st(Sp, Rp, uv, n)
+    H = ((2 - delta) * p**n - e - 2 * j - t - 2 * sum(R),) + R[: k - 1]
+    s = _matched_s(p, n, delta, e, j)
+    rep["s"] = s
+    if s is None:
+        lhs = mixed_pairing(img, k, S, H, e, j)
+        rep["lhs"], rep["rhs"] = lhs, 0
+        rep["status"] = "PASS" if lhs == 0 else "FAIL"
+        rep["reason"] = "no matching s; left pairing must vanish"
+        return rep
+    if H[0] < 0:
+        rep["reason"] = "operation inadmissible on M/Q; left dual index nonexistent"
+        return rep
+    ctxn = AlgebraContext(p, n)
+    target = Mtilde(ctxn, n, s) if delta else Q(ctxn, n, s)
+    lhs = mixed_pairing(img, k, S, H, e, j)
+    rimg = milnor_st(S, R, target, k)
+    rhs = invariant_pairing(rimg, n, Sp, (r0p,) + Rp[: n - 1])
+    if duality.pairing_sign_exp(p, n, k, delta, s, S, R, Sp, Rp):
+        rhs = (p - rhs) % p
+    rep["lhs"], rep["rhs"] = lhs, rhs
+    rep["status"] = "PASS" if lhs == rhs else "FAIL"
+    return rep
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 2)])
+@pytest.mark.parametrize("delta", [0, 1])
+def test_block_matches_reference_on_every_case(n, k, delta):
+    # every (S, R, e, j) case that the full p = 3 duality grid runs for this
+    # shape, on every (Sp, Rp) of its blocks and on those its degree cap
+    # leaves out, where the U/V side turns inadmissible
+    p, degmax = 3, 40
+    q_uv, q_mq = (2 - delta) * p**k, (2 - delta) * p**n
+    cases = []
+    for S in _subsets(k):
+        for R in itertools.product(range(p**n + 2), repeat=k):
+            if 2 * sum(R) + len(S) > q_mq + 4 or st_operation_degree(S, R, p) > degmax:
+                continue
+            for e in (0, 1):
+                for j in range(p**n + 2):
+                    if e + 2 * j <= q_mq + 2:
+                        cases.append((S, R, e, j))
+    statuses = set()
+    for Sp in _subsets(n):
+        for Rp in itertools.product(range(p**k + 2), repeat=n):
+            got = duality_block(p, n, k, delta, Sp, Rp, cases)
+            assert len(got) == len(cases)
+            for case, rep in zip(cases, got):
+                S, R, e, j = case
+                assert rep == _reference_duality_case(p, n, k, delta, S, R, Sp, Rp, e, j), (
+                    Sp, Rp, case)
+                statuses.add((rep["status"], rep["reason"]))
+    # matched and unmatched PASS, and both SKIPs
+    assert len(statuses) == 4, statuses
+
+
+def test_block_applies_the_relating_sign(monkeypatch):
+    # on the grids the relating sign is odd only where both pairings vanish
+    # (test_pairing_sign_even_where_pairings_are_nonzero), so a dropped sign
+    # would not show; forced odd, every nonzero right pairing must flip
+    monkeypatch.setattr(duality, "pairing_sign_exp", lambda *args: 1)
+    p, n, k, delta, Sp, Rp = 3, 1, 1, 0, (), (0,)
+    cases = [(S, (r,), e, j) for S in ((), (0,)) for r in range(4)
+             for e in (0, 1) for j in range(4)]
+    flipped = 0
+    for case, rep in zip(cases, duality_block(p, n, k, delta, Sp, Rp, cases)):
+        assert rep == _reference_duality_case(p, n, k, delta, *case[:2], Sp, Rp, *case[2:])
+        if rep["status"] == "FAIL":
+            assert rep["rhs"] == p - rep["lhs"]
+            flipped += 1
+    assert flipped
+
+
+@pytest.mark.parametrize("args", [
+    (3, 1, 1, 0, (), (0, 0), (), (0,), 0, 0),       # len(R) != k
+    (3, 1, 1, 0, (), (0,), (), (0, 0), 0, 0),       # len(Rp) != n
+    (3, 1, 1, 2, (), (0,), (), (0,), 0, 0),         # delta
+    (3, 1, 1, 0, (), (0,), (), (0,), 2, 0),         # e
+    (3, 1, 1, 0, (), (0,), (), (0,), 0, -1),        # j
+    (3, 1, 1, 0, (1,), (0,), (), (0,), 0, 0),       # S out of range
+    (3, 1, 2, 0, (1, 0), (0, 0), (), (0,), 0, 0),   # S not increasing
+    (3, 1, 2, 0, (0, 0), (0, 0), (), (0,), 0, 0),   # S repeated
+    (3, 2, 1, 0, (), (0,), (1, 0), (0, 0), 0, 0),   # Sp not increasing
+    (3, 1, 1, 1, (), (0,), (1,), (9,), 0, 0),       # Sp out of range, r0p < 0
+])
+def test_case_errors_match_reference(args):
+    with pytest.raises(ValueError) as want:
+        _reference_duality_case(*args)
+    with pytest.raises(ValueError) as got:
+        duality_case(*args)
+    assert str(got.value) == str(want.value)
+
+
+def test_block_checks_every_case():
+    # a bad case after good ones still raises, and an empty block is empty
+    good = ((), (0,), 0, 0)
+    with pytest.raises(ValueError, match="exterior"):
+        duality_block(3, 1, 1, 0, (), (0,), [good, ((1,), (0,), 0, 0)])
+    with pytest.raises(ValueError, match="j >= 0"):
+        duality_block(3, 1, 1, 1, (), (9,), [good, ((), (0,), 0, -1)])
+    assert duality_block(3, 1, 1, 0, (), (0,), []) == []

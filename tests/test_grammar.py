@@ -1,11 +1,20 @@
 """Text/JSON/LaTeX serialization round trips."""
 
 import json
+import random
 
 import pytest
 
 from dicksonmui.algebra import AlgebraContext, render_text
-from dicksonmui.grammar import ParseError, from_json, parse_text, render_latex, to_json
+from dicksonmui.grammar import (
+    _COEFF,
+    _FACTOR,
+    ParseError,
+    from_json,
+    parse_text,
+    render_latex,
+    to_json,
+)
 
 
 @pytest.fixture
@@ -83,3 +92,110 @@ def test_latex(ctx):
     assert render_latex(a) == "y_{2}^{3} + 2 y_{2} y_{1}^{2}"
     assert render_latex(ctx.zero()) == "0"
     assert render_latex(ctx.x(1) * ctx.y(2)) == "x_{1} y_{2}"
+
+
+def _reference_parse_text(text, ctx):
+    # the parser over Element products: an oracle for parse_text, which
+    # builds each term's monomial directly
+    s = text.strip()
+    if not s:
+        raise ParseError("empty input")
+    if s == "0":
+        return ctx.zero()
+    s = s.replace("-", "+-").lstrip("+")
+    out = ctx.zero()
+    for raw in s.split("+"):
+        raw = raw.strip()
+        if not raw:
+            raise ParseError("empty term in %r" % text)
+        out = out + _reference_parse_term(raw, ctx)
+    return out
+
+
+def _reference_parse_term(raw, ctx):
+    coeff = 1
+    if raw.startswith("-"):
+        coeff = -1
+        raw = raw[1:].strip()
+    term = None
+    for piece in raw.split("*"):
+        piece = piece.strip()
+        if not piece:
+            raise ParseError("empty factor in %r" % raw)
+        if _COEFF.match(piece):
+            coeff *= int(piece)
+            continue
+        m = _FACTOR.match(piece)
+        if not m:
+            raise ParseError("bad factor %r" % piece)
+        kind, idx, exp = m.group(1), int(m.group(2)), m.group(3)
+        if not 1 <= idx <= ctx.m:
+            raise ParseError("generator index %d outside 1..%d" % (idx, ctx.m))
+        if kind == "x":
+            if exp is not None:
+                raise ParseError("exterior generators take no exponent: %r" % piece)
+            factor = ctx.x(idx)
+        else:
+            e = 1 if exp is None else int(exp)
+            if e < 0:
+                raise ParseError("negative exponent in %r" % piece)
+            factor = ctx.y(idx, e)
+        term = factor if term is None else term * factor
+    if term is None:
+        term = ctx.one()
+    return term.scalar_mul(coeff)
+
+
+def _parses_like_reference(text, ctx):
+    try:
+        want = _reference_parse_text(text, ctx)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_text(text, ctx)
+        assert str(got.value) == str(exc), text
+        return
+    got = parse_text(text, ctx)
+    assert got == want, text
+    assert all(0 < c < ctx.p for c in got.terms.values())
+
+
+def _shuffled(rng, text):
+    # every term's factors in a random order, with random spacing
+    terms = []
+    for term in text.split(" + "):
+        factors = term.split("*")
+        rng.shuffle(factors)
+        terms.append(rng.choice(["*", " * ", "* "]).join(factors))
+    return rng.choice([" + ", "+", " +"]).join(terms)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_parse_matches_reference(p, m):
+    rng = random.Random(500 + 10 * p + m)
+    ctx = AlgebraContext(p, m)
+    for _ in range(25):
+        a = ctx.zero()
+        for _ in range(rng.randint(1, 4)):
+            xs = sorted(rng.sample(range(1, m + 1), rng.randint(0, m)))
+            ys = [rng.randint(0, 12) for _ in range(m)]
+            a = a + ctx.monomial(xs, ys, rng.randrange(1, p))
+        text = render_text(a)
+        assert parse_text(text, ctx) == a
+        _parses_like_reference(text, ctx)
+        _parses_like_reference(_shuffled(rng, text), ctx)
+    # repeated x's (alone, among other factors, before a bad factor), signed
+    # and multi-digit coefficients, several coefficients in one term
+    top = "x%d" % m
+    for text in ["x1*x1", "x1*x1*y1", "x1*y1*x1 + y1", "%s*y1*%s*x1 - y1" % (top, top),
+                 "x1*x1*z1", "x1*x1*y1^-2", "-3*y1^2*y1", "12*y1 - 10*y1^11",
+                 "-y1*7*2", "100*x1 + 3*-2", "2*3*x1*4", "-x1", "- 2 * x1 * y1",
+                 "0*y1 + y1", "y1 - -y1", "x1*y1^2*x1*y1"]:
+        _parses_like_reference(text, ctx)
+    if m >= 2:
+        for text in ["x2*x1", "x2*y1*x1 - x1*x2*y1", "-3*y1^2*x2*y1", "x2*y2*x1*y1^3",
+                     "x1*x2*x1", "x2*x1*x2*y1", "11*y2*x2*y1^10*x1"]:
+            _parses_like_reference(text, ctx)
+    if m >= 3:
+        for text in ["x3*x2*x1", "x3*x1*x2", "x2*x3*x1 + x1*x3*x2", "y3*x3*y1*x1*x2"]:
+            _parses_like_reference(text, ctx)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from dicksonmui.algebra import AlgebraContext, embed, render_text
+from dicksonmui.algebra import AlgebraContext, Element, Monomial, embed, render_text
 from dicksonmui.arith import binom_mod, mu_mod, seq_stats
 from dicksonmui.invariants import Ltilde, Mtilde, Q, U, V
 from dicksonmui.steenrod import (
@@ -63,6 +63,73 @@ def test_total_power_is_prefix_of_cartan(c2):
     assert len(series) == 4
     for r, layer in enumerate(series):
         assert layer == p_power(r, a)
+
+
+def _reference_total_power(a, r_max):
+    # the layer-by-layer convolution over Monomial dicts: an oracle for the
+    # flat-series total_power
+    ctx = a.ctx
+    p = ctx.p
+    out = [{} for _ in range(r_max + 1)]
+    zero_ys = ctx._empty_ys()
+    for mono, coeff in a:
+        series = [{Monomial(mono.xs, zero_ys): coeff}]
+        for i, e in enumerate(mono.ys):
+            if e == 0:
+                continue
+            factor = []
+            for j in range(min(e, r_max) + 1):
+                cj = binom_mod(e, j, p)
+                if cj:
+                    factor.append((j, cj, e + (p - 1) * j))
+            nxt = [{} for _ in range(min(len(series) - 1 + min(e, r_max), r_max) + 1)]
+            for r1, layer in enumerate(series):
+                if not layer:
+                    continue
+                for j, cj, exp in factor:
+                    r = r1 + j
+                    if r > r_max:
+                        break
+                    dest = nxt[r]
+                    for mo, c in layer.items():
+                        ys = list(mo.ys)
+                        ys[i] = exp
+                        key = Monomial(mo.xs, tuple(ys))
+                        v = (dest.get(key, 0) + c * cj) % p
+                        if v:
+                            dest[key] = v
+                        elif key in dest:
+                            del dest[key]
+            series = nxt
+        for r, layer in enumerate(series):
+            dest = out[r]
+            for key, c in layer.items():
+                v = (dest.get(key, 0) + c) % p
+                if v:
+                    dest[key] = v
+                elif key in dest:
+                    del dest[key]
+    return [Element._make(ctx, layer) for layer in out]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_total_power_matches_reference(p, m):
+    rng = random.Random(7000 + 10 * p + m)
+    ctx = AlgebraContext(p, m)
+    sources = [ctx.zero(), ctx.scalar(2)]
+    for _ in range(10):
+        out = ctx.zero()
+        for _ in range(rng.randint(1, 5)):
+            xs = sorted(rng.sample(range(1, m + 1), rng.randint(0, m)))
+            ys = [rng.choice([0, 1, 2, 3, p - 1, p, p + 1]) for _ in range(m)]
+            out = out + ctx.monomial(xs, ys, rng.randrange(1, p))
+        sources.append(out)
+    for a in sources:
+        for r_max in range(5):
+            got = total_power(a, r_max)
+            assert len(got) == r_max + 1
+            assert got == _reference_total_power(a, r_max), (render_text(a), r_max)
 
 
 def _random_power_source(rng, ctx):
