@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cache
 from heapq import heapify, heappop, heappush
 from operator import add, mul
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .arith import inv_mod, is_odd_prime
 
@@ -59,19 +59,15 @@ def _pack(ys: Iterable[int], width: int, key: int = 0) -> int:
     return key
 
 
-def _unpacker(width: int, m: int):
-    """The inverse of _pack for m fields: key -> its lowest m fields as a
-    tuple, most significant first; higher fields are dropped."""
+def _unpack_keys(keys: Collection[int], width: int, m: int) -> list[tuple[int, ...]]:
+    """The inverse of _pack for m fields: each key's lowest m fields as a
+    tuple, most significant first, in the order of keys; higher fields are
+    dropped.  One pass over keys per field, zipped into tuples."""
+    if not m:
+        return [()] * len(keys)
     mask = (1 << width) - 1
-    shifts = range(width * (m - 1), -1, -width)
-
-    def unpack(key: int) -> tuple[int, ...]:
-        ys = []  # a plain loop: cheaper than a comprehension per call
-        for s in shifts:
-            ys.append((key >> s) & mask)
-        return tuple(ys)
-
-    return unpack
+    fields = [[k >> s & mask for k in keys] for s in range(width * (m - 1), -1, -width)]
+    return list(zip(*fields))
 
 
 @dataclass(frozen=True)
@@ -530,16 +526,15 @@ def _pow_groups(groups: Groups, e: int, p: int) -> Groups:
 
 def _unpack_groups(ctx: AlgebraContext, groups: Groups, width: int) -> Element:
     """The Element of an unreduced accumulator, emptied one mask group at a
-    time as it is unpacked into Monomials."""
-    p = ctx.p
-    unpack = _unpacker(width, ctx.m)
+    time: each group is reduced mod p and freed, then its surviving keys
+    are unpacked in bulk (_unpack_keys) into Monomials."""
+    p, m = ctx.p, ctx.m
     terms: dict[Monomial, int] = {}
     while groups:
         xs, acc = groups.popitem()[1]
-        for k, c in acc.items():
-            c %= p
-            if c:
-                terms[_new_tuple(Monomial, (xs, unpack(k)))] = c
+        acc = {k: r for k, c in acc.items() if (r := c % p)}
+        terms.update(zip([_new_tuple(Monomial, (xs, ys)) for ys in _unpack_keys(acc, width, m)],
+                         acc.values()))
     return Element._make(ctx, terms)
 
 
@@ -704,14 +699,24 @@ def exact_div(a: Element, b: Element) -> Element:
 
     Raises InexactDivisionError when b does not divide a.  Division is by
     leading-term elimination in graded-lex order, heap-driven as in
-    Johnson (1974) and Monagan & Pearce (2007): every exponent vector is
-    packed into one int with fields (sum(ys), ys[0], ..., ys[m-1]), most
-    significant first, so integer order is graded-lex order.  Each field
-    has bit_length(D) + 1 bits, D the largest total degree in a; every
-    remainder term stays at or below the current lead, so no field
-    overflows into its neighbour.  The remainder is keyed on packed ints,
-    each divisor term is an offset from the divisor's lead, and a max-heap
-    of the remainder's keys yields each lead without scanning the rest.
+    Johnson (1974) and Monagan & Pearce (2007), over packed keys until the
+    quotient is done.  Every exponent vector is packed into one int with
+    fields (sum(ys), ys[0], ..., ys[m-1]), most significant first, so
+    integer order is graded-lex order.  Each field has bit_length(D) + 1
+    bits, D the largest total degree in a and in b's lead; every remainder
+    term stays at or below the current lead, so no field overflows into
+    its neighbour and the top (guard) bit of every field is clear.
+
+    Keys are negated, so a min-heap of the remainder's keys yields each
+    lead.  The lead is divisible by b's lead exactly when their difference
+    q has no guard bit set: the lowest field that is short borrows from
+    the one above and wraps to at least 2**(width - 1), and a short degree
+    field makes q negative, which in two's complement sets the top guard
+    bit.  Otherwise q is the packed quotient monomial.  Each divisor term
+    is an offset from the divisor's lead.  The remainder accumulates
+    unreduced and is reduced mod p once, when its key is popped; a
+    cancelled key stays until then.  The quotient is unpacked once, at the
+    end (_unpack_keys).
     """
     if a.ctx != b.ctx:
         raise ContextMismatchError("exact_div across contexts")
@@ -721,44 +726,48 @@ def exact_div(a: Element, b: Element) -> Element:
         raise ZeroDivisionError("division by the zero element")
     ctx = a.ctx
     p, m = ctx.p, ctx.m
-    width = max((sum(mono.ys) for mono in a.terms), default=0).bit_length() + 1
-    unpack = _unpacker(width, m)
+    lead_b = max(b.terms, key=_grlex_key)
+    top = max((sum(mono.ys) for mono in a.terms), default=0)
+    width = max(top, sum(lead_b.ys)).bit_length() + 1
+    guard = _pack((1 << width - 1,) * (m + 1), width)
 
     def pack(ys):
         return _pack(ys, width, sum(ys))
 
-    lead_b = max(b.terms, key=_grlex_key)
     cb_inv = inv_mod(b.terms[lead_b], p)
-    lead_b_key = pack(lead_b.ys)
-    # the divisor's other terms as (packed offset from its lead, -coefficient)
-    tail = [(pack(mb.ys) - lead_b_key, p - vb) for mb, vb in b.terms.items() if mb != lead_b]
-    rem = {pack(mono.ys): c for mono, c in a.terms.items()}
-    heap = [-key for key in rem]
+    neg_lead_b = -pack(lead_b.ys)
+    # the divisor's other terms as (offset, -coefficient); an offset is
+    # added to a negated key, so it is b's lead key minus the term's key
+    tail = [(-neg_lead_b - pack(mb.ys), p - vb) for mb, vb in b.terms.items() if mb != lead_b]
+    scaled: dict[int, list[tuple[int, int]]] = {}  # c -> c * tail, built on first use
+    rem = {-pack(mono.ys): c for mono, c in a.terms.items()}
+    heap = list(rem)
     heapify(heap)
-    quo: dict[Monomial, int] = {}
+    get = rem.get
+    pop = rem.pop
+    quo: dict[int, int] = {}
     while heap:
-        lead = -heappop(heap)
-        c = rem.pop(lead, 0)
+        key = heappop(heap)
+        c = pop(key) * cb_inv % p
         if not c:
-            continue  # cancelled, or a second entry for a key already eliminated
-        diff = tuple(e - eb for e, eb in zip(unpack(lead), lead_b.ys))
-        if any(d < 0 for d in diff):
+            continue  # cancelled
+        q = neg_lead_b - key
+        if q & guard:
             raise InexactDivisionError("leading term not divisible")
-        c = c * cb_inv % p
-        quo[Monomial((), diff)] = c
-        for offset, nvb in tail:
-            key = lead + offset
-            old = rem.get(key)
+        quo[q] = c
+        tail_c = scaled.get(c)
+        if tail_c is None:
+            tail_c = scaled[c] = [(off, c * nvb % p) for off, nvb in tail]
+        for off, v in tail_c:
+            k = key + off
+            old = get(k)
             if old is None:
-                rem[key] = c * nvb % p
-                heappush(heap, -key)
+                rem[k] = v
+                heappush(heap, k)
             else:
-                v = (old + c * nvb) % p
-                if v:
-                    rem[key] = v
-                else:
-                    del rem[key]
-    return Element._make(ctx, quo)
+                rem[k] = old + v
+    monos = [_new_tuple(Monomial, ((), ys)) for ys in _unpack_keys(quo, width, m)]
+    return Element._make(ctx, dict(zip(monos, quo.values())))
 
 
 def relabel(a: Element, new_ctx: AlgebraContext, index_map: Mapping[int, int]) -> Element:

@@ -558,12 +558,44 @@ def _duality_tasks(p_values, grid):
 # -------------------------------------------------------------- properties
 
 
+def _below(bits, n: int) -> int:
+    """A uniform draw from range(n), n >= 1, made as Random._randbelow
+    makes it: getrandbits(n.bit_length()) until the value is below n."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def _rand_monomial(rng: random.Random, ctx: AlgebraContext, max_e: int = 5) -> Element:
-    # valid by construction (sorted distinct indices in 1..m, exponents and
-    # a coefficient in range), so it skips ctx.monomial's checks
-    xs = tuple(sorted(rng.sample(range(1, ctx.m + 1), rng.randint(0, min(ctx.m, 2)))))
-    ys = tuple(rng.randint(0, max_e) for _ in range(ctx.m))
-    return Element._make(ctx, {Monomial(xs, ys): rng.randint(1, ctx.p - 1)})
+    # The draws of sorted(rng.sample(range(1, m + 1), rng.randint(0,
+    # min(m, 2)))), then rng.randint(0, max_e) per exponent and
+    # rng.randint(1, p - 1), without their layers of calls: every value is
+    # drawn as _below draws it (inline for the exponents, which share one
+    # bound), and the sample swaps within a pool list as Random.sample
+    # does for a population of at most 21.  Valid by construction (sorted
+    # distinct indices in 1..m, exponents and a coefficient in range), so
+    # it skips ctx.monomial's checks.
+    bits = rng.getrandbits
+    m = ctx.m
+    pool = list(range(1, m + 1))
+    xs = []
+    for i in range(_below(bits, min(m, 2) + 1)):
+        j = _below(bits, m - i)
+        xs.append(pool[j])
+        pool[j] = pool[m - i - 1]
+    xs.sort()
+    n = max_e + 1
+    k = n.bit_length()
+    ys = []
+    for _ in range(m):
+        e = bits(k)
+        while e >= n:
+            e = bits(k)
+        ys.append(e)
+    mono = Monomial(tuple(xs), tuple(ys))
+    return Element._make(ctx, {mono: 1 + _below(bits, ctx.p - 1)})
 
 
 def _rand_element(rng: random.Random, ctx: AlgebraContext, terms: int = 2,

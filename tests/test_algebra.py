@@ -1,5 +1,6 @@
 """Ring arithmetic: graded signs, exactness, context discipline."""
 
+import heapq
 import math
 import random
 
@@ -14,6 +15,8 @@ from dicksonmui.algebra import (
     Monomial,
     _mul_packed,
     _mul_pairwise,
+    _pack,
+    _unpack_keys,
     embed,
     exact_div,
     relabel,
@@ -169,6 +172,163 @@ def test_exact_div_at_packing_boundary(p):
     for a, b in cases:
         assert exact_div(a * b, b) == a
         assert exact_div(a * b, a) == b
+
+
+def _reference_exact_div(a, b):
+    # heap division that unpacks each lead and reduces every remainder
+    # update mod p: an oracle for the packed exact_div, whose leads stay
+    # packed and whose remainder is reduced only when a key is popped
+    if not (a.is_polynomial() and b.is_polynomial()):
+        raise ValueError("exact_div handles purely polynomial elements")
+    if b.is_zero():
+        raise ZeroDivisionError("division by the zero element")
+    p, m = a.ctx.p, a.ctx.m
+    width = max((sum(mono.ys) for mono in a.terms), default=0).bit_length() + 1
+    mask = (1 << width) - 1
+
+    def pack(ys):
+        key = sum(ys)
+        for e in ys:
+            key = (key << width) | e
+        return key
+
+    def unpack(key):
+        return tuple((key >> (width * (m - 1 - i))) & mask for i in range(m))
+
+    lead_b = max(b.terms, key=lambda mono: (sum(mono.ys), mono.ys))
+    cb_inv = pow(b.terms[lead_b], -1, p)
+    lead_b_key = pack(lead_b.ys)
+    tail = [(pack(mb.ys) - lead_b_key, p - vb) for mb, vb in b.terms.items() if mb != lead_b]
+    rem = {pack(mono.ys): c for mono, c in a.terms.items()}
+    heap = [-key for key in rem]
+    heapq.heapify(heap)
+    quo = {}
+    while heap:
+        lead = -heapq.heappop(heap)
+        c = rem.pop(lead, 0)
+        if not c:
+            continue
+        diff = tuple(e - eb for e, eb in zip(unpack(lead), lead_b.ys))
+        if any(d < 0 for d in diff):
+            raise InexactDivisionError("leading term not divisible")
+        c = c * cb_inv % p
+        quo[Monomial((), diff)] = c
+        for offset, nvb in tail:
+            key = lead + offset
+            old = rem.get(key)
+            if old is None:
+                rem[key] = c * nvb % p
+                heapq.heappush(heap, -key)
+            else:
+                v = (old + c * nvb) % p
+                if v:
+                    rem[key] = v
+                else:
+                    del rem[key]
+    return quo
+
+
+def _division_outcome(divide, a, b):
+    # the quotient's terms, or the message of the InexactDivisionError
+    try:
+        q = divide(a, b)
+    except InexactDivisionError as exc:
+        return str(exc)
+    return q if isinstance(q, dict) else q.terms
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+def test_exact_div_matches_reference(p, m):
+    rng = random.Random(500 * p + m)
+    ctx = AlgebraContext(p, m)
+    inexact = 0
+    for _ in range(30):
+        q = _random_poly(rng, ctx, rng.randint(1, 10), 5)
+        b = _random_poly(rng, ctx, rng.randint(1, 6), 3)
+        if b.is_zero():
+            continue
+        r = _random_poly(rng, ctx, rng.randint(1, 3), 6)
+        for a in (q * b, q * b + r):
+            want = _division_outcome(_reference_exact_div, a, b)
+            assert _division_outcome(exact_div, a, b) == want
+            inexact += isinstance(want, str)
+    if m:
+        assert inexact  # the non-multiples reach the error path
+
+
+def test_exact_div_lead_short_in_one_field():
+    ctx = AlgebraContext(5, 3)
+    y1, y2, y3 = ctx.y(1), ctx.y(2), ctx.y(3)
+    cases = [
+        # the same total degree, short only in the lowest field: that field
+        # borrows from the one above, which then reads as a valid exponent
+        (y1 * y1, y1 * y2),
+        (y1 * y2 * y2, y1 * y2 * y3),
+        (ctx.y(2, 4) + y3, ctx.y(2, 3) * y3),
+        # short in total degree: the packed difference is negative
+        (y1 * y1 * y2, y1 * y1 * y2 * y3),
+        (ctx.y(1, 9), ctx.y(1, 10)),
+        (y3, y1 + y2 + y3 + y3 * y3),
+    ]
+    for a, b in cases:
+        with pytest.raises(InexactDivisionError, match="leading term not divisible"):
+            exact_div(a, b)
+        with pytest.raises(InexactDivisionError):
+            _reference_exact_div(a, b)
+    # a later lead short only in the lowest field: y1^2 y3 divides out,
+    # then y1 y2^2 is short of y1 y3 in y3 alone
+    with pytest.raises(InexactDivisionError):
+        exact_div(y1 * y1 * y3 + y1 * y2 * y2, y1 * y3)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_exact_div_at_full_field(p):
+    # exponents of 2**(width - 1) - 1, the largest a field holds with its
+    # guard bit clear: the top degree D = 2**k - 1 sets width = k + 1
+    ctx = AlgebraContext(p, 3)
+    y1, y2, y3 = ctx.y(1), ctx.y(2), ctx.y(3)
+    for k in range(1, 7):
+        top = 2**k - 1
+        cases = [
+            (ctx.y(1, top), y1),
+            (ctx.y(3, top), ctx.y(3, top)),
+            (ctx.y(2, top) + ctx.y(1, top), y1 + y2),
+            ((y1 + y2 + y3) * ctx.y(3, top - 1), y1 + y2 + y3),
+            (ctx.y(1, top) + ctx.y(3, top), y3 + 1),
+        ]
+        for a, b in cases:
+            assert _division_outcome(exact_div, a, b) == _division_outcome(
+                _reference_exact_div, a, b)
+        q = exact_div(ctx.y(2, top) - ctx.y(1, top), y2 - y1)
+        assert q * (y2 - y1) == ctx.y(2, top) - ctx.y(1, top)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_exact_div_with_heavy_cancellation(p):
+    # (y1^p + ... + ym^p) / (y1 + ... + ym) = (y1 + ... + ym)^(p-1) mod p:
+    # the remainder's cross terms sum to multiples of p, and each such key
+    # must be skipped when it is popped
+    for m in (2, 3):
+        ctx = AlgebraContext(p, m)
+        s = sum((ctx.y(i) for i in range(1, m + 1)), ctx.zero())
+        frob = sum((ctx.y(i, p) for i in range(1, m + 1)), ctx.zero())
+        assert exact_div(frob, s) == s ** (p - 1)
+        assert exact_div(frob * frob, s) == frob * s ** (p - 1)
+        assert exact_div(frob, s).terms == _reference_exact_div(frob, s)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 5])
+def test_unpack_keys_inverts_pack(m):
+    rng = random.Random(m)
+    for width in (1, 3, 8):
+        rows = [tuple(rng.randrange(1 << width) for _ in range(m)) for _ in range(40)]
+        keys = [_pack(ys, width) for ys in rows]
+        assert _unpack_keys(keys, width, m) == rows
+        # higher fields are dropped, as exact_div's degree field is
+        high = [_pack(ys, width, rng.randrange(1, 9)) for ys in rows]
+        assert _unpack_keys(high, width, m) == rows
+        assert _unpack_keys([], width, m) == []
 
 
 def _koszul_merge(a, b):

@@ -142,6 +142,48 @@ def test_pairing_sign_even_where_pairings_are_nonzero():
     assert rep["status"] == "PASS" and rep["lhs"] == 0
 
 
+# every shape on which expand_mq and expand_uv were checked against milnor_st
+SIGN_SHAPES = [(3, 1, 1), (3, 2, 1), (3, 1, 2), (3, 2, 2), (3, 3, 1),
+               (5, 1, 1), (5, 2, 1), (5, 1, 2)]
+
+
+@pytest.mark.parametrize("p,n,k", SIGN_SHAPES)
+@pytest.mark.parametrize("delta", [0, 1])
+def test_sign_term_even_where_pairings_are_nonzero(p, n, k, delta):
+    # pairing_sign_exp's term (len(S) + [-2p^s]) * len(Sp) is odd for odd
+    # len(Sp) with odd len(S) at s >= 0, or even len(S) at s = -1.  On every
+    # admissible index of these shapes such a pairing vanishes on both
+    # sides, so the term never flips a nonzero coefficient.  It stays, as
+    # part of the sign formula; an odd case here would be a regression cell.
+    q_uv = (2 - delta) * p**k
+    big, ctxn = AlgebraContext(p, k + 1), AlgebraContext(p, n)
+    uv = U(big, k + 1) if delta else V(big, k + 1)
+    uv_side = []  # (Sp, Hp, St^{Sp,Rp}(U/V_{k+1})), nonzero images only
+    for Sp, Rp in admissible_indices(q_uv, n):
+        img = milnor_st(Sp, Rp, uv, n)
+        if not img.is_zero():
+            uv_side.append((Sp, (q_uv - len(Sp) - 2 * sum(Rp),) + tuple(Rp[: n - 1]), img))
+    nonzero = odd_sp = 0
+    for s in range(-delta, n - delta + 1):
+        target = Mtilde(ctxn, n, s) if delta else Q(ctxn, n, s)
+        e, j = (1, 0) if s == -1 else (0, p**s)
+        for S, R in admissible_indices(target.degree(), k):
+            H = (target.degree() - len(S) - 2 * sum(R),) + tuple(R[: k - 1])
+            rimg = milnor_st(S, R, target, k)
+            for Sp, Hp, img in uv_side:
+                rhs = invariant_pairing(rimg, n, Sp, Hp)
+                lhs = mixed_pairing(img, k, S, H, e, j)
+                assert bool(lhs) == bool(rhs), (s, S, R, Sp, Hp)
+                if rhs:
+                    nonzero += 1
+                    odd_sp += len(Sp) % 2
+                    assert (len(S) + dim_bracket(p, s)) * len(Sp) % 2 == 0, (s, S, R, Sp, Hp)
+    assert nonzero
+    # with U_{k+1}, odd len(Sp) pairs nonzero, so the parity of
+    # len(S) + [-2p^s] is what the assertion constrains
+    assert odd_sp if delta else not odd_sp
+
+
 def _reference_duality_case(p, n, k, delta, S, R, Sp, Rp, e, j):
     # one cell on its own, every value recomputed: an oracle for
     # duality_block, which shares the block's work across its cases
