@@ -193,11 +193,6 @@ class Element:
     def constant_term(self) -> int:
         return self.terms.get(Monomial((), self.ctx._empty_ys()), 0)
 
-    def homogeneous_component(self, d: int) -> "Element":
-        return Element._make(
-            self.ctx, {m: c for m, c in self.terms.items() if m.degree() == d}
-        )
-
     def is_polynomial(self) -> bool:
         return all(not mono.xs for mono in self.terms)
 

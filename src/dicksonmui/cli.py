@@ -180,13 +180,9 @@ def _cmd_closed_form(args) -> int:
 # ---------------------------------------------------------------- verify
 
 def _cmd_verify(args) -> int:
-    p_values = _int_list(args.p) or None
-    if p_values:
-        for p in p_values:
-            _prime(p)
     rep = run_suite(
         args.suite,
-        p_values=p_values,
+        p_values=_int_list(args.p) or None,
         max_n=args.max_n,
         grid=args.grid,
         seed=args.seed,
@@ -385,7 +381,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="raw-monomial budget per cell; larger cells are skipped")
     q.add_argument("--workers", type=int)
     q.add_argument("--cases", type=int, default=PROPERTY_CASES,
-                   help="randomized cases per property cell")
+                   help="randomized property cases per family and prime, "
+                        "split over up to 5 batches")
     q.add_argument("--out", help="also write the JSON report to this file")
     add_fmt(q, latex=False)
     q.set_defaults(func=_cmd_verify)

@@ -162,6 +162,87 @@ def _matched_s(p: int, n: int, delta: int, e: int, j: int) -> "int | None":
     return None
 
 
+_UV_INADMISSIBLE = "operation inadmissible on U/V; right dual index nonexistent"
+_MQ_INADMISSIBLE = "operation inadmissible on M/Q; left dual index nonexistent"
+_NO_MATCH = "no matching s; left pairing must vanish"
+
+
+def _block_results(
+    p: int,
+    n: int,
+    k: int,
+    delta: int,
+    Sp: tuple,
+    Rp: tuple,
+    cases: Iterable[tuple[Sequence[int], Sequence[int], int, int]],
+) -> list[tuple]:
+    """One (s, status, reason, lhs, rhs) tuple per case, in order: the
+    values of duality_block's reports, without building them."""
+    if len(Rp) != n:
+        raise ValueError("need len(R) = k and len(Rp) = n")
+    if delta not in (0, 1):
+        raise ValueError("delta, e must be 0/1 and j >= 0")
+    _check_exterior(Sp, n)
+    r0p = (2 - delta) * p**k - len(Sp) - 2 * sum(Rp)
+    if r0p >= 0:
+        big = AlgebraContext(p, k + 1)
+        img = milnor_st(Sp, Rp, U(big, k + 1) if delta else V(big, k + 1), n)
+        ctxn = AlgebraContext(p, n)
+        Hp = (r0p,) + Rp[: n - 1]
+    coords = None  # mixed_decompose(img, k), read on first use
+    q_mq = (2 - delta) * p**n
+    matched: dict[int, "int | None"] = {}  # e + 2j -> s
+    rhs_of: dict[tuple, int] = {}  # (s, S, R) -> signed M/Q-side pairing
+    skipped = (None, "SKIP", _UV_INADMISSIBLE, None, None)
+    out = []
+    last_S = last_R = None  # consecutive cases of one (S, R) share its reads
+    for S, R, e, j in cases:
+        S, R = tuple(S), tuple(R)
+        if len(R) != k:
+            raise ValueError("need len(R) = k and len(Rp) = n")
+        if e not in (0, 1) or j < 0:
+            raise ValueError("delta, e must be 0/1 and j >= 0")
+        if S is not last_S or R is not last_R:
+            _check_exterior(S, k)
+            last_S, last_R = S, R
+            h_sr = q_mq - len(S) - 2 * sum(R)
+            tail = R[: k - 1]
+            tail_ok = all(r >= 0 for r in tail)
+        if r0p < 0:
+            out.append(skipped)
+            continue
+        h0 = h_sr - e - 2 * j
+        if e + 2 * j in matched:
+            s = matched[e + 2 * j]
+        else:
+            s = matched[e + 2 * j] = _matched_s(p, n, delta, e, j)
+        if s is not None and h0 < 0:
+            # equivalently: St^{S,R} inadmissible on the matched M/Q target
+            out.append((s, "SKIP", _MQ_INADMISSIBLE, None, None))
+            continue
+        # <m̃_S q̃_H ⊗ u^e γ_j(v), img> with H = (h0,) + R[:k-1], as
+        # mixed_pairing reads it
+        if h0 < 0 or not tail_ok:
+            lhs = 0
+        else:
+            if coords is None:
+                coords = mixed_decompose(img, k)
+            lhs = coords.get((S, (h0,) + tail, e, j), 0)
+        if s is None:
+            out.append((None, "PASS" if lhs == 0 else "FAIL", _NO_MATCH, lhs, 0))
+            continue
+        key = (s, S, R)
+        rhs = rhs_of.get(key)
+        if rhs is None:
+            target = Mtilde(ctxn, n, s) if delta else Q(ctxn, n, s)
+            rhs = invariant_pairing(milnor_st(S, R, target, k), n, Sp, Hp)
+            if pairing_sign_exp(p, n, k, delta, s, S, R, Sp, Rp):
+                rhs = (p - rhs) % p
+            rhs_of[key] = rhs
+        out.append((s, "PASS" if lhs == rhs else "FAIL", "", lhs, rhs))
+    return out
+
+
 def duality_block(
     p: int,
     n: int,
@@ -181,69 +262,21 @@ def duality_block(
 
     (Sp, Rp) and delta are checked once, before any case; each case's
     R, e, j and S are checked as it is reached.  What depends only on the
-    block is computed once: the U/V-side image, the matched s of each
-    e + 2j, and the M/Q-side pairing of each (s, S, R).
+    block is computed once: the U/V-side image and its mixed coordinates,
+    the matched s of each e + 2j, and the M/Q-side pairing of each
+    (s, S, R).
     """
     Sp, Rp = tuple(Sp), tuple(Rp)
-    if len(Rp) != n:
-        raise ValueError("need len(R) = k and len(Rp) = n")
-    if delta not in (0, 1):
-        raise ValueError("delta, e must be 0/1 and j >= 0")
-    _check_exterior(Sp, n)
-    r0p = (2 - delta) * p**k - len(Sp) - 2 * sum(Rp)
-    if r0p >= 0:
-        big = AlgebraContext(p, k + 1)
-        img = milnor_st(Sp, Rp, U(big, k + 1) if delta else V(big, k + 1), n)
-        ctxn = AlgebraContext(p, n)
-        Hp = (r0p,) + Rp[: n - 1]
-    q_mq = (2 - delta) * p**n
-    matched: dict[int, "int | None"] = {}  # e + 2j -> s
-    rhs_of: dict[tuple, int] = {}  # (s, S, R) -> signed M/Q-side pairing
-    reports = []
-    for S, R, e, j in cases:
-        S, R = tuple(S), tuple(R)
-        if len(R) != k:
-            raise ValueError("need len(R) = k and len(Rp) = n")
-        if e not in (0, 1) or j < 0:
-            raise ValueError("delta, e must be 0/1 and j >= 0")
-        _check_exterior(S, k)
-        rep = {
+    cases = list(cases)
+    results = _block_results(p, n, k, delta, Sp, Rp, cases)
+    return [
+        {
             "p": p, "n": n, "k": k, "delta": delta,
-            "S": S, "R": R, "Sp": Sp, "Rp": Rp, "e": e, "j": j,
-            "s": None, "status": "SKIP", "reason": "", "lhs": None, "rhs": None,
+            "S": tuple(S), "R": tuple(R), "Sp": Sp, "Rp": Rp, "e": e, "j": j,
+            "s": s, "status": status, "reason": reason, "lhs": lhs, "rhs": rhs,
         }
-        reports.append(rep)
-        if r0p < 0:
-            rep["reason"] = "operation inadmissible on U/V; right dual index nonexistent"
-            continue
-        H = (q_mq - e - 2 * j - len(S) - 2 * sum(R),) + R[: k - 1]
-        if e + 2 * j in matched:
-            s = matched[e + 2 * j]
-        else:
-            s = matched[e + 2 * j] = _matched_s(p, n, delta, e, j)
-        rep["s"] = s
-        if s is None:
-            lhs = mixed_pairing(img, k, S, H, e, j)
-            rep["lhs"], rep["rhs"] = lhs, 0
-            rep["status"] = "PASS" if lhs == 0 else "FAIL"
-            rep["reason"] = "no matching s; left pairing must vanish"
-            continue
-        if H[0] < 0:
-            # equivalently: St^{S,R} inadmissible on the matched M/Q target
-            rep["reason"] = "operation inadmissible on M/Q; left dual index nonexistent"
-            continue
-        lhs = mixed_pairing(img, k, S, H, e, j)
-        key = (s, S, R)
-        rhs = rhs_of.get(key)
-        if rhs is None:
-            target = Mtilde(ctxn, n, s) if delta else Q(ctxn, n, s)
-            rhs = invariant_pairing(milnor_st(S, R, target, k), n, Sp, Hp)
-            if pairing_sign_exp(p, n, k, delta, s, S, R, Sp, Rp):
-                rhs = (p - rhs) % p
-            rhs_of[key] = rhs
-        rep["lhs"], rep["rhs"] = lhs, rhs
-        rep["status"] = "PASS" if lhs == rhs else "FAIL"
-    return reports
+        for (S, R, e, j), (s, status, reason, lhs, rhs) in zip(cases, results)
+    ]
 
 
 def duality_case(

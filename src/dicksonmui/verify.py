@@ -25,7 +25,7 @@ from typing import Sequence
 from . import closed_forms as cf
 from . import duality
 from .algebra import AlgebraContext, Element, Monomial, embed, relabel, render_text
-from .arith import mu_mod, seq_stats, st_operation_degree
+from .arith import is_odd_prime, mu_mod, seq_stats, st_operation_degree
 from .grammar import from_json, parse_text, render_latex, to_json
 from .invariants import (
     Ltilde,
@@ -440,36 +440,43 @@ DUALITY_SHAPES = ((1, 1), (1, 2), (2, 1))
 
 def _block_pairing(p: int, n: int, k: int, delta: int, Sp: tuple, Rp: tuple,
                    degmax: int) -> list[dict]:
+    """The finished report rows of one U/V-side operation's duality cells.
+
+    Rows of one block share their index lists: Sp and Rp across the
+    block, S and R across each (S, R).  Each row and its params are its
+    own dicts; _execute adds only the seconds."""
     base = "pairing/p%d/n%dk%d/d%d/Sp(%s)/Rp(%s)" % (p, n, k, delta, _fmt(Sp), _fmt(Rp))
-    cases, labels = [], []
+    q_mq = (2 - delta) * p**n
+    ejs = [(e, j) for e in (0, 1) for j in range(p**n + 2) if e + 2 * j <= q_mq + 2]
+    tails = ["%d/j%d" % ej for ej in ejs]
+    heads = []  # (S, R, label head)
     for S in _subsets(k):
         for R in itertools.product(range(p**n + 2), repeat=k):
-            if 2 * sum(R) + len(S) > (2 - delta) * p**n + 4:
+            if 2 * sum(R) + len(S) > q_mq + 4:
                 continue
             if st_operation_degree(S, R, p) > degmax:
                 continue
-            label = "%s/S(%s)/R(%s)/e" % (base, _fmt(S), _fmt(R))
-            for e in (0, 1):
-                for j in range(p**n + 2):
-                    if e + 2 * j > (2 - delta) * p**n + 2:
-                        continue
-                    cases.append((S, R, e, j))
-                    labels.append("%s%d/j%d" % (label, e, j))
+            heads.append((S, R, "%s/S(%s)/R(%s)/e" % (base, _fmt(S), _fmt(R))))
+    cases = [(S, R, e, j) for S, R, _ in heads for e, j in ejs]
+    results = iter(duality._block_results(p, n, k, delta, Sp, Rp, cases))
+    Sl, Rl = list(Sp), list(Rp)
     rows = []
-    reps = duality.duality_block(p, n, k, delta, Sp, Rp, cases)
-    for label, (S, R, e, j), rep in zip(labels, cases, reps):
-        row = {
-            "cell": label,
-            "status": rep["status"],
-            "params": {"p": p, "n": n, "k": k, "delta": delta,
-                       "S": list(S), "R": list(R), "Sp": list(Sp),
-                       "Rp": list(Rp), "e": e, "j": j, "s": rep["s"]},
-        }
-        if rep["reason"]:
-            row["reason"] = rep["reason"]
-        if rep["status"] == "FAIL":
-            row["lhs"], row["rhs"] = str(rep["lhs"]), str(rep["rhs"])
-        rows.append(row)
+    for S, R, head in heads:
+        sl, rl = list(S), list(R)
+        # ejs runs out first, so zip takes no result of the next (S, R)
+        for (e, j), tail, (s, status, reason, lhs, rhs) in zip(ejs, tails, results):
+            row = {
+                "suite": "duality",
+                "cell": head + tail,
+                "status": status,
+                "params": {"p": p, "n": n, "k": k, "delta": delta, "S": sl, "R": rl,
+                           "Sp": Sl, "Rp": Rl, "e": e, "j": j, "s": s},
+            }
+            if reason:
+                row["reason"] = reason
+            if status == "FAIL":
+                row["lhs"], row["rhs"] = str(lhs), str(rhs)
+            rows.append(row)
     return rows
 
 
@@ -679,16 +686,18 @@ _PROPERTY_FAMILIES = ("commutativity", "cartan", "bockstein",
 
 
 def _core_tasks(p_values, seed, cases):
+    # cases per family and prime, split exactly over at most 5 batches
+    batches = min(5, cases)
+    per, extra = divmod(cases, batches)
     tasks = []
-    batches = 5
-    per = max(1, cases // batches)
     for p in p_values:
         for fi, family in enumerate(_PROPERTY_FAMILIES):
             for b in range(batches):
+                size = per + (b < extra)
                 cell_seed = seed * 1_000_003 + fi * 10_007 + b * 101 + p
                 tasks.append(_task("core", "%s/p%d/b%d" % (family, p, b),
-                                   "property", (p, family, cell_seed, per),
-                                   per * 40))
+                                   "property", (p, family, cell_seed, size),
+                                   size * 40))
     return tasks
 
 
@@ -735,16 +744,14 @@ def _execute(task: dict) -> list[dict]:
     except Exception as exc:  # a crashing cell is a failing cell
         out = {"status": "FAIL", "reason": "%s: %s" % (type(exc).__name__, exc)}
     dt = time.perf_counter() - t0
-    rows = out if isinstance(out, list) else [out]
-    # each row of a multi-row cell carries an equal share of its time
-    share = round(dt / max(len(rows), 1), 6)
-    final = []
-    for r in rows:
-        row = {"suite": task["suite"], "cell": r.pop("cell", task["cell"])}
-        row.update(r)
-        row["seconds"] = share
-        final.append(row)
-    return final
+    if isinstance(out, list):
+        # a multi-row cell returns finished rows; each carries an equal
+        # share of the cell's time
+        share = round(dt / max(len(out), 1), 6)
+        for row in out:
+            row["seconds"] = share
+        return out
+    return [{"suite": task["suite"], "cell": task["cell"], **out, "seconds": round(dt, 6)}]
 
 
 def _worker_count(workers: "int | None") -> int:
@@ -800,7 +807,11 @@ def run_suite(
     workers: "int | None" = None,
     cases: int = PROPERTY_CASES,
 ) -> dict:
-    """Run one verification suite (or ``all``) and return the report dict."""
+    """Run one verification suite (or ``all``) and return the report dict.
+
+    Every p must be an odd prime, max_n (when given) and cases integers
+    of at least 1; otherwise ValueError, before any cell runs.  cases is the number of
+    randomized property cases per family and prime."""
     if name == "all":
         names = SUITE_NAMES
     elif name in SUITE_NAMES:
@@ -810,6 +821,13 @@ def run_suite(
                          % (name, ", ".join(SUITE_NAMES)))
     if grid not in ("small", "full"):
         raise ValueError("grid must be 'small' or 'full'")
+    for p in p_values or ():
+        if not (isinstance(p, int) and is_odd_prime(p)):
+            raise ValueError("p must be an odd prime, got %r" % (p,))
+    if max_n is not None and not (isinstance(max_n, int) and max_n >= 1):
+        raise ValueError("max_n must be an integer >= 1, got %r" % (max_n,))
+    if not (isinstance(cases, int) and cases >= 1):
+        raise ValueError("cases must be an integer >= 1, got %r" % (cases,))
     tasks: list[dict] = []
     for nm in names:
         if nm == "invariants":

@@ -174,6 +174,20 @@ def test_verify_rejects_bad_suite(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--max-n", "0"), "max_n must be an integer >= 1"),
+    (("--max-n", "-2"), "max_n must be an integer >= 1"),
+    (("--cases", "0"), "cases must be an integer >= 1"),
+    (("--cases", "-5"), "cases must be an integer >= 1"),
+    (("--p", "4"), "odd prime"),
+    (("--p", "3,9"), "odd prime"),
+])
+def test_verify_rejects_out_of_range_arguments(capsys, argv, message):
+    code, out, err = run(capsys, "verify", "--suite", "all", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_verify_exit_one_on_failure(capsys, monkeypatch):
     import dicksonmui.cli as cli
 

@@ -1,17 +1,32 @@
 """Scheduling guards and report rows of the verification runner."""
 
 import hashlib
+import itertools
 import json
 import os
 import random
 import subprocess
 import sys
 from importlib import resources
+from types import SimpleNamespace
 
 import jsonschema
+import pytest
 
+from dicksonmui import duality, verify
 from dicksonmui.algebra import AlgebraContext
-from dicksonmui.verify import WORKERS_ENV, _rand_monomial, _worker_count, run_suite
+from dicksonmui.arith import st_operation_degree
+from dicksonmui.duality import duality_block
+from dicksonmui.verify import (
+    WORKERS_ENV,
+    _duality_tasks,
+    _execute,
+    _fmt,
+    _rand_monomial,
+    _subsets,
+    _worker_count,
+    run_suite,
+)
 
 
 def test_worker_count_is_clamped_to_cpu_count(monkeypatch):
@@ -111,3 +126,128 @@ def test_full_report_is_unchanged():
     rows = [{k: v for k, v in row.items() if k != "seconds"} for row in rep["cells"]]
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
     assert digest == FULL_REPORT_SHA256
+
+
+def _reference_block_rows(task, share):
+    # the rows of one pairing block as they were built before rows were
+    # built whole: duality_block's report dicts, a row per report, then
+    # _execute's copy of each row with the block's share of seconds
+    p, n, k, delta, Sp, Rp, degmax = task["args"]
+    base = "pairing/p%d/n%dk%d/d%d/Sp(%s)/Rp(%s)" % (p, n, k, delta, _fmt(Sp), _fmt(Rp))
+    cases, labels = [], []
+    for S in _subsets(k):
+        for R in itertools.product(range(p**n + 2), repeat=k):
+            if 2 * sum(R) + len(S) > (2 - delta) * p**n + 4:
+                continue
+            if st_operation_degree(S, R, p) > degmax:
+                continue
+            label = "%s/S(%s)/R(%s)/e" % (base, _fmt(S), _fmt(R))
+            for e in (0, 1):
+                for j in range(p**n + 2):
+                    if e + 2 * j > (2 - delta) * p**n + 2:
+                        continue
+                    cases.append((S, R, e, j))
+                    labels.append("%s%d/j%d" % (label, e, j))
+    rows = []
+    reps = duality_block(p, n, k, delta, Sp, Rp, cases)
+    for label, (S, R, e, j), rep in zip(labels, cases, reps):
+        row = {
+            "cell": label,
+            "status": rep["status"],
+            "params": {"p": p, "n": n, "k": k, "delta": delta,
+                       "S": list(S), "R": list(R), "Sp": list(Sp),
+                       "Rp": list(Rp), "e": e, "j": j, "s": rep["s"]},
+        }
+        if rep["reason"]:
+            row["reason"] = rep["reason"]
+        if rep["status"] == "FAIL":
+            row["lhs"], row["rhs"] = str(rep["lhs"]), str(rep["rhs"])
+        rows.append(row)
+    final = []
+    for r in rows:
+        row = {"suite": task["suite"], "cell": r.pop("cell", task["cell"])}
+        row.update(r)
+        row["seconds"] = share
+        final.append(row)
+    return final
+
+
+def test_pairing_rows_match_the_reference_rows(monkeypatch):
+    # every block of the p = 3, 5, 7 duality grid, values and key order
+    # both, with each block timed at exactly 1 s
+    clock = itertools.count()
+    monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    tasks = [t for t in _duality_tasks((3, 5, 7), "full") if t["fn"] == "block_pairing"]
+    assert {t["args"][0] for t in tasks} == {3, 5, 7}
+    every = []
+    for task in tasks:
+        got = _execute(task)
+        assert got, task["cell"]
+        want = _reference_block_rows(task, round(1 / len(got), 6))
+        assert json.dumps(got) == json.dumps(want), task["cell"]
+        every += got
+    assert len(every) > 35000
+    assert {row["status"] for row in every} == {"PASS", "SKIP"}
+    # rows share their index lists, never a row or its params
+    assert len({id(row) for row in every}) == len(every)
+    assert len({id(row["params"]) for row in every}) == len(every)
+
+
+def test_failing_pairing_rows_match_the_reference_rows(monkeypatch):
+    # the grids hold no FAIL row, so force the relating sign odd: every
+    # nonzero right pairing flips, and the rows carry lhs and rhs
+    monkeypatch.setattr(duality, "pairing_sign_exp", lambda *args: 1)
+    clock = itertools.count()
+    monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    failed = 0
+    for task in _duality_tasks((3,), "small"):
+        if task["fn"] != "block_pairing" or task["args"][1:3] != (1, 1):
+            continue
+        got = _execute(task)
+        want = _reference_block_rows(task, round(1 / len(got), 6))
+        assert json.dumps(got) == json.dumps(want), task["cell"]
+        failed += sum(row["status"] == "FAIL" for row in got)
+    assert failed
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(p_values=(4,)), "odd prime"),
+    (dict(p_values=(3, 9)), "odd prime"),
+    (dict(p_values=(2,)), "odd prime"),
+    (dict(max_n=0), "max_n"),
+    (dict(max_n=-2), "max_n"),
+    (dict(cases=0), "cases"),
+    (dict(cases=-5), "cases"),
+    (dict(p_values=(3.0,)), "odd prime"),
+    (dict(max_n=2.5), "max_n"),
+    (dict(cases=2.5), "cases"),
+])
+def test_run_suite_rejects_out_of_range_arguments(monkeypatch, kwargs, message):
+    def no_cell(task):
+        raise AssertionError("a cell ran before the range check")
+
+    monkeypatch.setattr(verify, "_execute", no_cell)
+    for name in ("all", "core", "duality"):
+        with pytest.raises(ValueError, match=message):
+            run_suite(name, **kwargs)
+
+
+def _cases_per_batch(report):
+    got: dict = {}
+    for row in report["cells"]:
+        family = row["cell"].split("/")[0]
+        got.setdefault(family, []).append(int(row["reason"].split()[0]))
+    return got
+
+
+@pytest.mark.parametrize("cases, sizes", [
+    (7, [2, 2, 1, 1, 1]),
+    (3, [1, 1, 1]),
+    (1, [1]),
+])
+def test_property_cases_add_up_to_the_request(cases, sizes):
+    rep = run_suite("core", p_values=(3,), cases=cases)
+    assert rep["counts"] == {"pass": 6 * len(sizes), "fail": 0, "skip": 0}
+    per_batch = _cases_per_batch(rep)
+    assert len(per_batch) == 6
+    assert all(got == sizes for got in per_batch.values())
