@@ -63,6 +63,7 @@ _CACHED_BUILDERS = (
     _invariants._mtilde,
     _invariants._u,
     _invariants._v,
+    _invariants._q_recursion_row,
     _steenrod._basis_element,
     _steenrod._candidates,
     _steenrod.power_expansion,

@@ -13,11 +13,11 @@ values are safe to cache and to hash.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from functools import cache
 from heapq import heapify, heappop, heappush
 from operator import add, mul
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .arith import inv_mod, is_odd_prime
 
@@ -30,14 +30,15 @@ class InexactDivisionError(ArithmeticError):
     """exact_div was asked for a quotient that does not exist."""
 
 
-class Monomial(NamedTuple):
-    """xs: strictly increasing exterior indices (1-based); ys: exponent vector."""
+def _monomial_degree(self: Monomial) -> int:
+    return len(self.xs) + 2 * sum(self.ys)
 
-    xs: tuple[int, ...]
-    ys: tuple[int, ...]
 
-    def degree(self) -> int:
-        return len(self.xs) + 2 * sum(self.ys)
+# the namedtuple class itself with degree attached, not a subclass of it:
+# one class, as typing.NamedTuple built it
+Monomial = namedtuple("Monomial", ("xs", "ys"))
+Monomial.__doc__ = "xs: strictly increasing exterior indices (1-based); ys: exponent vector."
+Monomial.degree = _monomial_degree
 
 
 def monomial_sort_key(mono: Monomial):
@@ -70,18 +71,43 @@ def _unpack_keys(keys: Collection[int], width: int, m: int) -> list[tuple[int, .
     return list(zip(*fields))
 
 
-@dataclass(frozen=True)
 class AlgebraContext:
-    """The ambient algebra E(x_1..x_m) (x) P(y_1..y_m) over Z/p."""
+    """The ambient algebra E(x_1..x_m) (x) P(y_1..y_m) over Z/p.
 
-    p: int
-    m: int
+    Immutable; equal to another context with the same p and m, and hashed
+    by (p, m)."""
 
-    def __post_init__(self):
-        if not is_odd_prime(self.p):
-            raise ValueError("p must be an odd prime, got %r" % (self.p,))
-        if self.m < 0:
-            raise ValueError("m must be >= 0")
+    __slots__ = ("p", "m")
+
+    def __init__(self, p: int, m: int):
+        # type() rather than isinstance: a bool is an int, and 3.0 == 3
+        if type(p) is not int or not is_odd_prime(p):
+            raise ValueError("p must be an odd prime, got %r" % (p,))
+        if type(m) is not int or m < 0:
+            raise ValueError("m must be an integer >= 0, got %r" % (m,))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "m", m)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AlgebraContext is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("AlgebraContext is immutable")
+
+    def __reduce__(self):
+        # rebuild through the constructor; the default would set the slots
+        return AlgebraContext, (self.p, self.m)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not AlgebraContext:
+            return NotImplemented
+        return self.p == other.p and self.m == other.m
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.m))
+
+    def __repr__(self) -> str:
+        return "AlgebraContext(p=%r, m=%r)" % (self.p, self.m)
 
     @property
     def h(self) -> int:
@@ -406,7 +432,7 @@ _set_terms = Element.terms.__set__
 _set_hash = Element._hash.__set__
 
 
-# Monomial(xs, ys) without the Python-level frame of NamedTuple.__new__
+# Monomial(xs, ys) without the Python-level frame of the namedtuple __new__
 _new_tuple = tuple.__new__
 
 # Packed operands and accumulators share one shape: exterior bitmask (bit i

@@ -1,15 +1,16 @@
 """Small exact-arithmetic helpers used throughout the package.
 
-Everything here works with plain Python integers (or Fractions) and
-reduces mod p only at the end, so no precision is ever lost.
+Everything here works with plain Python integers (an exact ratio is a
+numerator and a denominator) and reduces mod p only at the end, so no
+precision is ever lost.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import namedtuple
+from collections.abc import Sequence
 from itertools import chain
-from math import comb, factorial
-from typing import NamedTuple, Sequence
+from math import comb, factorial, gcd
 
 
 def is_odd_prime(p: int) -> bool:
@@ -30,10 +31,21 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-def fraction_mod(x: "Fraction | int", p: int) -> int:
-    """Reduce an exact rational whose denominator is prime to p."""
-    fr = Fraction(x)
-    return fr.numerator * inv_mod(fr.denominator, p) % p
+def ratio_mod(num: int, den: int, p: int) -> int:
+    """num / den mod p, for an exact ratio whose lowest-terms denominator is
+    prime to p.  Common factors cancel first, as in Fraction(num, den), so
+    a factor p shared by num and den is no error; a zero or non-invertible
+    reduced denominator raises ZeroDivisionError."""
+    g = gcd(num, den)
+    return num // g * inv_mod(den // g, p) % p
+
+
+def fraction_mod(x, p: int) -> int:
+    """Reduce an exact rational whose denominator is prime to p.
+
+    x is an int or a fractions.Fraction: anything with ``numerator`` and
+    ``denominator``."""
+    return ratio_mod(x.numerator, x.denominator, p)
 
 
 def digit(r: int, i: int, p: int) -> int:
@@ -82,11 +94,9 @@ def mu_mod(q: int, p: int, reps: int = 1) -> int:
     return -val % p if exp % 2 else val
 
 
-class MilnorStats(NamedTuple):
-    """Bookkeeping attached to a Milnor index pair (S, R) in degree q."""
-
-    sign_exp: int  # len(S) + sum(S) + sum i * r_i
-    r0: int  # q - len(S) - 2 sum R
+MilnorStats = namedtuple("MilnorStats", ("sign_exp", "r0"))
+MilnorStats.__doc__ = """Bookkeeping attached to a Milnor index pair (S, R) in degree q:
+sign_exp = len(S) + sum(S) + sum i * r_i, and r0 = q - len(S) - 2 sum R."""
 
 
 def seq_stats(S: Sequence[int], R: Sequence[int], q: int) -> MilnorStats:

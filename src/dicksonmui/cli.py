@@ -75,20 +75,18 @@ def _cmd_invariant(args) -> int:
     elif name == "Ltilde":
         el = Ltilde(ctx, idx)
     elif name == "L":
-        if s is not None and not 0 <= s <= idx:
-            raise UsageError("L_{k,s} needs 0 <= s <= k")
         el = L(ctx, idx, s)
     elif name == "M":
-        if s is None or not 0 <= s < idx:
-            raise UsageError("M_{k,s} needs 0 <= s < k")
+        if s is None:
+            raise UsageError("M_{k,s} needs --s")
         el = M(ctx, idx, s)
     elif name == "Mtilde":
-        if s is None or not -1 <= s < idx:
-            raise UsageError("Mtilde_{n,s} needs -1 <= s < n")
+        if s is None:
+            raise UsageError("Mtilde_{n,s} needs --s")
         el = Mtilde(ctx, idx, s)
     else:  # Q
-        if s is None or not 0 <= s <= idx:
-            raise UsageError("Q_{n,s} needs 0 <= s <= n")
+        if s is None:
+            raise UsageError("Q_{n,s} needs --s")
         el = Q(ctx, idx, s)
     print(_emit(el, args.format))
     return 0
@@ -151,12 +149,10 @@ def _closed_form(family: str, p: int, r: int, n: int | None,
     if n < 1:
         raise UsageError("--n must be >= 1")
     ctx = AlgebraContext(p, n)
+    if s is None:
+        raise UsageError("--s is required for family %s" % family)
     if family == "M":
-        if s is None or not -1 <= s < n:
-            raise UsageError("family M needs -1 <= s < n")
         return cf.power_on_mtilde(r, n, s, ctx)
-    if s is None or not 0 <= s <= n:
-        raise UsageError("family Q needs 0 <= s <= n")
     return cf.power_on_q(r, n, s, ctx)
 
 

@@ -5,29 +5,25 @@ family directly from p-adic digit data, without touching the Cartan
 oracle.  The two must agree exactly; the verification suites sweep that
 comparison over every admissible parameter cell.
 
-Coefficients are assembled in exact rational arithmetic and reduced mod
+Coefficients are assembled as exact ratios of integers and reduced mod
 p at the end.  Within each formula's stated range the denominators stay
 prime to p (digit bounds force every factorial argument below p), which
-``fraction_mod`` enforces by refusing non-invertible denominators.
+``ratio_mod`` enforces by refusing non-invertible denominators.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .algebra import AlgebraContext, Element
-from .arith import digit, fraction_mod, inv_mod, multinomial_mod
+from .arith import digit, inv_mod, multinomial_mod, ratio_mod
 from .invariants import M, Q, U, V, Ltilde, Mtilde, bracket_e, bracket_x
 
-
-@dataclass(frozen=True)
-class ClosedFormResult:
-    value: Element
-    applicable: bool  # False = the "otherwise 0" branch fired
-    condition: str  # which branch and why
+ClosedFormResult = namedtuple("ClosedFormResult", ("value", "applicable", "condition"))
+ClosedFormResult.__doc__ = """One closed-form evaluation: its value, whether the formula applied
+(False when the "otherwise 0" branch fired), and which branch and why."""
 
 
 def _digit_steps(r: int, count: int, p: int) -> list[int]:
@@ -50,12 +46,12 @@ def power_on_u(r: int, k: int, ctx: AlgebraContext) -> ClosedFormResult:
     t = _digit_steps(r, k, p)
     if any(ti < 0 for ti in t):
         return ClosedFormResult(ctx.zero(), False, "digits decrease")
-    c = Fraction(
+    cm = ratio_mod(
         math.factorial(h - 1),
         math.factorial(h - digit(r, k - 1, p))
         * math.prod(math.factorial(ti) for ti in t),
+        p,
     )
-    cm = fraction_mod(c, p)
     val = U(ctx, k + 1).scalar_mul(cm * h)
     for i in range(k):
         if t[i]:
@@ -124,7 +120,7 @@ def power_on_mtilde(
         for i in range(n):
             if i != u:
                 denom *= math.factorial(t[i])
-        cm = fraction_mod(Fraction(num * math.factorial(h - 1), denom), p)
+        cm = ratio_mod(num * math.factorial(h - 1), denom, p)
         if not cm:
             continue
         term = Mtilde(ctx, n, u)
@@ -151,8 +147,7 @@ def power_on_v(r: int, k: int, ctx: AlgebraContext) -> ClosedFormResult:
     if any(ti < 0 for ti in t):
         return ClosedFormResult(ctx.zero(), False, "digits decrease")
     lead = digit(r, k - 1, p)
-    c = Fraction(math.factorial(lead), math.prod(math.factorial(ti) for ti in t))
-    cm = fraction_mod(c, p)
+    cm = ratio_mod(math.factorial(lead), math.prod(math.factorial(ti) for ti in t), p)
     if lead % 2:
         cm = p - cm
     val = V(ctx, k + 1).scalar_mul(cm)
@@ -183,12 +178,12 @@ def power_on_q(r: int, n: int, s: int, ctx: AlgebraContext) -> ClosedFormResult:
     if a_s + 1 < digit(r, s - 1, p):
         return ClosedFormResult(ctx.zero(), False, "digits decrease")
     lead = digit(r, n - 1, p)
-    c = Fraction(
+    cm = ratio_mod(
         math.factorial(lead) * (a_s + 1),
         math.factorial(a_s + 1 - digit(r, s - 1, p))
         * math.prod(math.factorial(t[i]) for i in range(n) if i != s),
+        p,
     )
-    cm = fraction_mod(c, p)
     if lead % 2:
         cm = p - cm
     val = ctx.scalar(cm)
@@ -315,13 +310,12 @@ def st_on_v2(R: Sequence[int], ctx: AlgebraContext, resolved: bool = True) -> El
     if len(nonzero) == 1 and full[nonzero[0]] == p:
         return V(ctx, 2) ** (p ** nonzero[0])
     if all(0 <= ri < p for ri in full):
-        base = Fraction(
-            math.factorial(p - 1), math.prod(math.factorial(ri) for ri in full)
-        )
+        num = math.factorial(p - 1)
+        den = math.prod(math.factorial(ri) for ri in full)
         weight = sum((p**i - 1) * r for i, r in enumerate(R, start=1))
         val = ctx.zero()
         for s in range(n):
-            cm = fraction_mod(base * sum(R[s:]), p)
+            cm = ratio_mod(num * sum(R[s:]), den, p)
             if not cm:
                 continue
             e = weight + p - p ** (s + 1)

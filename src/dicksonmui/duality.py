@@ -19,8 +19,8 @@ functional annihilates everything.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import cache
-from typing import Iterable, Sequence
 
 from .algebra import AlgebraContext, Element, embed
 from .arith import seq_stats, solve_exact

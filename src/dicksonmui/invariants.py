@@ -20,8 +20,9 @@ forms of V and Q are kept as independent cross-checks.
 from __future__ import annotations
 
 import itertools
-from functools import cache
-from typing import Sequence
+from collections.abc import Sequence
+from functools import cache, reduce
+from operator import mul
 
 from .algebra import (
     AlgebraContext,
@@ -165,33 +166,58 @@ def _v(p: int, k: int) -> Element:
 
 def V_product(ctx: AlgebraContext, k: int) -> Element:
     """Independent oracle: V_k = prod over (c_1..c_{k-1}) in (Z/p)^{k-1}
-    of (c_1 y_1 + ... + c_{k-1} y_{k-1} + y_k)."""
+    of (c_1 y_1 + ... + c_{k-1} y_{k-1} + y_k).
+
+    The forms are multiplied in coset order: each run of p consecutive
+    forms (in itertools.product order, so c_{k-1} runs over Z/p) first,
+    then those products in runs of p, up the levels.  Each run product is
+    a full coset of the last free coordinate, so partial products stay
+    small.  It is the same product, only reassociated; it never uses
+    prod_c (X + cY) = X^p - X Y^(p-1), which would turn it into the
+    recursion that Q_recursion checks."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if ctx.m < k:
         raise ValueError("context too small")
-    out = ctx.one()
-    for coeffs in itertools.product(range(ctx.p), repeat=k - 1):
+    p = ctx.p
+    level = []
+    for coeffs in itertools.product(range(p), repeat=k - 1):
         form = ctx.y(k)
         for i, c in enumerate(coeffs, start=1):
             if c:
                 form = form + ctx.y(i).scalar_mul(c)
-        out = out * form
-    return out
+        level.append(form)
+    while len(level) > 1:
+        level = [reduce(mul, level[i:i + p]) for i in range(0, len(level), p)]
+    return level[0]
 
 
 def Q_recursion(ctx: AlgebraContext, n: int, s: int) -> Element:
     """Independent oracle: Q_{n,s} = Q_{n-1,s-1}^p + Q_{n-1,s} V_n^(p-1),
-    with Q_{k,k} = 1 and Q_{k,-1} = 0."""
+    with Q_{k,k} = 1 and Q_{k,-1} = 0.  Reads row n, which is built once
+    per (p, n)."""
     if s < 0:
         return ctx.zero()
     if s == n:
         return ctx.one()
     if not 0 <= s < n:
         raise ValueError("s must lie in 0..n")
-    prev_up = Q_recursion(ctx, n - 1, s - 1)
-    prev = Q_recursion(ctx, n - 1, s)
-    return prev_up ** ctx.p + prev * V(ctx, n) ** (ctx.p - 1)
+    return embed(_q_recursion_row(ctx.p, n)[s], ctx)
+
+
+@cache
+def _q_recursion_row(p: int, n: int) -> tuple[Element, ...]:
+    """(Q_{n,0}, ..., Q_{n,n}) by the recursion, built from row n - 1 once."""
+    c = AlgebraContext(p, n)
+    if n == 0:
+        return (c.one(),)
+    prev = [embed(q, c) for q in _q_recursion_row(p, n - 1)]
+    v_pow = V(c, n) ** (p - 1)
+    row = [prev[0] * v_pow]  # Q_{n-1,-1} = 0
+    for s in range(1, n):
+        row.append(prev[s - 1] ** p + prev[s] * v_pow)
+    row.append(c.one())
+    return tuple(row)
 
 
 def dimension(name: str, p: int, *args: int) -> int:

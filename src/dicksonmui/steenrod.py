@@ -22,9 +22,9 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from functools import cache
-from typing import Iterator, Sequence
 
 from .algebra import (
     AlgebraContext,
@@ -295,19 +295,16 @@ def _weighted_sums(weights: list[int], total: int) -> Iterator[tuple[int, ...]]:
             yield (e,) + rest
 
 
-@dataclass(frozen=True)
-class InvariantExpansion:
+class InvariantExpansion(namedtuple("InvariantExpansion", ("ctx", "n", "tail_ctx", "entries"))):
     """An element of a block-carrying algebra written over the invariant
     monomial basis of its leading n pairs.
 
-    entries maps (S, H) to the cofactor over the trailing pairs; a purely
-    invariant element has constant cofactors.
+    entries maps (S, H) to the cofactor over the trailing pairs (a
+    dict[Key, Element], with tail_ctx their context); a purely invariant
+    element has constant cofactors.
     """
 
-    ctx: AlgebraContext
-    n: int
-    tail_ctx: AlgebraContext
-    entries: dict[Key, Element]
+    __slots__ = ()
 
     def cofactor(self, S: Sequence[int], H: Sequence[int]) -> Element:
         return self.entries.get((tuple(S), tuple(H)), self.tail_ctx.zero())

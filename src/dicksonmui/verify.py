@@ -20,7 +20,7 @@ import os
 import random
 import time
 from collections import Counter
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import closed_forms as cf
 from . import duality

@@ -1,7 +1,9 @@
 """Ring arithmetic: graded signs, exactness, context discipline."""
 
+import copy
 import heapq
 import math
+import pickle
 import random
 
 import pytest
@@ -36,6 +38,33 @@ def test_context_validation():
     with pytest.raises(ValueError):
         AlgebraContext(9, 1)
     assert AlgebraContext(7, 4).h == 3
+
+
+@pytest.mark.parametrize("p, m", [
+    (3.0, 2), (5.0, 1), (True, 1), ("3", 2), (None, 2),
+    (3, 2.5), (3, 2.0), (3, True), (3, False), (3, "2"), (3, None),
+])
+def test_context_rejects_non_integer_arguments(p, m):
+    # 3.0 == 3 and True == 1, so only the type tells these apart
+    with pytest.raises(ValueError):
+        AlgebraContext(p, m)
+
+
+def test_context_is_an_immutable_value():
+    ctx = AlgebraContext(3, 2)
+    assert repr(ctx) == "AlgebraContext(p=3, m=2)"
+    assert ctx == AlgebraContext(3, 2) and hash(ctx) == hash(AlgebraContext(3, 2))
+    assert ctx != AlgebraContext(3, 1) and ctx != AlgebraContext(5, 2)
+    assert ctx != (3, 2) and ctx != "AlgebraContext(p=3, m=2)"
+    assert len({ctx, AlgebraContext(3, 2), AlgebraContext(5, 2)}) == 2
+    with pytest.raises(AttributeError):
+        ctx.p = 5
+    with pytest.raises(AttributeError):
+        del ctx.m
+    with pytest.raises(AttributeError):
+        ctx.q = 1
+    for twin in (pickle.loads(pickle.dumps(ctx)), copy.deepcopy(ctx)):
+        assert twin == ctx and twin.p == 3 and twin.m == 2
 
 
 def test_exterior_square_is_zero(ctx):

@@ -99,7 +99,43 @@ def test_closed_form_q_accepts_s_equal_n(capsys):
     assert code == 0 and out == "1"
     code, _, err = run(capsys, "closed-form", "--p", "3", "--family", "Q",
                        "--n", "1", "--s", "2", "--r", "0")
-    assert code == 2 and "family Q" in err
+    assert code == 2 and err == "error: s must lie in 0..n\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("invariant", "--name", "L", "--k", "2", "--s", "3"), "s must lie in 0..k"),
+    (("invariant", "--name", "L", "--k", "2", "--s", "-1"), "s must lie in 0..k"),
+    (("invariant", "--name", "M", "--k", "2", "--s", "2"), "s must lie in 0..k-1"),
+    (("invariant", "--name", "M", "--k", "2", "--s", "-1"), "s must lie in 0..k-1"),
+    (("invariant", "--name", "Mtilde", "--n", "2", "--s", "2"), "s must lie in -1..n-1"),
+    (("invariant", "--name", "Mtilde", "--n", "2", "--s", "-2"), "s must lie in -1..n-1"),
+    (("invariant", "--name", "Q", "--n", "2", "--s", "3"), "s must lie in 0..n"),
+    (("invariant", "--name", "Q", "--n", "2", "--s", "-1"), "s must lie in 0..n"),
+    (("closed-form", "--family", "M", "--n", "2", "--s", "2", "--r", "1"),
+     "s must lie in -1..n-1"),
+    (("closed-form", "--family", "M", "--n", "2", "--s", "-2", "--r", "1"),
+     "s must lie in -1..n-1"),
+    (("closed-form", "--family", "Q", "--n", "2", "--s", "3", "--r", "1"),
+     "s must lie in 0..n"),
+    (("closed-form", "--family", "Q", "--n", "2", "--s", "-1", "--r", "1"),
+     "s must lie in 0..n"),
+])
+def test_out_of_range_s_is_the_library_error(capsys, argv, message):
+    # the range checks live in the library; the CLI prints its ValueError
+    code, out, err = run(capsys, argv[0], "--p", "3", *argv[1:])
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("invariant", "--name", "M", "--k", "2"), "M_{k,s} needs --s"),
+    (("invariant", "--name", "Mtilde", "--n", "2"), "Mtilde_{n,s} needs --s"),
+    (("closed-form", "--family", "M", "--n", "2", "--r", "1"), "--s is required for family M"),
+    (("closed-form", "--family", "Q", "--n", "2", "--r", "1"), "--s is required for family Q"),
+])
+def test_missing_s_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, argv[0], "--p", "3", *argv[1:])
+    assert code == 2 and out == "" and err == "error: %s\n" % message
 
 
 def test_table_pinned_cells(capsys):
@@ -259,6 +295,21 @@ def test_python_dash_m_runs_the_cli():
     assert ok.returncode == 0 and ok.stdout.strip() == "y2^3 + 2*y2*y1^2"
     bad = _module_run("invariant", "--p", "4", "--name", "V", "--k", "2")
     assert bad.returncode == 2 and "odd prime" in bad.stderr
+
+
+def test_import_loads_no_unused_stdlib_modules():
+    # each CLI call is a fresh process, so these would be paid on every
+    # call: dataclasses pulls in inspect, ast and dis, fractions decimal
+    code = ("import sys; before = set(sys.modules); import dicksonmui; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    # -S: a bare interpreter, without whatever the site hooks load
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    added = set(out.stdout.split())
+    assert "dicksonmui.algebra" in added
+    assert not added & {"dataclasses", "inspect", "fractions", "decimal", "typing"}
 
 
 def test_p_power_on_a_huge_exponent_is_immediate():

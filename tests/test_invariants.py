@@ -51,14 +51,27 @@ def test_degrees_match_dimension():
             assert V(ctx, k).degree() == 2 * p ** (k - 1)
 
 
-@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2)])
 def test_q_recursion_oracle(p, n):
     ctx = AlgebraContext(p, n)
     for s in range(n + 1):
         assert Q(ctx, n, s) == Q_recursion(ctx, n, s)
 
 
-@pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
+def test_q_recursion_in_other_contexts():
+    # each row is built once in its own context, then embedded
+    big = AlgebraContext(3, 4)
+    for s in range(3):
+        assert Q_recursion(big, 2, s) == Q(big, 2, s)
+    assert Q_recursion(big, 2, -1) == big.zero()
+    assert Q_recursion(big, 2, 2) == big.one()
+    with pytest.raises(ValueError, match="s must lie in 0..n"):
+        Q_recursion(big, 2, 3)
+    with pytest.raises(ValueError, match="too small"):
+        Q_recursion(AlgebraContext(3, 1), 2, 0)
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 4)])
 def test_v_product_oracle(p, k):
     ctx = AlgebraContext(p, k)
     assert V(ctx, k) == V_product(ctx, k)
