@@ -193,6 +193,10 @@ class Element:
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
 
+    def __reduce__(self):
+        # rebuild through the constructor; the default would set the slots
+        return Element, (self.ctx, self.terms)
+
     # -- basic queries -------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -40,14 +40,6 @@ def ratio_mod(num: int, den: int, p: int) -> int:
     return num // g * inv_mod(den // g, p) % p
 
 
-def fraction_mod(x, p: int) -> int:
-    """Reduce an exact rational whose denominator is prime to p.
-
-    x is an int or a fractions.Fraction: anything with ``numerator`` and
-    ``denominator``."""
-    return ratio_mod(x.numerator, x.denominator, p)
-
-
 def digit(r: int, i: int, p: int) -> int:
     """The i-th base-p digit of r, with digit(r, i) = 0 for all i < 0."""
     if i < 0:

@@ -8,7 +8,10 @@ of actions in symbolic (invariant-basis) form.
 
 Exit codes: 0 on success, 1 when a verification cell fails, 2 on usage,
 domain or arithmetic errors (bad indices, unparsable input, inadmissible
-operation, inexact division, a non-invertible residue).
+operation, inexact division, a non-invertible residue).  Every range
+check on a prime or an index is the library's; this module only checks
+that arguments are present and well formed, and prints the library's
+errors as ``error: ...``.
 """
 
 from __future__ import annotations
@@ -20,22 +23,15 @@ import sys
 
 from . import closed_forms as cf
 from .algebra import AlgebraContext, Element, render_text
-from .arith import is_odd_prime
 from .duality import mixed_decompose
-from .grammar import ParseError, parse_text, render_latex, to_json
+from .grammar import parse_text, render_latex, to_json
 from .invariants import L, Ltilde, M, Mtilde, Q, U, V
 from .steenrod import bockstein, invariant_decompose, milnor_st, p_power
 from .verify import DEFAULT_BUDGET, PROPERTY_CASES, SUITE_NAMES, run_suite
 
 
-class UsageError(Exception):
-    pass
-
-
-def _prime(p: int) -> int:
-    if not is_odd_prime(p):
-        raise UsageError("--p must be an odd prime, got %d" % p)
-    return p
+class UsageError(ValueError):
+    """A missing or malformed argument; every range check is the library's."""
 
 
 def _emit(el: Element, fmt: str) -> str:
@@ -58,13 +54,10 @@ def _int_list(raw: str | None) -> tuple[int, ...]:
 # ------------------------------------------------------------- invariant
 
 def _cmd_invariant(args) -> int:
-    p = _prime(args.p)
     idx = args.n if args.n is not None else args.k
     if idx is None:
         raise UsageError("--n (or --k) is required")
-    if idx < 1:
-        raise UsageError("index must be >= 1")
-    ctx = AlgebraContext(p, idx)
+    ctx = AlgebraContext(args.p, idx)
     name, s = args.name, args.s
     if name in ("U", "V", "Ltilde") and s is not None:
         raise UsageError("--s does not apply to %s" % name)
@@ -100,14 +93,11 @@ def _parse_expr(text: str, p: int, pairs: int | None) -> Element:
         if not seen:
             raise UsageError("cannot infer the generator count from %r; pass --pairs" % text)
         pairs = max(seen)
-    if pairs < 1:
-        raise UsageError("--pairs must be >= 1")
     return parse_text(text, AlgebraContext(p, pairs))
 
 
 def _cmd_steenrod_apply(args) -> int:
-    p = _prime(args.p)
-    a = _parse_expr(args.expr, p, args.pairs)
+    a = _parse_expr(args.expr, args.p, args.pairs)
     op = args.op.strip()
     m = re.fullmatch(r"P\^(\d+)", op)
     if m:
@@ -121,11 +111,8 @@ def _cmd_steenrod_apply(args) -> int:
 
 
 def _cmd_steenrod_milnor(args) -> int:
-    p = _prime(args.p)
     S, R = _int_list(args.S), _int_list(args.R)
-    if not R:
-        raise UsageError("--R must list at least one entry")
-    a = _parse_expr(args.expr, p, args.pairs)
+    a = _parse_expr(args.expr, args.p, args.pairs)
     out = milnor_st(S, R, a, len(R))
     print(_emit(out, args.format))
     return 0
@@ -138,16 +125,12 @@ def _closed_form(family: str, p: int, r: int, n: int | None,
     if family in ("U", "V"):
         if k is None:
             raise UsageError("--k is required for family %s" % family)
-        if k < 1:
-            raise UsageError("--k must be >= 1")
         if s is not None:
             raise UsageError("--s does not apply to family %s" % family)
         ctx = AlgebraContext(p, k + 1)
         return (cf.power_on_u if family == "U" else cf.power_on_v)(r, k, ctx)
     if n is None:
         raise UsageError("--n is required for family %s" % family)
-    if n < 1:
-        raise UsageError("--n must be >= 1")
     ctx = AlgebraContext(p, n)
     if s is None:
         raise UsageError("--s is required for family %s" % family)
@@ -157,13 +140,10 @@ def _closed_form(family: str, p: int, r: int, n: int | None,
 
 
 def _cmd_closed_form(args) -> int:
-    p = _prime(args.p)
-    if args.r < 0:
-        raise UsageError("--r must be >= 0")
-    res = _closed_form(args.family, p, args.r, args.n, args.k, args.s)
+    res = _closed_form(args.family, args.p, args.r, args.n, args.k, args.s)
     if args.format == "json":
         print(json.dumps({
-            "family": args.family, "p": p, "r": args.r,
+            "family": args.family, "p": args.p, "r": args.r,
             "n": args.n, "k": args.k, "s": args.s,
             "applicable": res.applicable, "condition": res.condition,
             "value": to_json(res.value),
@@ -269,13 +249,10 @@ def _table_cells(family: str, p: int, idx: int, rmax: int):
 
 
 def _cmd_table(args) -> int:
-    p = _prime(args.p)
-    family = args.family
+    p, family = args.p, args.family
     idx = args.n if args.n is not None else args.k
     if idx is None:
         raise UsageError("--n (or --k) is required")
-    if idx < 1:
-        raise UsageError("index must be >= 1")
     if args.max_r is not None:
         rmax = args.max_r
     elif family == "Q":
@@ -398,11 +375,9 @@ def main(argv: "list[str] | None" = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (ParseError, ValueError, ArithmeticError) as exc:
-        # ArithmeticError covers InexactDivisionError and ZeroDivisionError
+    except (ValueError, ArithmeticError) as exc:
+        # ValueError covers UsageError and ParseError, ArithmeticError
+        # InexactDivisionError and ZeroDivisionError
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -77,12 +77,8 @@ def power_on_u(r: int, k: int, ctx: AlgebraContext) -> ClosedFormResult:
 # for u > s) yields the resolved branch below: the u > s terms enter with
 # numerator -(alpha_s + 1) in place of (h - alpha_s).  The resolved form
 # was frozen against the oracle at p in {3, 5}, n <= 3, every r in range.
-MTILDE_UPPER_TERMS_RESOLVED = True
-
-
 def power_on_mtilde(
-    r: int, n: int, s: int, ctx: AlgebraContext,
-    resolved: bool = MTILDE_UPPER_TERMS_RESOLVED,
+    r: int, n: int, s: int, ctx: AlgebraContext, resolved: bool = True
 ) -> ClosedFormResult:
     """P^r Mtilde_{n,s} in closed form; s = -1 targets Ltilde_n.
 

@@ -29,6 +29,7 @@ from .steenrod import (
     InvariantExpansion,
     NotInSpanError,
     _candidates,
+    _check_exterior,
     admissible_indices,
     basis_element,
     invariant_decompose,
@@ -147,11 +148,6 @@ def pairing_sign_exp(
 
 
 # ----------------------------------------------------------- duality cells
-
-
-def _check_exterior(S: tuple, bound: int) -> None:
-    if any(not 0 <= v < bound for v in S) or list(S) != sorted(set(S)):
-        raise ValueError("exterior index must be strictly increasing in 0..%d" % (bound - 1))
 
 
 def _matched_s(p: int, n: int, delta: int, e: int, j: int) -> "int | None":

@@ -235,6 +235,11 @@ def compose_check(s: int, n: int, a: Element) -> bool:
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
 
+def _check_exterior(S: tuple, bound: int) -> None:
+    if any(not 0 <= v < bound for v in S) or list(S) != sorted(set(S)):
+        raise ValueError("exterior index must be strictly increasing in 0..%d" % (bound - 1))
+
+
 def basis_element(p: int, n: int, S: Sequence[int], H: Sequence[int]) -> Element:
     """The invariant monomial Mtilde_{n,s1}..Mtilde_{n,sk} * Ltilde_n^{h0}
     * Q_{n,1}^{h1} .. Q_{n,n-1}^{h_{n-1}} over n pairs."""
@@ -243,8 +248,7 @@ def basis_element(p: int, n: int, S: Sequence[int], H: Sequence[int]) -> Element
         raise ValueError("H must have exactly n entries")
     if any(h < 0 for h in H):
         raise ValueError("H entries must be >= 0")
-    if list(S) != sorted(set(S)) or any(not 0 <= s < n for s in S):
-        raise ValueError("S must be strictly increasing within 0..n-1")
+    _check_exterior(S, n)
     return _basis_element(p, n, S, H)
 
 
@@ -273,7 +277,8 @@ def _candidates(p: int, n: int, d: int, xcount: int) -> tuple[tuple[Key, dict], 
     """All basis keys (S, H) of degree d with |S| = xcount, paired with
     their raw term maps over n pairs (read-only: shared with the cache)."""
     got = []
-    weights = [p**n - 1] + [2 * (p**n - p**i) for i in range(1, n)]
+    # over n = 0 pairs the basis is the empty product alone: no weights
+    weights = [p**n - 1] + [2 * (p**n - p**i) for i in range(1, n)] if n else []
     for S in itertools.combinations(range(n), xcount):
         rem = d - sum(p**n - 2 * p**s for s in S)
         if rem < 0 or rem % 2:
@@ -395,8 +400,7 @@ def milnor_st(S: Sequence[int], R: Sequence[int], a: Element, n: "int | None" = 
         raise ValueError("R must have exactly n entries")
     if any(r < 0 for r in R):
         raise ValueError("R entries must be >= 0")
-    if list(S) != sorted(set(S)) or any(not 0 <= s < n for s in S):
-        raise ValueError("S must be strictly increasing within 0..n-1")
+    _check_exterior(S, n)
     if a.is_zero():
         return a
     q, inv_mu = _degree_and_inverse_mu(n, a)

@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from . import closed_forms as cf
 from . import duality
 from .algebra import AlgebraContext, Element, Monomial, embed, relabel, render_text
-from .arith import is_odd_prime, mu_mod, seq_stats, st_operation_degree
+from .arith import mu_mod, seq_stats, st_operation_degree
 from .grammar import from_json, parse_text, render_latex, to_json
 from .invariants import (
     Ltilde,
@@ -134,33 +134,33 @@ def _invariant_tasks(p_values, max_n):
             base = _mc(n, p**n - 1)
             for s in range(n + 1):
                 tasks.append(_task("invariants", "Q-recursion/p%d/n%d/s%d" % (p, n, s),
-                                   "q_recursion", (p, n, s), 4 * base))
+                                   _cell_q_recursion, (p, n, s), 4 * base))
             tasks.append(_task("invariants", "V-product/p%d/k%d" % (p, n),
-                               "v_product", (p, n), _mc(n, p ** (n - 1)) * 4))
+                               _cell_v_product, (p, n), _mc(n, p ** (n - 1)) * 4))
             tasks.append(_task("invariants", "Q-base/p%d/n%d" % (p, n),
-                               "q_base", (p, n), base))
+                               _cell_q_base, (p, n), base))
             tasks.append(_task("invariants", "Q-top/p%d/n%d" % (p, n),
-                               "q_top", (p, n), 1))
+                               _cell_q_top, (p, n), 1))
             glgen = gl_generators(n, p)
             slgen = sl_generators(n, p)
             gl_est = base * p**n
             for s in range(n):
                 for gi in range(len(glgen)):
                     tasks.append(_task("invariants", "GL/p%d/n%d/s%d/g%d" % (p, n, s, gi),
-                                       "gl_invariance", (p, n, s, gi), gl_est))
+                                       _cell_gl_invariance, (p, n, s, gi), gl_est))
             sl_targets = [("L", -1)] + [("M", s) for s in range(n)]
             sl_est = _mc(n, p**n) * p**n
             for name, s in sl_targets:
                 for gi in range(len(slgen)):
                     tasks.append(_task("invariants", "SL/p%d/n%d/%s%d/g%d" % (p, n, name, s, gi),
-                                       "sl_invariance", (p, n, name, s, gi), sl_est))
+                                       _cell_sl_invariance, (p, n, name, s, gi), sl_est))
             if n >= 2:
                 flag_est = _mc(n, p ** (n - 1) * 2) * p**n
                 for name in ("U", "V"):
                     for gi in range(len(_flag_stabilizer_generators(n, p))):
                         tasks.append(_task(
                             "invariants", "flag/p%d/k%d/%s/g%d" % (p, n, name, gi),
-                            "flag_invariance", (p, n, name, gi), flag_est))
+                            _cell_flag_invariance, (p, n, name, gi), flag_est))
     return tasks
 
 
@@ -244,16 +244,16 @@ def _steenrod_tasks(p_values, max_n):
             q = a.degree()
             for r in range(q // 2 + 1):
                 tasks.append(_task("steenrod", "milnor-power/p%d/%s/r%d" % (p, name, r),
-                                   "milnor_vs_power", (p, name, r),
+                                   _cell_milnor_vs_power, (p, name, r),
                                    _mc(a.ctx.m + 1, q * p // 2 + 1)))
             tasks.append(_task("steenrod", "milnor-inadmissible/p%d/%s" % (p, name),
-                               "milnor_inadmissible", (p, name), 10))
+                               _cell_milnor_inadmissible, (p, name), 10))
             for n in range(1, min(max_n, 2) + 1):
                 tasks.append(_task("steenrod", "reassemble/p%d/%s/n%d" % (p, name, n),
-                                   "reassemble", (p, name, n),
+                                   _cell_reassemble, (p, name, n),
                                    2 * _mc(a.ctx.m + n, q * p**n // 2 + 1)))
             tasks.append(_task("steenrod", "compose/p%d/%s/s1n2" % (p, name),
-                               "compose", (p, name, 1, 2),
+                               _cell_compose, (p, name, 1, 2),
                                2 * _mc(a.ctx.m + 2, q * p**2 // 2 + 1)))
     return tasks
 
@@ -382,27 +382,27 @@ def _closed_form_tasks(p_values, max_n):
             est = _mc(k + 1, p**k * p)
             for r in range(p**k // 2 + 4):
                 tasks.append(_task("closed-forms", "power/U/p%d/k%d/r%d" % (p, k, r),
-                                   "power_family", (p, "U", r, k, 0), est))
+                                   _cell_power_family, (p, "U", r, k, 0), est))
             for r in range(p**k + 4):
                 tasks.append(_task("closed-forms", "power/V/p%d/k%d/r%d" % (p, k, r),
-                                   "power_family", (p, "V", r, k, 0), est))
+                                   _cell_power_family, (p, "V", r, k, 0), est))
         for n in range(1, lim + 1):
             est = _mc(n, p**n * p)
             for s in range(-1, n):
                 top = dimension("Mtilde", p, n, s) // 2 + 3
                 for r in range(top + 1):
                     tasks.append(_task("closed-forms", "power/M/p%d/n%d/s%d/r%d" % (p, n, s, r),
-                                       "power_family", (p, "M", r, n, s), est))
+                                       _cell_power_family, (p, "M", r, n, s), est))
             for s in range(n + 1):
                 top = dimension("Q", p, n, s) // 2 + 3
                 for r in range(top + 1):
                     tasks.append(_task("closed-forms", "power/Q/p%d/n%d/s%d/r%d" % (p, n, s, r),
-                                       "power_family", (p, "Q", r, n, s), est))
+                                       _cell_power_family, (p, "Q", r, n, s), est))
         vmax = 2 if p == 3 else 1
         for u in range(vmax + 1):
             for v in range(u, vmax + 1):
                 tasks.append(_task("closed-forms", "bracket/p%d/u%dv%d" % (p, u, v),
-                                   "bracket", (p, u, v), _mc(2, p**v)))
+                                   _cell_bracket, (p, u, v), _mc(2, p**v)))
         for ln in (1, 2):
             for R in itertools.product(range(p), repeat=ln):
                 for S in _subsets(ln):
@@ -413,7 +413,7 @@ def _closed_form_tasks(p_values, max_n):
                             tasks.append(_task(
                                 "closed-forms",
                                 "rank1/p%d/S(%s)/R(%s)/e%d/b%d" % (p, _fmt(S), _fmt(R), eps, b),
-                                "rank1", (p, S, R, eps, b), _mc(2, b * p**ln)))
+                                _cell_rank1, (p, S, R, eps, b), _mc(2, b * p**ln)))
         if p == 3:
             for ln in (1, 2):
                 for R in itertools.product(range(p + 1), repeat=ln):
@@ -422,14 +422,14 @@ def _closed_form_tasks(p_values, max_n):
                             continue
                         tasks.append(_task(
                             "closed-forms", "u2/p%d/S(%s)/R(%s)" % (p, _fmt(S), _fmt(R)),
-                            "u2", (p, S, R), _mc(ln + 2, p**ln * p)))
+                            _cell_u2, (p, S, R), _mc(ln + 2, p**ln * p)))
                     if 2 * p - 2 * sum(R) >= 0:
                         tasks.append(_task("closed-forms", "v2/p%d/R(%s)" % (p, _fmt(R)),
-                                           "v2", (p, R), _mc(ln + 2, p**ln * p)))
-        tasks.append(_task("closed-forms", "flag/mtilde/p%d" % p, "flag_mtilde",
+                                           _cell_v2, (p, R), _mc(ln + 2, p**ln * p)))
+        tasks.append(_task("closed-forms", "flag/mtilde/p%d" % p, _cell_flag_mtilde,
                            (p, lim), _mc(lim, p**lim * p) * 4))
-    tasks.append(_task("closed-forms", "flag/u2/p3", "flag_u2", (3,), 40_000))
-    tasks.append(_task("closed-forms", "flag/v2/p3", "flag_v2", (3,), 40_000))
+    tasks.append(_task("closed-forms", "flag/u2/p3", _cell_flag_u2, (3,), 40_000))
+    tasks.append(_task("closed-forms", "flag/v2/p3", _cell_flag_v2, (3,), 40_000))
     return tasks
 
 
@@ -530,14 +530,14 @@ def _duality_tasks(p_values, grid):
                             "duality",
                             "pairing/p%d/n%dk%d/d%d/Sp(%s)/Rp(%s)" % (
                                 p, n, k, delta, _fmt(Sp), _fmt(Rp)),
-                            "block_pairing", (p, n, k, delta, Sp, Rp, dm), est))
+                            _block_pairing, (p, n, k, delta, Sp, Rp, dm), est))
                         r0p = q_uv - len(Sp) - 2 * sum(Rp)
                         if r0p >= 0:
                             tasks.append(_task(
                                 "duality",
                                 "uv/p%d/n%dk%d/d%d/Sp(%s)/Rp(%s)" % (
                                     p, n, k, delta, _fmt(Sp), _fmt(Rp)),
-                                "uv", (p, n, k, delta, Sp, Rp), est))
+                                _cell_uv_expand, (p, n, k, delta, Sp, Rp), est))
                 ctxn = AlgebraContext(p, n)
                 for s in range(-delta, n - delta + 1):
                     target = Mtilde(ctxn, n, s) if delta else Q(ctxn, n, s)
@@ -549,16 +549,16 @@ def _duality_tasks(p_values, grid):
                             "duality",
                             "mq/p%d/n%dk%d/d%d/s%d/S(%s)/R(%s)" % (
                                 p, n, k, delta, s, _fmt(S), _fmt(R)),
-                            "mq", (p, n, k, delta, s, S, R), est))
+                            _cell_mq_expand, (p, n, k, delta, s, S, R), est))
                     for r in range(q // 2 + 1):
                         tasks.append(_task(
                             "duality",
                             "mqsingle/p%d/n%dk%d/d%d/s%d/r%d" % (p, n, k, delta, s, r),
-                            "mq_single", (p, n, k, delta, s, r), est))
+                            _cell_mq_single, (p, n, k, delta, s, r), est))
                 for r in range(q_uv // 2 + 1):
                     tasks.append(_task(
                         "duality", "uvsingle/p%d/n%dk%d/d%d/r%d" % (p, n, k, delta, r),
-                        "uv_single", (p, n, k, delta, r), est))
+                        _cell_uv_single, (p, n, k, delta, r), est))
     return tasks
 
 
@@ -696,51 +696,23 @@ def _core_tasks(p_values, seed, cases):
                 size = per + (b < extra)
                 cell_seed = seed * 1_000_003 + fi * 10_007 + b * 101 + p
                 tasks.append(_task("core", "%s/p%d/b%d" % (family, p, b),
-                                   "property", (p, family, cell_seed, size),
+                                   _cell_property, (p, family, cell_seed, size),
                                    size * 40))
     return tasks
 
 
 # ------------------------------------------------------------- scheduling
 
-_CELL_FNS = {
-    "q_recursion": _cell_q_recursion,
-    "v_product": _cell_v_product,
-    "q_base": _cell_q_base,
-    "q_top": _cell_q_top,
-    "gl_invariance": _cell_gl_invariance,
-    "sl_invariance": _cell_sl_invariance,
-    "flag_invariance": _cell_flag_invariance,
-    "milnor_vs_power": _cell_milnor_vs_power,
-    "milnor_inadmissible": _cell_milnor_inadmissible,
-    "reassemble": _cell_reassemble,
-    "compose": _cell_compose,
-    "power_family": _cell_power_family,
-    "bracket": _cell_bracket,
-    "rank1": _cell_rank1,
-    "u2": _cell_u2,
-    "v2": _cell_v2,
-    "flag_mtilde": _cell_flag_mtilde,
-    "flag_u2": _cell_flag_u2,
-    "flag_v2": _cell_flag_v2,
-    "block_pairing": _block_pairing,
-    "mq": _cell_mq_expand,
-    "uv": _cell_uv_expand,
-    "mq_single": _cell_mq_single,
-    "uv_single": _cell_uv_single,
-    "property": _cell_property,
-}
 
-
-def _task(suite: str, cell: str, fn: str, args: tuple, est: int) -> dict:
+def _task(suite: str, cell: str, fn, args: tuple, est: int) -> dict:
+    # fn is a module-level cell function, so a task pickles for the pool
     return {"suite": suite, "cell": cell, "fn": fn, "args": args, "est": int(est)}
 
 
 def _execute(task: dict) -> list[dict]:
-    fn = _CELL_FNS[task["fn"]]
     t0 = time.perf_counter()
     try:
-        out = fn(*task["args"])
+        out = task["fn"](*task["args"])
     except Exception as exc:  # a crashing cell is a failing cell
         out = {"status": "FAIL", "reason": "%s: %s" % (type(exc).__name__, exc)}
     dt = time.perf_counter() - t0
@@ -764,11 +736,7 @@ def _worker_count(workers: "int | None") -> int:
 
 
 def _run_tasks(tasks: list[dict], workers: int, budget: int) -> list[dict]:
-    runnable = []
-    for t in tasks:
-        t["skip"] = t["est"] > budget
-        if not t["skip"]:
-            runnable.append(t)
+    runnable = [t for t in tasks if t["est"] <= budget]
     if workers > 1 and len(runnable) > 1:
         try:
             # imported here: a pool is rare, and the imports cost every start-up
@@ -787,7 +755,7 @@ def _run_tasks(tasks: list[dict], workers: int, budget: int) -> list[dict]:
     it = iter(results)
     rows: list[dict] = []
     for t in tasks:
-        if t["skip"]:
+        if t["est"] > budget:
             rows.append({"suite": t["suite"], "cell": t["cell"], "status": "SKIP",
                          "reason": "budget: ~%d raw monomials > %d" % (t["est"], budget),
                          "seconds": 0.0})
@@ -810,8 +778,9 @@ def run_suite(
     """Run one verification suite (or ``all``) and return the report dict.
 
     Every p must be an odd prime, max_n (when given) and cases integers
-    of at least 1; otherwise ValueError, before any cell runs.  cases is the number of
-    randomized property cases per family and prime."""
+    of at least 1, and budget an integer of at least 0; otherwise
+    ValueError, before any cell runs.  cases is the number of randomized
+    property cases per family and prime."""
     if name == "all":
         names = SUITE_NAMES
     elif name in SUITE_NAMES:
@@ -822,12 +791,13 @@ def run_suite(
     if grid not in ("small", "full"):
         raise ValueError("grid must be 'small' or 'full'")
     for p in p_values or ():
-        if not (isinstance(p, int) and is_odd_prime(p)):
-            raise ValueError("p must be an odd prime, got %r" % (p,))
+        AlgebraContext(p, 0)  # raises the context's own error for a bad p
     if max_n is not None and not (isinstance(max_n, int) and max_n >= 1):
         raise ValueError("max_n must be an integer >= 1, got %r" % (max_n,))
     if not (isinstance(cases, int) and cases >= 1):
         raise ValueError("cases must be an integer >= 1, got %r" % (cases,))
+    if not (isinstance(budget, int) and budget >= 0):
+        raise ValueError("budget must be an integer >= 0, got %r" % (budget,))
     tasks: list[dict] = []
     for nm in names:
         if nm == "invariants":

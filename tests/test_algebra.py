@@ -67,6 +67,13 @@ def test_context_is_an_immutable_value():
         assert twin == ctx and twin.p == 3 and twin.m == 2
 
 
+def test_element_pickles_and_copies(ctx):
+    # rebuilt through the constructor, so the immutable slots never reset
+    a = ctx.monomial((1, 2), (0, 3), 2) + ctx.x(1) * ctx.y(2) + ctx.y(1)
+    for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert twin == a and twin.ctx == a.ctx and hash(twin) == hash(a)
+
+
 def test_exterior_square_is_zero(ctx):
     x1 = ctx.x(1)
     assert (x1 * x1).is_zero()

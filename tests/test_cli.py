@@ -5,14 +5,13 @@ import os
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from importlib import resources
 
 import jsonschema
 import pytest
 
 from dicksonmui.algebra import exact_div
-from dicksonmui.arith import fraction_mod
+from dicksonmui.arith import ratio_mod
 from dicksonmui.cli import main
 
 
@@ -127,6 +126,27 @@ def test_out_of_range_s_is_the_library_error(capsys, argv, message):
     assert err == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("argv, code, out, err", [
+    (("invariant", "--p", "4", "--name", "V", "--k", "2"), 2, "",
+     "error: p must be an odd prime, got 4\n"),
+    (("closed-form", "--p", "3", "--family", "U", "--k", "0", "--r", "0"), 0, "x1", ""),
+    (("closed-form", "--p", "3", "--family", "V", "--k", "0", "--r", "1"), 0, "y1^3", ""),
+    (("closed-form", "--p", "3", "--family", "Q", "--n", "1", "--s", "0", "--r", "-1"), 2, "",
+     "error: need r >= 0 and n >= 1\n"),
+    (("table", "--p", "3", "--family", "V", "--k", "0"), 0, "r  V_1\n0  V_1\n1  V_1^3", ""),
+    (("invariant", "--p", "3", "--name", "L", "--n", "0"), 0, "1", ""),
+    (("invariant", "--p", "3", "--name", "V", "--k", "0"), 2, "", "error: k must be >= 1\n"),
+    # St^{(),()} is the identity
+    (("steenrod", "milnor", "--p", "3", "--R", "", "--expr", "y1"), 0, "y1", ""),
+    (("verify", "--suite", "core", "--budget", "-1"), 2, "",
+     "error: budget must be an integer >= 0, got -1\n"),
+])
+def test_the_cli_defers_range_checks_to_the_library(capsys, argv, code, out, err):
+    # inputs the CLI once refused itself: the library decides, and the
+    # CLI prints its value or its error
+    assert run(capsys, *argv) == (code, out, err)
+
+
 @pytest.mark.parametrize("argv, message", [
     (("invariant", "--name", "M", "--k", "2"), "M_{k,s} needs --s"),
     (("invariant", "--name", "Mtilde", "--n", "2"), "Mtilde_{n,s} needs --s"),
@@ -217,6 +237,7 @@ def test_verify_rejects_bad_suite(capsys):
     (("--cases", "-5"), "cases must be an integer >= 1"),
     (("--p", "4"), "odd prime"),
     (("--p", "3,9"), "odd prime"),
+    (("--budget", "-1"), "budget must be an integer >= 0"),
 ])
 def test_verify_rejects_out_of_range_arguments(capsys, argv, message):
     code, out, err = run(capsys, "verify", "--suite", "all", *argv)
@@ -260,7 +281,7 @@ def _inexact_division(r, a):
 
 
 def _zero_residue(r, a):
-    return a.scalar_mul(fraction_mod(Fraction(1, 3), 3))
+    return a.scalar_mul(ratio_mod(1, 3, 3))
 
 
 def _closed_form_shift(r, a):

@@ -5,7 +5,6 @@ import pytest
 
 from dicksonmui.algebra import AlgebraContext, embed, render_text
 from dicksonmui.closed_forms import (
-    MTILDE_UPPER_TERMS_RESOLVED,
     V2_MIXED_CASE_RESOLVED_SIGN,
     bracket_identities,
     power_on_mtilde,
@@ -86,7 +85,6 @@ def test_top_powers_are_frobenius():
 def test_mtilde_resolved_vs_literal_display():
     # the literal display drops the upper exterior terms; first split cell
     ctx = AlgebraContext(3, 2)
-    assert MTILDE_UPPER_TERMS_RESOLVED
     resolved = power_on_mtilde(3, 2, 0, ctx).value
     assert render_text(resolved) == "x1*y2^9 + 2*x2*y1^9"
     assert resolved == p_power(3, Mtilde(ctx, 2, 0))

@@ -43,6 +43,14 @@ def test_mixed_decompose_named_elements():
     assert mixed_decompose(two, 1) == {((), (2,), 0, 1): 2}
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_mixed_decompose_at_rank_one(p):
+    # k = 0: the block has no pairs, and U_1 = x1, V_1 = y1 are basis elements
+    ctx = AlgebraContext(p, 1)
+    assert mixed_decompose(U(ctx, 1), 0) == {((), (), 1, 0): 1}
+    assert mixed_decompose(V(ctx, 1), 0) == {((), (), 0, 1): 1}
+
+
 def test_mixed_decompose_rejects_outside_span():
     ctx = AlgebraContext(3, 2)
     with pytest.raises(NotInSpanError):

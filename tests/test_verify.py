@@ -177,7 +177,7 @@ def test_pairing_rows_match_the_reference_rows(monkeypatch):
     # both, with each block timed at exactly 1 s
     clock = itertools.count()
     monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
-    tasks = [t for t in _duality_tasks((3, 5, 7), "full") if t["fn"] == "block_pairing"]
+    tasks = [t for t in _duality_tasks((3, 5, 7), "full") if t["fn"] is verify._block_pairing]
     assert {t["args"][0] for t in tasks} == {3, 5, 7}
     every = []
     for task in tasks:
@@ -201,7 +201,7 @@ def test_failing_pairing_rows_match_the_reference_rows(monkeypatch):
     monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
     failed = 0
     for task in _duality_tasks((3,), "small"):
-        if task["fn"] != "block_pairing" or task["args"][1:3] != (1, 1):
+        if task["fn"] is not verify._block_pairing or task["args"][1:3] != (1, 1):
             continue
         got = _execute(task)
         want = _reference_block_rows(task, round(1 / len(got), 6))
@@ -221,6 +221,8 @@ def test_failing_pairing_rows_match_the_reference_rows(monkeypatch):
     (dict(p_values=(3.0,)), "odd prime"),
     (dict(max_n=2.5), "max_n"),
     (dict(cases=2.5), "cases"),
+    (dict(budget=-1), "budget"),
+    (dict(budget="x"), "budget"),
 ])
 def test_run_suite_rejects_out_of_range_arguments(monkeypatch, kwargs, message):
     def no_cell(task):
