@@ -309,7 +309,10 @@ class Element:
             # squares of exterior-bearing sums silently collapse; make the
             # caller expand such products explicitly via mul
             raise ValueError("pow with e >= 2 needs a purely polynomial element")
-        return _poly_pow(self, e)
+        # one field width for every partial power: e times the top y-degree
+        width = (e * _top_degree(self)).bit_length() or 1
+        groups = _pow_groups(_mask_groups(self, width), e, self.ctx.p)
+        return _unpack_groups(self.ctx, groups, width)
 
     # -- comparisons -------------------------------------------------------
 
@@ -524,13 +527,14 @@ def _product_groups(a: Groups, b: Groups, p: int) -> Groups:
 
 def _pow_groups(groups: Groups, e: int, p: int) -> Groups:
     """The e-th power (e >= 1) of an even element in packed form, reduced
-    mod p.
+    mod p: the one exponentiation behind Element.__pow__ and substitute.
 
     Square-and-multiply over _mul_blocks.  For a purely polynomial base and
-    e >= p, e is split into base-p digits as in _poly_pow: the p-th power is
-    Frobenius, which on packed keys is key * p.  The keys must be wide
-    enough for e times groups' top y-degree; every partial power, Frobenius
-    included, stays under that, so no field carries.
+    e >= p, e is split as p (e // p) + e % p: mod p the p-th power of a sum
+    is the sum of p-th powers and c^p = c (Frobenius), which on packed keys
+    is key * p.  The keys must be wide enough for e times groups' top
+    y-degree; every partial power, Frobenius included, stays under that, so
+    no field carries.
     """
     if e >= p and groups.keys() == {0}:
         frob: Groups = {0: ((), {k * p: c for k, c in groups[0][1].items()})}
@@ -648,38 +652,6 @@ def _mul_packed(a: Element, b: Element) -> Element:
     out: Groups = {}
     _mul_blocks(out, _mask_groups(a, width), _mask_groups(b, width), 1)
     return _unpack_groups(a.ctx, out, width)
-
-
-def frobenius(a: Element) -> Element:
-    """a^p for purely polynomial a: mod p the p-th power of a sum is the
-    sum of p-th powers, and c^p = c, so only the exponents change."""
-    p = a.ctx.p
-    return Element._make(
-        a.ctx, {Monomial((), tuple(v * p for v in m.ys)): c for m, c in a.terms.items()}
-    )
-
-
-def _poly_pow(a: Element, e: int) -> Element:
-    """a^e for purely polynomial a, with a Frobenius fast path mod p."""
-    ctx = a.ctx
-    p = ctx.p
-    if e == 0:
-        return ctx.one()
-    if e >= p:
-        out = _poly_pow(frobenius(a), e // p)
-        rem = e % p
-        if rem:
-            out = out * _poly_pow(a, rem)
-        return out
-    out = ctx.one()
-    base = a
-    while e:
-        if e & 1:
-            out = out * base
-        e >>= 1
-        if e:
-            base = base * base
-    return out
 
 
 def determinant(rows: Sequence[Sequence[Element]]) -> Element:

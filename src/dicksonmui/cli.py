@@ -229,23 +229,15 @@ def _symbolic(value: Element, n: int, mixed: bool, latex: bool) -> str:
     return " + ".join(terms)
 
 
-def _table_cells(family: str, p: int, idx: int, rmax: int):
-    """Yield (r, s_or_None, ClosedFormResult, target Element)."""
+def _table_columns(family: str, p: int, idx: int) -> list[tuple]:
+    """(s, target invariant) for each table column; s is None for U/V.  M
+    and Q keep their first column (s = -1, s = 0) at every index, so an
+    index the closed form refuses meets that refusal in the first cell."""
     if family in ("U", "V"):
-        ctx = AlgebraContext(p, idx + 1)
-        target = U(ctx, idx + 1) if family == "U" else V(ctx, idx + 1)
-        fn = cf.power_on_u if family == "U" else cf.power_on_v
-        for r in range(rmax + 1):
-            yield r, None, fn(r, idx, ctx), target
-        return
+        return [(None, (U if family == "U" else V)(AlgebraContext(p, idx + 1), idx + 1))]
+    first, inv = (-1, Mtilde) if family == "M" else (0, Q)
     ctx = AlgebraContext(p, idx)
-    svals = range(-1, idx) if family == "M" else range(idx)
-    for r in range(rmax + 1):
-        for s in svals:
-            if family == "M":
-                yield r, s, cf.power_on_mtilde(r, idx, s, ctx), Mtilde(ctx, idx, s)
-            else:
-                yield r, s, cf.power_on_q(r, idx, s, ctx), Q(ctx, idx, s)
+    return [(s, inv(ctx, idx, s)) for s in [first] + list(range(first + 1, idx))]
 
 
 def _cmd_table(args) -> int:
@@ -253,25 +245,25 @@ def _cmd_table(args) -> int:
     idx = args.n if args.n is not None else args.k
     if idx is None:
         raise UsageError("--n (or --k) is required")
-    if args.max_r is not None:
+    columns = _table_columns(family, p, idx)
+    svals = [s for s, _ in columns]
+    # by default the largest r any column admits: P^r z = 0 once 2r > deg z
+    if args.max_r is None:
+        rmax = max(target.degree() for _, target in columns) // 2
+    else:
         rmax = args.max_r
-    elif family == "Q":
-        rmax = p**idx - 1
-    elif family == "V":
-        rmax = p**idx
-    else:  # largest r any branch admits
-        rmax = (p**idx - 1) // 2
     latex = args.format == "latex"
     mixed = family in ("U", "V")
     grid: dict[int, dict] = {}
-    for r, s, res, target in _table_cells(family, p, idx, rmax):
-        entry = _symbolic(res.value, idx, mixed, latex)
-        ok = res.value == p_power(r, target)
-        if not ok:
-            entry = "MISMATCH(%s)" % entry
-        grid.setdefault(r, {})[s] = {"symbolic": entry, "verified": ok}
-    svals = [None] if mixed else (
-        list(range(-1, idx)) if family == "M" else list(range(idx)))
+    for r in range(rmax + 1):
+        for s, target in columns:
+            # idx is n for M/Q and k for U/V; each family reads its own
+            res = _closed_form(family, p, r, idx, idx, s)
+            entry = _symbolic(res.value, idx, mixed, latex)
+            ok = res.value == p_power(r, target)
+            if not ok:
+                entry = "MISMATCH(%s)" % entry
+            grid.setdefault(r, {})[s] = {"symbolic": entry, "verified": ok}
     if args.format == "json":
         rows = [{"r": r, "cells": [
             {"s": s, **grid[r][s]} for s in svals]} for r in sorted(grid)]

@@ -147,6 +147,31 @@ def pairing_sign_exp(
     return total % 2
 
 
+def mq_target(ctxn: AlgebraContext, n: int, s: int, delta: int) -> Element:
+    """The M/Q-side invariant over ctxn: Mtilde_{n,s} if delta else Q_{n,s}."""
+    return Mtilde(ctxn, n, s) if delta else Q(ctxn, n, s)
+
+
+def uv_target(big: AlgebraContext, k: int, delta: int) -> Element:
+    """The U/V-side invariant over big: U_{k+1} if delta else V_{k+1}."""
+    return U(big, k + 1) if delta else V(big, k + 1)
+
+
+def _signed_mq_pairing(
+    p: int, n: int, k: int, delta: int, s: int, target: Element,
+    S: tuple, R: tuple, Sp: tuple, Rp: tuple, Hp: tuple,
+) -> int:
+    """<m̃_{S'} q̃_{H'}, St^{S,R}(target)> times the relating sign, target
+    the s-th M/Q-side invariant: the value its U/V-side pairing must equal."""
+    rimg = milnor_st(S, R, target, k)
+    if rimg.is_zero():
+        return 0
+    c = invariant_pairing(rimg, n, Sp, Hp)
+    if c and pairing_sign_exp(p, n, k, delta, s, S, R, Sp, Rp):
+        c = p - c
+    return c
+
+
 # ----------------------------------------------------------- duality cells
 
 
@@ -164,16 +189,24 @@ _NO_MATCH = "no matching s; left pairing must vanish"
 
 
 def _block_results(
-    p: int,
-    n: int,
-    k: int,
-    delta: int,
-    Sp: tuple,
-    Rp: tuple,
+    p: int, n: int, k: int, delta: int, Sp: tuple, Rp: tuple,
     cases: Iterable[tuple[Sequence[int], Sequence[int], int, int]],
 ) -> list[tuple]:
-    """One (s, status, reason, lhs, rhs) tuple per case, in order: the
-    values of duality_block's reports, without building them."""
+    """Evaluate the duality cells (S, R, e, j) of cases against one U/V-side
+    operation St^{Sp,Rp}; returns one (s, status, reason, lhs, rhs) tuple
+    per case, in order.
+
+    status PASS means the two pairings agreed (or the left one vanished
+    on a cell with no matching s); FAIL is a genuine inequality; SKIP
+    marks cells where one side's operation is inadmissible, which forces
+    the other side's dual index out of existence as well.
+
+    (Sp, Rp) and delta are checked once, before any case; each case's
+    R, e, j and S are checked as it is reached.  What depends only on the
+    block is computed once: the U/V-side image and its mixed coordinates,
+    the matched s of each e + 2j, and the M/Q-side pairing of each
+    (s, S, R).
+    """
     if len(Rp) != n:
         raise ValueError("need len(R) = k and len(Rp) = n")
     if delta not in (0, 1):
@@ -181,8 +214,7 @@ def _block_results(
     _check_exterior(Sp, n)
     r0p = (2 - delta) * p**k - len(Sp) - 2 * sum(Rp)
     if r0p >= 0:
-        big = AlgebraContext(p, k + 1)
-        img = milnor_st(Sp, Rp, U(big, k + 1) if delta else V(big, k + 1), n)
+        img = milnor_st(Sp, Rp, uv_target(AlgebraContext(p, k + 1), k, delta), n)
         ctxn = AlgebraContext(p, n)
         Hp = (r0p,) + Rp[: n - 1]
     coords = None  # mixed_decompose(img, k), read on first use
@@ -230,65 +262,24 @@ def _block_results(
         key = (s, S, R)
         rhs = rhs_of.get(key)
         if rhs is None:
-            target = Mtilde(ctxn, n, s) if delta else Q(ctxn, n, s)
-            rhs = invariant_pairing(milnor_st(S, R, target, k), n, Sp, Hp)
-            if pairing_sign_exp(p, n, k, delta, s, S, R, Sp, Rp):
-                rhs = (p - rhs) % p
-            rhs_of[key] = rhs
+            rhs = rhs_of[key] = _signed_mq_pairing(
+                p, n, k, delta, s, mq_target(ctxn, n, s, delta), S, R, Sp, Rp, Hp)
         out.append((s, "PASS" if lhs == rhs else "FAIL", "", lhs, rhs))
     return out
 
 
-def duality_block(
-    p: int,
-    n: int,
-    k: int,
-    delta: int,
-    Sp: Sequence[int],
-    Rp: Sequence[int],
-    cases: Iterable[tuple[Sequence[int], Sequence[int], int, int]],
-) -> list[dict]:
-    """Evaluate the duality cells (S, R, e, j) of cases against one U/V-side
-    operation St^{Sp,Rp}; returns one report dict per case, in order.
-
-    status PASS means the two pairings agreed (or the left one vanished
-    on a cell with no matching s); FAIL is a genuine inequality; SKIP
-    marks cells where one side's operation is inadmissible, which forces
-    the other side's dual index out of existence as well.
-
-    (Sp, Rp) and delta are checked once, before any case; each case's
-    R, e, j and S are checked as it is reached.  What depends only on the
-    block is computed once: the U/V-side image and its mixed coordinates,
-    the matched s of each e + 2j, and the M/Q-side pairing of each
-    (s, S, R).
-    """
-    Sp, Rp = tuple(Sp), tuple(Rp)
-    cases = list(cases)
-    results = _block_results(p, n, k, delta, Sp, Rp, cases)
-    return [
-        {
-            "p": p, "n": n, "k": k, "delta": delta,
-            "S": tuple(S), "R": tuple(R), "Sp": Sp, "Rp": Rp, "e": e, "j": j,
-            "s": s, "status": status, "reason": reason, "lhs": lhs, "rhs": rhs,
-        }
-        for (S, R, e, j), (s, status, reason, lhs, rhs) in zip(cases, results)
-    ]
-
-
 def duality_case(
-    p: int,
-    n: int,
-    k: int,
-    delta: int,
-    S: Sequence[int],
-    R: Sequence[int],
-    Sp: Sequence[int],
-    Rp: Sequence[int],
-    e: int,
-    j: int,
+    p: int, n: int, k: int, delta: int, S: Sequence[int], R: Sequence[int],
+    Sp: Sequence[int], Rp: Sequence[int], e: int, j: int,
 ) -> dict:
-    """Evaluate one duality cell; returns its report dict (duality_block)."""
-    return duality_block(p, n, k, delta, Sp, Rp, [(S, R, e, j)])[0]
+    """Evaluate one duality cell (_block_results); returns its report dict."""
+    S, R, Sp, Rp = tuple(S), tuple(R), tuple(Sp), tuple(Rp)
+    ((s, status, reason, lhs, rhs),) = _block_results(p, n, k, delta, Sp, Rp, [(S, R, e, j)])
+    return {
+        "p": p, "n": n, "k": k, "delta": delta,
+        "S": S, "R": R, "Sp": Sp, "Rp": Rp, "e": e, "j": j,
+        "s": s, "status": status, "reason": reason, "lhs": lhs, "rhs": rhs,
+    }
 
 
 # ------------------------------------------------------------- expansions
@@ -316,7 +307,7 @@ def expand_mq(
         raise ValueError("operation inadmissible on the M/Q target")
     e, j = (1, 0) if s == -1 else (0, p**s)
     big = AlgebraContext(p, k + 1)
-    uv = U(big, k + 1) if delta else V(big, k + 1)
+    uv = uv_target(big, k, delta)
     ctxn = AlgebraContext(p, n)
     q_uv = (2 - delta) * p**k
     total = ctxn.zero()
@@ -356,19 +347,13 @@ def expand_uv(
     ctxn = AlgebraContext(p, n)
     total = big.zero()
     for s in range(-delta, n - delta + 1):
-        target = Mtilde(ctxn, n, s) if delta else Q(ctxn, n, s)
+        target = mq_target(ctxn, n, s, delta)
         q_mq = target.degree()
         tail = U(big, k + 1) if s == -1 else V(big, k + 1) ** (p**s)
         for S, R in admissible_indices(q_mq, k):
-            rimg = milnor_st(S, R, target, k)
-            if rimg.is_zero():
-                continue
-            c = invariant_pairing(rimg, n, Sp, Hp)
+            c = _signed_mq_pairing(p, n, k, delta, s, target, S, R, Sp, Rp, Hp)
             if not c:
                 continue
-            if pairing_sign_exp(p, n, k, delta, s, S, R, Sp, Rp):
-                c = p - c
-            t = len(S)
-            H = (q_mq - t - 2 * sum(R),) + R[: k - 1]
+            H = (q_mq - len(S) - 2 * sum(R),) + R[: k - 1]
             total = total + (embed(basis_element(p, k, S, H), big) * tail).scalar_mul(c)
     return total

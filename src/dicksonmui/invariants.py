@@ -279,10 +279,6 @@ def apply_matrix(a: Element, matrix: Sequence[Sequence[int]]) -> Element:
     return a.substitute(x_images, y_images)
 
 
-def is_invariant(a: Element, matrix: Sequence[Sequence[int]]) -> bool:
-    return apply_matrix(a, matrix) == a
-
-
 def gl_generators(n: int, p: int) -> list[tuple[tuple[int, ...], ...]]:
     """Standard generating set of GL_n(Z/p): all transvections plus one
     diagonal matrix diag(g, 1, .., 1) with g a primitive root mod p."""

@@ -32,7 +32,6 @@ from .algebra import (
     Monomial,
     _new_tuple,
     embed,
-    frobenius,
     relabel,
 )
 from .arith import binom_mod, inv_mod, mu_mod, seq_stats, solve_exact
@@ -237,6 +236,8 @@ Key = tuple[tuple[int, ...], tuple[int, ...]]
 
 def _check_exterior(S: tuple, bound: int) -> None:
     if any(not 0 <= v < bound for v in S) or list(S) != sorted(set(S)):
+        if not bound:
+            raise ValueError("no exterior index exists over 0 pairs")
         raise ValueError("exterior index must be strictly increasing in 0..%d" % (bound - 1))
 
 
@@ -262,7 +263,7 @@ def _basis_element(p: int, n: int, S: tuple[int, ...], H: tuple[int, ...]) -> El
     if S:
         return _basis_element(p, n, S[:-1], H) * Mtilde(c, n, S[-1])
     if max(H, default=0) >= p:
-        el = frobenius(_basis_element(p, n, (), tuple(h // p for h in H)))
+        el = _basis_element(p, n, (), tuple(h // p for h in H)) ** p
         low = tuple(h % p for h in H)
         return el * _basis_element(p, n, (), low) if any(low) else el
     i = max((i for i, h in enumerate(H) if h), default=None)

@@ -481,15 +481,13 @@ def _block_pairing(p: int, n: int, k: int, delta: int, Sp: tuple, Rp: tuple,
 
 
 def _cell_mq_expand(p: int, n: int, k: int, delta: int, s: int, S: tuple, R: tuple) -> dict:
-    ctxn = AlgebraContext(p, n)
-    target = Mtilde(ctxn, n, s) if delta else Q(ctxn, n, s)
+    target = duality.mq_target(AlgebraContext(p, n), n, s, delta)
     got = duality.expand_mq(p, n, k, delta, s, S, R)
     return _eq_row(got, milnor_st(S, R, target, k))
 
 
 def _cell_uv_expand(p: int, n: int, k: int, delta: int, Sp: tuple, Rp: tuple) -> dict:
-    big = AlgebraContext(p, k + 1)
-    uv = U(big, k + 1) if delta else V(big, k + 1)
+    uv = duality.uv_target(AlgebraContext(p, k + 1), k, delta)
     got = duality.expand_uv(p, n, k, delta, Sp, Rp)
     return _eq_row(got, milnor_st(Sp, Rp, uv, n))
 
@@ -540,8 +538,7 @@ def _duality_tasks(p_values, grid):
                                 _cell_uv_expand, (p, n, k, delta, Sp, Rp), est))
                 ctxn = AlgebraContext(p, n)
                 for s in range(-delta, n - delta + 1):
-                    target = Mtilde(ctxn, n, s) if delta else Q(ctxn, n, s)
-                    q = target.degree()
+                    q = duality.mq_target(ctxn, n, s, delta).degree()
                     for S, R in admissible_indices(q, k):
                         if st_operation_degree(S, R, p) + q > dm:
                             continue

@@ -129,6 +129,27 @@ def test_pow_rules(ctx):
     assert (a * a).is_zero()
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_pow_matches_repeated_product(p):
+    # a ** e against e - 1 products, across the base-p digits of e: below p,
+    # at p (Frobenius alone), past p, and with more than one digit
+    rng = random.Random(p)
+    exps = [2, p - 1, p, p + 1, p * p, p * p + p + 1]
+    for m in (1, 2, 3):
+        ctx = AlgebraContext(p, m)
+        for _ in range(3):
+            a = _random_poly(rng, ctx, rng.randint(1, 3), 2)
+            prod = ctx.one()
+            for e in range(1, max(exps) + 1):
+                prod = prod * a
+                if e in exps:
+                    assert a**e == prod, (m, a, e)
+    # equality also compares the context
+    for a in (AlgebraContext(p, 2).zero(), AlgebraContext(p, 0).scalar(2)):
+        for e in exps:
+            assert a**e == a.ctx.scalar(pow(a.constant_term(), e, p)), (a, e)
+
+
 def test_even_products_with_exterior_pairs():
     ctx = AlgebraContext(3, 4)
     a = ctx.x(1) * ctx.x(2) + ctx.y(1) * ctx.y(2)

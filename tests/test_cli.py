@@ -148,6 +148,19 @@ def test_the_cli_defers_range_checks_to_the_library(capsys, argv, code, out, err
 
 
 @pytest.mark.parametrize("argv, message", [
+    # over 0 pairs there is no exterior index to name
+    (("steenrod", "milnor", "--p", "3", "--S", "0", "--R", "", "--expr", "y1"),
+     "no exterior index exists over 0 pairs"),
+    # both index-0 tables reach the closed form's refusal
+    (("table", "--p", "3", "--family", "Q", "--n", "0"), "need r >= 0 and n >= 1"),
+    (("table", "--p", "3", "--family", "M", "--n", "0"), "need r >= 0 and n >= 1"),
+])
+def test_index_zero_inputs_are_refused(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("argv, message", [
     (("invariant", "--name", "M", "--k", "2"), "M_{k,s} needs --s"),
     (("invariant", "--name", "Mtilde", "--n", "2"), "Mtilde_{n,s} needs --s"),
     (("closed-form", "--family", "M", "--n", "2", "--r", "1"), "--s is required for family M"),

@@ -9,12 +9,12 @@ from dicksonmui import duality
 from dicksonmui.algebra import AlgebraContext
 from dicksonmui.arith import st_operation_degree
 from dicksonmui.duality import (
+    _block_results,
     _check_exterior,
     _matched_s,
     expand_mq,
     expand_uv,
     dim_bracket,
-    duality_block,
     invariant_pairing,
     mixed_decompose,
     mixed_pairing,
@@ -194,7 +194,7 @@ def test_sign_term_even_where_pairings_are_nonzero(p, n, k, delta):
 
 def _reference_duality_case(p, n, k, delta, S, R, Sp, Rp, e, j):
     # one cell on its own, every value recomputed: an oracle for
-    # duality_block, which shares the block's work across its cases
+    # _block_results, which shares the block's work across its cases
     S, R, Sp, Rp = tuple(S), tuple(R), tuple(Sp), tuple(Rp)
     if len(R) != k or len(Rp) != n:
         raise ValueError("need len(R) = k and len(Rp) = n")
@@ -239,6 +239,11 @@ def _reference_duality_case(p, n, k, delta, S, R, Sp, Rp, e, j):
     return rep
 
 
+def _values(rep):
+    # the part of a report dict that _block_results returns for its case
+    return tuple(rep[key] for key in ("s", "status", "reason", "lhs", "rhs"))
+
+
 @pytest.mark.parametrize("n,k", [(1, 1), (1, 2)])
 @pytest.mark.parametrize("delta", [0, 1])
 def test_block_matches_reference_on_every_case(n, k, delta):
@@ -259,13 +264,16 @@ def test_block_matches_reference_on_every_case(n, k, delta):
     statuses = set()
     for Sp in _subsets(n):
         for Rp in itertools.product(range(p**k + 2), repeat=n):
-            got = duality_block(p, n, k, delta, Sp, Rp, cases)
+            got = _block_results(p, n, k, delta, Sp, Rp, cases)
             assert len(got) == len(cases)
-            for case, rep in zip(cases, got):
+            for case, res in zip(cases, got):
                 S, R, e, j = case
-                assert rep == _reference_duality_case(p, n, k, delta, S, R, Sp, Rp, e, j), (
-                    Sp, Rp, case)
-                statuses.add((rep["status"], rep["reason"]))
+                want = _reference_duality_case(p, n, k, delta, S, R, Sp, Rp, e, j)
+                assert res == _values(want), (Sp, Rp, case)
+                statuses.add(res[1:3])
+            # the one-cell call reports the block's values as a dict
+            S, R, e, j = cases[-1]
+            assert duality_case(p, n, k, delta, S, R, Sp, Rp, e, j) == want
     # matched and unmatched PASS, and both SKIPs
     assert len(statuses) == 4, statuses
 
@@ -279,10 +287,13 @@ def test_block_applies_the_relating_sign(monkeypatch):
     cases = [(S, (r,), e, j) for S in ((), (0,)) for r in range(4)
              for e in (0, 1) for j in range(4)]
     flipped = 0
-    for case, rep in zip(cases, duality_block(p, n, k, delta, Sp, Rp, cases)):
-        assert rep == _reference_duality_case(p, n, k, delta, *case[:2], Sp, Rp, *case[2:])
-        if rep["status"] == "FAIL":
-            assert rep["rhs"] == p - rep["lhs"]
+    for case, res in zip(cases, _block_results(p, n, k, delta, Sp, Rp, cases)):
+        want = _reference_duality_case(p, n, k, delta, *case[:2], Sp, Rp, *case[2:])
+        assert res == _values(want), case
+        assert duality_case(p, n, k, delta, *case[:2], Sp, Rp, *case[2:]) == want
+        s, status, reason, lhs, rhs = res
+        if status == "FAIL":
+            assert rhs == p - lhs
             flipped += 1
     assert flipped
 
@@ -311,7 +322,7 @@ def test_block_checks_every_case():
     # a bad case after good ones still raises, and an empty block is empty
     good = ((), (0,), 0, 0)
     with pytest.raises(ValueError, match="exterior"):
-        duality_block(3, 1, 1, 0, (), (0,), [good, ((1,), (0,), 0, 0)])
+        _block_results(3, 1, 1, 0, (), (0,), [good, ((1,), (0,), 0, 0)])
     with pytest.raises(ValueError, match="j >= 0"):
-        duality_block(3, 1, 1, 1, (), (9,), [good, ((), (0,), 0, -1)])
-    assert duality_block(3, 1, 1, 0, (), (0,), []) == []
+        _block_results(3, 1, 1, 1, (), (9,), [good, ((), (0,), 0, -1)])
+    assert _block_results(3, 1, 1, 0, (), (0,), []) == []

@@ -16,7 +16,7 @@ import pytest
 from dicksonmui import duality, verify
 from dicksonmui.algebra import AlgebraContext
 from dicksonmui.arith import st_operation_degree
-from dicksonmui.duality import duality_block
+from dicksonmui.duality import duality_case
 from dicksonmui.verify import (
     WORKERS_ENV,
     _duality_tasks,
@@ -130,8 +130,8 @@ def test_full_report_is_unchanged():
 
 def _reference_block_rows(task, share):
     # the rows of one pairing block as they were built before rows were
-    # built whole: duality_block's report dicts, a row per report, then
-    # _execute's copy of each row with the block's share of seconds
+    # built whole: a report dict per case (duality_case), a row per report,
+    # then _execute's copy of each row with the block's share of seconds
     p, n, k, delta, Sp, Rp, degmax = task["args"]
     base = "pairing/p%d/n%dk%d/d%d/Sp(%s)/Rp(%s)" % (p, n, k, delta, _fmt(Sp), _fmt(Rp))
     cases, labels = [], []
@@ -149,7 +149,7 @@ def _reference_block_rows(task, share):
                     cases.append((S, R, e, j))
                     labels.append("%s%d/j%d" % (label, e, j))
     rows = []
-    reps = duality_block(p, n, k, delta, Sp, Rp, cases)
+    reps = [duality_case(p, n, k, delta, S, R, Sp, Rp, e, j) for S, R, e, j in cases]
     for label, (S, R, e, j), rep in zip(labels, cases, reps):
         row = {
             "cell": label,
