@@ -53,8 +53,8 @@ from . import duality as _duality, invariants as _invariants, steenrod as _steen
 __version__ = "0.1.0"
 
 # every memoised builder: invariants keyed on (p, params), the basis and
-# power-map expansions with milnor_st's rescaling, and the mixed U/V
-# decompositions
+# power-map expansions with milnor_st's rescaling, and the mixed U/V and
+# invariant coordinates
 _CACHED_BUILDERS = (
     _invariants._bracket_e,
     _invariants._bracket_x,
@@ -70,7 +70,7 @@ _CACHED_BUILDERS = (
     _steenrod._degree_and_inverse_mu,
     _duality._mixed_candidates,
     _duality.mixed_decompose,
-    _duality._invariant_expansion,
+    _duality.invariant_coordinates,
 )
 
 

@@ -23,10 +23,10 @@ import sys
 
 from . import closed_forms as cf
 from .algebra import AlgebraContext, Element, render_text
-from .duality import mixed_decompose
+from .duality import invariant_coordinates, mixed_decompose
 from .grammar import parse_text, render_latex, to_json
 from .invariants import L, Ltilde, M, Mtilde, Q, U, V
-from .steenrod import bockstein, invariant_decompose, milnor_st, p_power
+from .steenrod import bockstein, milnor_st, p_power
 from .verify import DEFAULT_BUDGET, PROPERTY_CASES, SUITE_NAMES, run_suite
 
 
@@ -222,8 +222,7 @@ def _symbolic(value: Element, n: int, mixed: bool, latex: bool) -> str:
     if mixed:
         coords = mixed_decompose(value, n)
     else:
-        exp = invariant_decompose(value, n)
-        coords = {(s_, h_, 0, 0): exp.scalar(s_, h_) for (s_, h_) in exp.entries}
+        coords = {(S, H, 0, 0): c for (S, H), c in invariant_coordinates(value, n).items()}
     terms = [_sym_term(value.ctx.p, n, S, H, eps, m, coords[(S, H, eps, m)], latex)
              for (S, H, eps, m) in sorted(coords)]
     return " + ".join(terms)

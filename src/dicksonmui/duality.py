@@ -23,13 +23,12 @@ from collections.abc import Iterable, Sequence
 from functools import cache
 
 from .algebra import AlgebraContext, Element, embed
-from .arith import seq_stats, solve_exact
+from .arith import seq_stats
 from .invariants import Q, U, V, Mtilde
 from .steenrod import (
-    InvariantExpansion,
-    NotInSpanError,
     _candidates,
     _check_exterior,
+    _span_coordinates,
     admissible_indices,
     basis_element,
     invariant_decompose,
@@ -91,13 +90,7 @@ def mixed_decompose(a: Element, k: int) -> dict[tuple, int]:
         by_xcount.setdefault(len(mono.xs), {})[mono] = c
     out: dict[tuple, int] = {}
     for xc, target in by_xcount.items():
-        cands = _mixed_candidates(p, k, d, xc)
-        sol = solve_exact([terms for _, terms in cands], target, p)
-        if sol is None:
-            raise NotInSpanError("element is not in the mixed invariant span")
-        for (key, _), cf in zip(cands, sol):
-            if cf:
-                out[key] = cf
+        out.update(_span_coordinates(_mixed_candidates(p, k, d, xc), target, p))
     return out
 
 
@@ -111,15 +104,25 @@ def mixed_pairing(
 
 
 @cache
-def _invariant_expansion(img: Element, n: int) -> InvariantExpansion:
-    return invariant_decompose(img, n)
+def invariant_coordinates(img: Element, n: int) -> dict[tuple, int]:
+    """Coordinates of img in the invariant basis {Mtilde_S Qtilde^H} of its
+    leading n pairs; zero coordinates are omitted.  Every cofactor over the
+    trailing pairs must be a scalar (ValueError otherwise).  The result is
+    cached and shared: read it, do not mutate it."""
+    out = {}
+    for (S, H), tail in invariant_decompose(img, n).items():
+        c = tail.constant_term()
+        if len(tail) > 1 or not c:
+            raise ValueError("cofactor at %s,%s is not a scalar" % (S, H))
+        out[S, H] = c
+    return out
 
 
 def invariant_pairing(img: Element, n: int, S: Sequence[int], H: Sequence[int]) -> int:
     """<m̃_S q̃_H, img> for an n-pair invariant element img."""
     if any(h < 0 for h in H):
         return 0
-    return _invariant_expansion(img, n).scalar(tuple(S), tuple(H))
+    return invariant_coordinates(img, n).get((tuple(S), tuple(H)), 0)
 
 
 def pairing_sign_exp(

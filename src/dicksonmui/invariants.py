@@ -325,10 +325,3 @@ def _primitive_root(p: int) -> int:
             return g
     raise ValueError("no primitive root found for %d" % p)
 
-
-def all_gl_matrices(n: int, p: int):
-    """Every invertible n x n matrix over Z/p (for exhaustive small checks)."""
-    for entries in itertools.product(range(p), repeat=n * n):
-        mat = tuple(tuple(entries[i * n + j] for j in range(n)) for i in range(n))
-        if matrix_rank_mod(mat, p) == n:
-            yield mat

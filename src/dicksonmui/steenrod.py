@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from functools import cache
 
@@ -31,7 +30,6 @@ from .algebra import (
     Element,
     Monomial,
     _new_tuple,
-    embed,
     relabel,
 )
 from .arith import binom_mod, inv_mod, mu_mod, seq_stats, solve_exact
@@ -301,52 +299,31 @@ def _weighted_sums(weights: list[int], total: int) -> Iterator[tuple[int, ...]]:
             yield (e,) + rest
 
 
-class InvariantExpansion(namedtuple("InvariantExpansion", ("ctx", "n", "tail_ctx", "entries"))):
-    """An element of a block-carrying algebra written over the invariant
-    monomial basis of its leading n pairs.
-
-    entries maps (S, H) to the cofactor over the trailing pairs (a
-    dict[Key, Element], with tail_ctx their context); a purely invariant
-    element has constant cofactors.
-    """
-
-    __slots__ = ()
-
-    def cofactor(self, S: Sequence[int], H: Sequence[int]) -> Element:
-        return self.entries.get((tuple(S), tuple(H)), self.tail_ctx.zero())
-
-    def scalar(self, S: Sequence[int], H: Sequence[int]) -> int:
-        """Constant-cofactor lookup (for fully invariant elements)."""
-        el = self.cofactor(S, H)
-        if len(el) > 1 or (len(el) == 1 and next(iter(el))[0].degree() != 0):
-            raise ValueError("cofactor at %s,%s is not a scalar" % (S, H))
-        return el.constant_term()
-
-    def reassemble(self) -> Element:
-        """Multiply every key back out and sum; inverse of decomposition."""
-        out = self.ctx.zero()
-        shift = {i: i + self.n for i in range(1, self.tail_ctx.m + 1)}
-        for (S, H), tail in self.entries.items():
-            base = embed(basis_element(self.ctx.p, self.n, S, H), self.ctx)
-            out = out + base * relabel(tail, self.ctx, shift)
-        return out
+def _span_coordinates(cands: Sequence[tuple], target: dict, p: int) -> list[tuple]:
+    """The nonzero (key, coefficient) pairs writing the term map ``target``
+    over the (key, term map) columns ``cands``; raises NotInSpanError when
+    target lies outside their span, as it does when there are none."""
+    sol = solve_exact([terms for _, terms in cands], target, p)
+    if sol is None:
+        raise NotInSpanError("element is outside the span of the invariant basis")
+    return [(key, c) for (key, _), c in zip(cands, sol) if c]
 
 
-def invariant_decompose(a: Element, n: int) -> InvariantExpansion:
+def invariant_decompose(a: Element, n: int) -> dict[Key, Element]:
     """Write ``a`` as a sum of (invariant basis monomial over the leading n
     pairs) * (element over the trailing pairs).
 
-    Works one trailing monomial at a time: the leading-block cofactor is
-    solved exactly against all basis monomials of matching degree and
-    exterior length.  Raises NotInSpanError when a residual remains.
+    Returns {(S, H): cofactor over the trailing m - n pairs}, zero cofactors
+    omitted; a purely invariant element has constant cofactors.  Works one
+    trailing monomial at a time: the leading-block cofactor is solved
+    exactly against all basis monomials of matching degree and exterior
+    length.  Raises NotInSpanError when a residual remains.
     """
     ctx = a.ctx
     if not 0 <= n <= ctx.m:
         raise ValueError("block size must lie in 0..m")
-    tail_ctx = AlgebraContext(ctx.p, ctx.m - n)
     if n == 0:
-        entries = {} if a.is_zero() else {((), ()): a}
-        return InvariantExpansion(ctx, 0, tail_ctx, entries)
+        return {} if a.is_zero() else {((), ()): a}
     # (tail xs, tail ys) -> (head degree, head exterior count) -> {head: c};
     # xs is sorted, so the block's exterior indices come first
     groups: dict[tuple, dict[tuple[int, int], dict[Monomial, int]]] = {}
@@ -366,23 +343,16 @@ def invariant_decompose(a: Element, n: int) -> InvariantExpansion:
     for (txs, tys), shapes in groups.items():
         tail = Monomial(tuple(i - n for i in txs), tys)
         for (d, xc), target in shapes.items():
-            cands = _candidates(ctx.p, n, d, xc)
-            sol = solve_exact([terms for _, terms in cands], target, ctx.p) if cands else None
-            if sol is None:
-                raise NotInSpanError(
-                    "block cofactor of degree %d is outside the invariant span" % d
-                )
-            for (key, _), coef in zip(cands, sol):
-                if coef:
-                    entries.setdefault(key, {})[tail] = coef
-    final = {key: Element._make(tail_ctx, terms) for key, terms in entries.items()}
-    return InvariantExpansion(ctx, n, tail_ctx, final)
+            for key, coef in _span_coordinates(_candidates(ctx.p, n, d, xc), target, ctx.p):
+                entries.setdefault(key, {})[tail] = coef
+    tail_ctx = AlgebraContext(ctx.p, ctx.m - n)
+    return {key: Element._make(tail_ctx, terms) for key, terms in entries.items()}
 
 
 # Power-map expansions are expensive and endlessly re-read during the
 # Milnor sweeps; Elements hash by value, so (n, a) is a sound memo key.
 @cache
-def power_expansion(n: int, a: Element) -> InvariantExpansion:
+def power_expansion(n: int, a: Element) -> dict[Key, Element]:
     return invariant_decompose(d_star_p(n, a), n)
 
 
@@ -410,10 +380,9 @@ def milnor_st(S: Sequence[int], R: Sequence[int], a: Element, n: "int | None" = 
         raise ValueError(
             "(S=%s, R=%s) is inadmissible in degree %d (r0 = %d)" % (S, R, q, stats.r0)
         )
-    exp = power_expansion(n, a)
-    tail = exp.cofactor(S, (stats.r0,) + R[: n - 1] if n else ())
-    if tail.is_zero():
-        return tail
+    tail = power_expansion(n, a).get((S, (stats.r0,) + R[: n - 1] if n else ()))
+    if tail is None:
+        return a.ctx.zero()
     return tail.scalar_mul(-inv_mu if stats.sign_exp % 2 else inv_mu)
 
 

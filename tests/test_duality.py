@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from dicksonmui import duality
-from dicksonmui.algebra import AlgebraContext
+from dicksonmui.algebra import AlgebraContext, embed
 from dicksonmui.arith import st_operation_degree
 from dicksonmui.duality import (
     _block_results,
@@ -21,7 +21,7 @@ from dicksonmui.duality import (
     pairing_sign_exp,
     duality_case,
 )
-from dicksonmui.invariants import Mtilde, Q, U, V
+from dicksonmui.invariants import Ltilde, Mtilde, Q, U, V
 from dicksonmui.steenrod import NotInSpanError, admissible_indices, milnor_st
 from dicksonmui.verify import _subsets
 
@@ -57,6 +57,28 @@ def test_mixed_decompose_rejects_outside_span():
         mixed_decompose(ctx.y(2), 1)
     with pytest.raises(ValueError):
         mixed_decompose(AlgebraContext(3, 3).y(1), 1)  # wrong pair count
+
+
+def test_mixed_decompose_rejects_empty_basis():
+    # at p = 5 the x-free mixed basis starts with Ltilde_1 (degree 4) and
+    # V_2 (degree 10), so y1 has no candidate to be solved against
+    with pytest.raises(NotInSpanError):
+        mixed_decompose(AlgebraContext(5, 2).y(1), 1)
+
+
+def test_invariant_pairing_reads_embedded_invariants():
+    # Q_{2,1} embedded over three pairs has the constant cofactor 1
+    big = AlgebraContext(3, 3)
+    q21 = embed(Q(AlgebraContext(3, 2), 2, 1), big)
+    assert invariant_pairing(q21, 2, (), (0, 1)) == 1
+    assert invariant_pairing(q21, 2, (), (2, 0)) == 0
+
+
+def test_invariant_pairing_rejects_non_scalar_cofactor():
+    # Ltilde_2 * y3 has the cofactor y1 over the trailing pair
+    ctx = AlgebraContext(3, 3)
+    with pytest.raises(ValueError, match="not a scalar"):
+        invariant_pairing(Ltilde(ctx, 2) * ctx.y(3), 2, (), (1, 0))
 
 
 def test_matched_cell_passes_with_nonzero_pairing():

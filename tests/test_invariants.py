@@ -1,6 +1,8 @@
 """Invariant constructions against their independent product/recursion
 oracles, plus linear-invariance under the relevant groups."""
 
+import itertools
+
 import pytest
 
 from dicksonmui.algebra import AlgebraContext, exact_div, render_text
@@ -12,7 +14,6 @@ from dicksonmui.invariants import (
     Q,
     U,
     V,
-    all_gl_matrices,
     apply_matrix,
     dimension,
     gl_generators,
@@ -125,7 +126,8 @@ def test_u_is_not_sl_invariant_at_p5():
 def test_exhaustive_gl2_at_p3():
     ctx = ctx3(2)
     q = Q(ctx, 2, 1)
-    mats = list(all_gl_matrices(2, 3))
+    mats = [((a, b), (c, d)) for a, b, c, d in itertools.product(range(3), repeat=4)
+            if (a * d - b * c) % 3]
     assert len(mats) == 48  # |GL_2(F_3)|
     assert all(apply_matrix(q, g) == q for g in mats)
 

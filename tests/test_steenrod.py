@@ -22,6 +22,7 @@ from dicksonmui.steenrod import (
     p_power,
     total_power,
 )
+from dicksonmui.verify import assemble_from_milnor
 
 
 @pytest.fixture
@@ -227,11 +228,10 @@ def test_d_star_p_is_multiplicative(c1):
 
 
 def test_invariant_decompose_round_trip(c1):
-    img = d_star_p(1, c1.y(1))
-    exp = invariant_decompose(img, 1)
-    assert exp.reassemble() == img
+    y1 = c1.y(1)
+    assert assemble_from_milnor(1, y1) == d_star_p(1, y1)
     # V_2 = sum_H Qtilde_H (tail) with tails y^3 and 2 y
-    tails = {H: exp.cofactor((), H) for (_, H) in exp.entries}
+    tails = {H: tail for (_, H), tail in invariant_decompose(d_star_p(1, y1), 1).items()}
     assert render_text(tails[(0,)]) == "y1^3"
     assert render_text(tails[(2,)]) == "2*y1"
 
@@ -240,6 +240,13 @@ def test_decompose_rejects_non_span(c2):
     # y1 alone is not a GL_2-invariant of the leading two pairs
     with pytest.raises(NotInSpanError):
         invariant_decompose(c2.y(1), 2)
+
+
+def test_decompose_rejects_empty_basis():
+    # at p = 5 the invariant basis over one pair starts in degree 4, so a
+    # degree-2 element has no candidate to be solved against
+    with pytest.raises(NotInSpanError):
+        invariant_decompose(AlgebraContext(5, 1).y(1), 1)
 
 
 def test_basis_element(c2):
