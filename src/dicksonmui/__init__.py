@@ -6,6 +6,8 @@ action formulas and the pairing-duality checks are verified against an
 independent Cartan-formula oracle (see ``verify.run_suite``).
 """
 
+import sys as _sys
+
 from .algebra import (
     AlgebraContext,
     ContextMismatchError,
@@ -48,29 +50,18 @@ from .steenrod import (
     total_power,
 )
 from .verify import run_suite
-from . import duality as _duality, invariants as _invariants, steenrod as _steenrod
 
 __version__ = "0.1.0"
 
-# every memoised builder: invariants keyed on (p, params), the basis and
-# power-map expansions with milnor_st's rescaling, and the mixed U/V and
-# invariant coordinates
-_CACHED_BUILDERS = (
-    _invariants._bracket_e,
-    _invariants._bracket_x,
-    _invariants._ltilde,
-    _invariants._q,
-    _invariants._mtilde,
-    _invariants._u,
-    _invariants._v,
-    _invariants._q_recursion_row,
-    _steenrod._basis_element,
-    _steenrod._candidates,
-    _steenrod.power_expansion,
-    _steenrod._degree_and_inverse_mu,
-    _duality._mixed_candidates,
-    _duality.mixed_decompose,
-    _duality.invariant_coordinates,
+# every memoised builder: each functools.cache function defined at module
+# level in the package, collected once the modules above are loaded (and
+# before anything could wrap them)
+_CACHED_BUILDERS = tuple(
+    fn
+    for name, module in list(_sys.modules.items())
+    if name.startswith(__name__ + ".")
+    for fn in vars(module).values()
+    if hasattr(fn, "cache_clear") and fn.__module__ == name
 )
 
 
@@ -78,6 +69,7 @@ def clear_caches() -> None:
     """Empty every memoised builder, so the next call computes cold."""
     for builder in _CACHED_BUILDERS:
         builder.cache_clear()
+
 
 __all__ = [
     "AlgebraContext",

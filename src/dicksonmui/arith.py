@@ -7,7 +7,6 @@ precision is ever lost.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Sequence
 from itertools import chain
 from math import comb, factorial, gcd
@@ -84,16 +83,6 @@ def mu_mod(q: int, p: int, reps: int = 1) -> int:
     exp = h * (q * (q - 1) // 2) * reps
     val = pow(factorial(h) % p, q * reps, p)
     return -val % p if exp % 2 else val
-
-
-MilnorStats = namedtuple("MilnorStats", ("sign_exp", "r0"))
-MilnorStats.__doc__ = """Bookkeeping attached to a Milnor index pair (S, R) in degree q:
-sign_exp = len(S) + sum(S) + sum i * r_i, and r0 = q - len(S) - 2 sum R."""
-
-
-def seq_stats(S: Sequence[int], R: Sequence[int], q: int) -> MilnorStats:
-    sign_exp = len(S) + sum(S) + sum(i * r for i, r in enumerate(R, start=1))
-    return MilnorStats(sign_exp, q - len(S) - 2 * sum(R))
 
 
 def st_operation_degree(S: Sequence[int], R: Sequence[int], p: int) -> int:

@@ -31,6 +31,15 @@ def _digit_steps(r: int, count: int, p: int) -> list[int]:
     return [digit(r, i, p) - digit(r, i - 1, p) for i in range(count)]
 
 
+def _q_product(head: Element, n: int, exps: Sequence[int]) -> Element:
+    """head * Q_{n,0}^{exps[0]} .. Q_{n,n-1}^{exps[n-1]} over head's context,
+    one factor at a time in index order."""
+    for i, e in enumerate(exps):
+        if e:
+            head = head * Q(head.ctx, n, i) ** e
+    return head
+
+
 def power_on_u(r: int, k: int, ctx: AlgebraContext) -> ClosedFormResult:
     """P^r U_{k+1} in closed form.
 
@@ -52,18 +61,12 @@ def power_on_u(r: int, k: int, ctx: AlgebraContext) -> ClosedFormResult:
         * math.prod(math.factorial(ti) for ti in t),
         p,
     )
-    val = U(ctx, k + 1).scalar_mul(cm * h)
-    for i in range(k):
-        if t[i]:
-            val = val * Q(ctx, k, i) ** t[i]
+    val = _q_product(U(ctx, k + 1).scalar_mul(cm * h), k, t)
     for u in range(k):
         if not t[u]:
             continue
-        term = V(ctx, k + 1) * Mtilde(ctx, k, u)
-        for i in range(k):
-            e = t[i] - (1 if i == u else 0)
-            if e:
-                term = term * Q(ctx, k, i) ** e
+        exps = [ti - (i == u) for i, ti in enumerate(t)]
+        term = _q_product(V(ctx, k + 1) * Mtilde(ctx, k, u), k, exps)
         val = val + term.scalar_mul(cm * t[u])
     return ClosedFormResult(val, True, "2r < p^k, digits nondecreasing")
 
@@ -119,12 +122,8 @@ def power_on_mtilde(
         cm = ratio_mod(num * math.factorial(h - 1), denom, p)
         if not cm:
             continue
-        term = Mtilde(ctx, n, u)
-        for i in range(n):
-            e = t[i] - (1 if i == u else 0)
-            if e:
-                term = term * Q(ctx, n, i) ** e
-        total = total + term.scalar_mul(cm)
+        exps = [ti - (i == u) for i, ti in enumerate(t)]
+        total = total + _q_product(Mtilde(ctx, n, u), n, exps).scalar_mul(cm)
     if total.is_zero():
         return ClosedFormResult(total, True, "in range; coefficients vanish")
     return ClosedFormResult(total, True, "2r within bound, digits admissible")
@@ -146,10 +145,7 @@ def power_on_v(r: int, k: int, ctx: AlgebraContext) -> ClosedFormResult:
     cm = ratio_mod(math.factorial(lead), math.prod(math.factorial(ti) for ti in t), p)
     if lead % 2:
         cm = p - cm
-    val = V(ctx, k + 1).scalar_mul(cm)
-    for i in range(k):
-        if t[i]:
-            val = val * Q(ctx, k, i) ** t[i]
+    val = _q_product(V(ctx, k + 1).scalar_mul(cm), k, t)
     return ClosedFormResult(val, True, "r < p^k, digits nondecreasing")
 
 
@@ -182,11 +178,8 @@ def power_on_q(r: int, n: int, s: int, ctx: AlgebraContext) -> ClosedFormResult:
     )
     if lead % 2:
         cm = p - cm
-    val = ctx.scalar(cm)
-    for i in range(n):
-        e = t[i] + (1 if i == s else 0)
-        if e:
-            val = val * Q(ctx, n, i) ** e
+    exps = [ti + (i == s) for i, ti in enumerate(t)]
+    val = _q_product(ctx.scalar(cm), n, exps)
     return ClosedFormResult(val, True, "r < p^n - p^s, digits admissible")
 
 

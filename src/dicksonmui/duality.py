@@ -23,7 +23,6 @@ from collections.abc import Iterable, Sequence
 from functools import cache
 
 from .algebra import AlgebraContext, Element, embed
-from .arith import seq_stats
 from .invariants import Q, U, V, Mtilde
 from .steenrod import (
     _candidates,
@@ -32,6 +31,8 @@ from .steenrod import (
     admissible_indices,
     basis_element,
     invariant_decompose,
+    milnor_key,
+    milnor_sign,
     milnor_st,
 )
 
@@ -140,8 +141,8 @@ def pairing_sign_exp(
     t, tp = len(S), len(Sp)
     h = (p - 1) // 2
     total = (
-        seq_stats(S, R, 0).sign_exp
-        + seq_stats(Sp, Rp, 0).sign_exp
+        milnor_sign(S, R)
+        + milnor_sign(Sp, Rp)
         + s
         + delta
         + (t + dim_bracket(p, s)) * tp
@@ -215,11 +216,10 @@ def _block_results(
     if delta not in (0, 1):
         raise ValueError("delta, e must be 0/1 and j >= 0")
     _check_exterior(Sp, n)
-    r0p = (2 - delta) * p**k - len(Sp) - 2 * sum(Rp)
-    if r0p >= 0:
+    key_p = milnor_key(Sp, Rp, (2 - delta) * p**k)
+    if key_p is not None:
         img = milnor_st(Sp, Rp, uv_target(AlgebraContext(p, k + 1), k, delta), n)
         ctxn = AlgebraContext(p, n)
-        Hp = (r0p,) + Rp[: n - 1]
     coords = None  # mixed_decompose(img, k), read on first use
     q_mq = (2 - delta) * p**n
     matched: dict[int, "int | None"] = {}  # e + 2j -> s
@@ -236,37 +236,33 @@ def _block_results(
         if S is not last_S or R is not last_R:
             _check_exterior(S, k)
             last_S, last_R = S, R
-            h_sr = q_mq - len(S) - 2 * sum(R)
-            tail = R[: k - 1]
-            tail_ok = all(r >= 0 for r in tail)
-        if r0p < 0:
+        if key_p is None:
             out.append(skipped)
             continue
-        h0 = h_sr - e - 2 * j
+        key = milnor_key(S, R, q_mq - e - 2 * j)
         if e + 2 * j in matched:
             s = matched[e + 2 * j]
         else:
             s = matched[e + 2 * j] = _matched_s(p, n, delta, e, j)
-        if s is not None and h0 < 0:
+        if s is not None and key is None:
             # equivalently: St^{S,R} inadmissible on the matched M/Q target
             out.append((s, "SKIP", _MQ_INADMISSIBLE, None, None))
             continue
-        # <m̃_S q̃_H ⊗ u^e γ_j(v), img> with H = (h0,) + R[:k-1], as
-        # mixed_pairing reads it
-        if h0 < 0 or not tail_ok:
+        # <m̃_S q̃_H ⊗ u^e γ_j(v), img> at the key of St^{S,R} in degree
+        # q_mq - e - 2j, as mixed_pairing reads it
+        if key is None:
             lhs = 0
         else:
             if coords is None:
                 coords = mixed_decompose(img, k)
-            lhs = coords.get((S, (h0,) + tail, e, j), 0)
+            lhs = coords.get(key + (e, j), 0)
         if s is None:
             out.append((None, "PASS" if lhs == 0 else "FAIL", _NO_MATCH, lhs, 0))
             continue
-        key = (s, S, R)
-        rhs = rhs_of.get(key)
+        rhs = rhs_of.get((s, S, R))
         if rhs is None:
-            rhs = rhs_of[key] = _signed_mq_pairing(
-                p, n, k, delta, s, mq_target(ctxn, n, s, delta), S, R, Sp, Rp, Hp)
+            rhs = rhs_of[s, S, R] = _signed_mq_pairing(
+                p, n, k, delta, s, mq_target(ctxn, n, s, delta), S, R, Sp, Rp, key_p[1])
         out.append((s, "PASS" if lhs == rhs else "FAIL", "", lhs, rhs))
     return out
 
@@ -304,9 +300,8 @@ def expand_mq(
     lo = -delta
     if not lo <= s <= n - delta:
         raise ValueError("s out of range")
-    t = len(S)
-    H = ((2 - delta) * p**n + dim_bracket(p, s) - t - 2 * sum(R),) + R[: k - 1]
-    if H[0] < 0:
+    key = milnor_key(S, R, (2 - delta) * p**n + dim_bracket(p, s))
+    if key is None:
         raise ValueError("operation inadmissible on the M/Q target")
     e, j = (1, 0) if s == -1 else (0, p**s)
     big = AlgebraContext(p, k + 1)
@@ -318,13 +313,12 @@ def expand_mq(
         img = milnor_st(Sp, Rp, uv, n)
         if img.is_zero():
             continue
-        c = mixed_pairing(img, k, S, H, e, j)
+        c = mixed_pairing(img, k, *key, e, j)
         if not c:
             continue
         if pairing_sign_exp(p, n, k, delta, s, S, R, Sp, Rp):
             c = p - c
-        r0p = q_uv - len(Sp) - 2 * sum(Rp)
-        total = total + basis_element(p, n, Sp, (r0p,) + Rp[: n - 1]).scalar_mul(c)
+        total = total + basis_element(p, n, *milnor_key(Sp, Rp, q_uv)).scalar_mul(c)
     return total
 
 
@@ -341,11 +335,9 @@ def expand_uv(
     if len(Rp) != n:
         raise ValueError("need len(Rp) = n")
     _check_exterior(Sp, n)
-    q_uv = (2 - delta) * p**k
-    r0p = q_uv - len(Sp) - 2 * sum(Rp)
-    if r0p < 0:
+    key_p = milnor_key(Sp, Rp, (2 - delta) * p**k)
+    if key_p is None:
         raise ValueError("operation inadmissible on the U/V target")
-    Hp = (r0p,) + Rp[: n - 1]
     big = AlgebraContext(p, k + 1)
     ctxn = AlgebraContext(p, n)
     total = big.zero()
@@ -354,9 +346,9 @@ def expand_uv(
         q_mq = target.degree()
         tail = U(big, k + 1) if s == -1 else V(big, k + 1) ** (p**s)
         for S, R in admissible_indices(q_mq, k):
-            c = _signed_mq_pairing(p, n, k, delta, s, target, S, R, Sp, Rp, Hp)
+            c = _signed_mq_pairing(p, n, k, delta, s, target, S, R, Sp, Rp, key_p[1])
             if not c:
                 continue
-            H = (q_mq - len(S) - 2 * sum(R),) + R[: k - 1]
-            total = total + (embed(basis_element(p, k, S, H), big) * tail).scalar_mul(c)
+            head = embed(basis_element(p, k, *milnor_key(S, R, q_mq)), big)
+            total = total + (head * tail).scalar_mul(c)
     return total

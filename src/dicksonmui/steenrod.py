@@ -32,7 +32,7 @@ from .algebra import (
     _new_tuple,
     relabel,
 )
-from .arith import binom_mod, inv_mod, mu_mod, seq_stats, solve_exact
+from .arith import binom_mod, inv_mod, mu_mod, solve_exact
 from .invariants import U, V, Ltilde, Mtilde, Q
 
 
@@ -349,20 +349,42 @@ def invariant_decompose(a: Element, n: int) -> dict[Key, Element]:
     return {key: Element._make(tail_ctx, terms) for key, terms in entries.items()}
 
 
+def milnor_key(S: tuple[int, ...], R: tuple[int, ...], q: int) -> "Key | None":
+    """The invariant-basis key (S, H) whose cofactor in the len(R)-block
+    power map of a degree-q class is St^{S,R} of it, up to rescaling:
+    H = (r0,) + R[:-1] with r0 = q - len(S) - 2 sum(R), and H = () at rank
+    zero.  None when r0 < 0, where the operation is inadmissible."""
+    r0 = q - len(S) - 2 * sum(R)
+    if r0 < 0:
+        return None
+    return S, ((r0,) + R[:-1] if R else ())
+
+
+def milnor_sign(S: Sequence[int], R: Sequence[int]) -> int:
+    """Parity (0 or 1) of len(S) + sum(S) + sum_i i r_i, the sign exponent
+    of St^{S,R} in the rescaling of its power-map cofactor."""
+    return (len(S) + sum(S) + sum(i * r for i, r in enumerate(R, start=1))) % 2
+
+
 # Power-map expansions are expensive and endlessly re-read during the
 # Milnor sweeps; Elements hash by value, so (n, a) is a sound memo key.
 @cache
-def power_expansion(n: int, a: Element) -> dict[Key, Element]:
-    return invariant_decompose(d_star_p(n, a), n)
+def power_expansion(n: int, a: Element) -> tuple[int, dict[Key, Element]]:
+    """(mu(q)^-n mod p, invariant_decompose(d_star_p(n, a), n)) for
+    homogeneous ``a`` of degree q: the rescaling and the coordinates that
+    every Milnor operation on ``a`` reads."""
+    inv_mu = inv_mod(mu_mod(a.degree(), a.ctx.p, n), a.ctx.p)
+    return inv_mu, invariant_decompose(d_star_p(n, a), n)
 
 
 def milnor_st(S: Sequence[int], R: Sequence[int], a: Element, n: "int | None" = None) -> Element:
     """The Milnor-basis operation St^{S,R} applied to homogeneous ``a``.
 
-    Read off as the (S, (r0, r1, .., r_{n-1})) cofactor of the n-block
-    power-map expansion of ``a``, rescaled by mu(q)^{-n} (-1)^{r(S,R)}
-    where q = deg a.  Requires r0 = q - l(S) - 2 sum(R) >= 0; operations
-    beyond that excess bound are not represented in the expansion.
+    Read off as the ``milnor_key`` cofactor of the n-block power-map
+    expansion of ``a``, rescaled by mu(q)^{-n} (-1)^{milnor_sign} where
+    q = deg a.  Requires r0 = q - l(S) - 2 sum(R) >= 0; operations beyond
+    that excess bound are not represented in the expansion, and are
+    refused before the power map runs.
     """
     S, R = tuple(S), tuple(R)
     if n is None:
@@ -374,29 +396,21 @@ def milnor_st(S: Sequence[int], R: Sequence[int], a: Element, n: "int | None" = 
     _check_exterior(S, n)
     if a.is_zero():
         return a
-    q, inv_mu = _degree_and_inverse_mu(n, a)
-    stats = seq_stats(S, R, q)
-    if stats.r0 < 0:
-        raise ValueError(
-            "(S=%s, R=%s) is inadmissible in degree %d (r0 = %d)" % (S, R, q, stats.r0)
-        )
-    tail = power_expansion(n, a).get((S, (stats.r0,) + R[: n - 1] if n else ()))
+    # one term's degree is q; power_expansion checks that a is homogeneous
+    q = next(iter(a.terms)).degree()
+    key = milnor_key(S, R, q)
+    if key is None:
+        raise ValueError("(S=%s, R=%s) is inadmissible in degree %d" % (S, R, q))
+    inv_mu, coords = power_expansion(n, a)
+    tail = coords.get(key)
     if tail is None:
         return a.ctx.zero()
-    return tail.scalar_mul(-inv_mu if stats.sign_exp % 2 else inv_mu)
-
-
-# A Milnor sweep reads many (S, R) off one (n, a); the degree scan and the
-# inverse of mu(q)^n depend on (n, a) alone.
-@cache
-def _degree_and_inverse_mu(n: int, a: Element) -> tuple[int, int]:
-    """(q, mu(q)^-n mod p) for homogeneous nonzero a of degree q."""
-    q = a.degree()
-    return q, inv_mod(mu_mod(q, a.ctx.p, n), a.ctx.p)
+    return tail.scalar_mul(-inv_mu if milnor_sign(S, R) else inv_mu)
 
 
 def admissible_indices(q: int, n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All (S, R) with S inside 0..n-1, len(R) = n, and r0(q) >= 0."""
+    """All (S, R) with S inside 0..n-1, len(R) = n, and a ``milnor_key``
+    in degree q."""
     for xc in range(n + 1):
         for S in itertools.combinations(range(n), xc):
             budget = (q - xc) // 2

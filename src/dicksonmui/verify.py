@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from . import closed_forms as cf
 from . import duality
 from .algebra import AlgebraContext, Element, Monomial, embed, relabel, render_text
-from .arith import mu_mod, seq_stats, st_operation_degree
+from .arith import mu_mod, st_operation_degree
 from .grammar import from_json, parse_text, render_latex, to_json
 from .invariants import (
     Ltilde,
@@ -46,6 +46,8 @@ from .steenrod import (
     bockstein,
     compose_check,
     d_star_p,
+    milnor_key,
+    milnor_sign,
     milnor_st,
     p_power,
     total_power,
@@ -53,7 +55,6 @@ from .steenrod import (
 
 SUITE_NAMES = ("core", "invariants", "steenrod", "closed-forms", "duality")
 DEFAULT_BUDGET = 200_000
-WORKERS_ENV = "DICKSONMUI_WORKERS"
 PROPERTY_CASES = 1000
 
 
@@ -202,9 +203,8 @@ def assemble_from_milnor(n: int, a: Element) -> Element:
         st = milnor_st(S, R, a, n)
         if st.is_zero():
             continue
-        stats = seq_stats(S, R, q)
-        c = scale0 if stats.sign_exp % 2 == 0 else (p - scale0) % p
-        head = embed(basis_element(p, n, S, (stats.r0,) + R[: n - 1]), big)
+        c = (p - scale0) % p if milnor_sign(S, R) else scale0
+        head = embed(basis_element(p, n, *milnor_key(S, R, q)), big)
         out = out + head * relabel(st, big, shift).scalar_mul(c)
     return out
 
@@ -336,7 +336,7 @@ def _cell_flag_u2(p: int) -> dict:
     for n in (1, 2):
         for R in itertools.product(range(p + 1), repeat=n):
             for u in range(n):
-                if p - 1 - 2 * sum(R) < 0:
+                if milnor_key((u,), R, p) is None:
                     continue
                 a = cf.st_on_u2((u,), R, ctx, resolved=True)
                 b = cf.st_on_u2((u,), R, ctx, resolved=False)
@@ -357,7 +357,7 @@ def _cell_flag_v2(p: int) -> dict:
     first = None
     for n in (1, 2):
         for R in itertools.product(range(p + 1), repeat=n):
-            if 2 * p - 2 * sum(R) < 0:
+            if milnor_key((), R, 2 * p) is None:
                 continue
             a = cf.st_on_v2(R, ctx, resolved=True)
             b = cf.st_on_v2(R, ctx, resolved=False)
@@ -408,7 +408,7 @@ def _closed_form_tasks(p_values, max_n):
                 for S in _subsets(ln):
                     for eps in (0, 1):
                         for b in range(5):
-                            if eps + 2 * b - len(S) - 2 * sum(R) < 0:
+                            if milnor_key(S, R, eps + 2 * b) is None:
                                 continue
                             tasks.append(_task(
                                 "closed-forms",
@@ -418,18 +418,19 @@ def _closed_form_tasks(p_values, max_n):
             for ln in (1, 2):
                 for R in itertools.product(range(p + 1), repeat=ln):
                     for S in list(_subsets(ln)):
-                        if p - len(S) - 2 * sum(R) < 0:
+                        if milnor_key(S, R, p) is None:
                             continue
                         tasks.append(_task(
                             "closed-forms", "u2/p%d/S(%s)/R(%s)" % (p, _fmt(S), _fmt(R)),
                             _cell_u2, (p, S, R), _mc(ln + 2, p**ln * p)))
-                    if 2 * p - 2 * sum(R) >= 0:
+                    if milnor_key((), R, 2 * p) is not None:
                         tasks.append(_task("closed-forms", "v2/p%d/R(%s)" % (p, _fmt(R)),
                                            _cell_v2, (p, R), _mc(ln + 2, p**ln * p)))
         tasks.append(_task("closed-forms", "flag/mtilde/p%d" % p, _cell_flag_mtilde,
                            (p, lim), _mc(lim, p**lim * p) * 4))
-    tasks.append(_task("closed-forms", "flag/u2/p3", _cell_flag_u2, (3,), 40_000))
-    tasks.append(_task("closed-forms", "flag/v2/p3", _cell_flag_v2, (3,), 40_000))
+    if 3 in p_values:
+        tasks.append(_task("closed-forms", "flag/u2/p3", _cell_flag_u2, (3,), 40_000))
+        tasks.append(_task("closed-forms", "flag/v2/p3", _cell_flag_v2, (3,), 40_000))
     return tasks
 
 
@@ -452,7 +453,7 @@ def _block_pairing(p: int, n: int, k: int, delta: int, Sp: tuple, Rp: tuple,
     heads = []  # (S, R, label head)
     for S in _subsets(k):
         for R in itertools.product(range(p**n + 2), repeat=k):
-            if 2 * sum(R) + len(S) > q_mq + 4:
+            if milnor_key(S, R, q_mq + 4) is None:
                 continue
             if st_operation_degree(S, R, p) > degmax:
                 continue
@@ -529,8 +530,7 @@ def _duality_tasks(p_values, grid):
                             "pairing/p%d/n%dk%d/d%d/Sp(%s)/Rp(%s)" % (
                                 p, n, k, delta, _fmt(Sp), _fmt(Rp)),
                             _block_pairing, (p, n, k, delta, Sp, Rp, dm), est))
-                        r0p = q_uv - len(Sp) - 2 * sum(Rp)
-                        if r0p >= 0:
+                        if milnor_key(Sp, Rp, q_uv) is not None:
                             tasks.append(_task(
                                 "duality",
                                 "uv/p%d/n%dk%d/d%d/Sp(%s)/Rp(%s)" % (
@@ -724,12 +724,9 @@ def _execute(task: dict) -> list[dict]:
 
 
 def _worker_count(workers: "int | None") -> int:
-    """The requested worker count (argument, else environment, else 1),
-    clamped to 1..cpu_count so no request forks more processes than cores."""
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV, "")
-        workers = int(env) if env.strip() else 1
-    return max(1, min(workers, os.cpu_count() or 1))
+    """The requested worker count (1 when None), clamped to 1..cpu_count
+    so no request forks more processes than cores."""
+    return max(1, min(1 if workers is None else workers, os.cpu_count() or 1))
 
 
 def _run_tasks(tasks: list[dict], workers: int, budget: int) -> list[dict]:
@@ -775,9 +772,10 @@ def run_suite(
     """Run one verification suite (or ``all``) and return the report dict.
 
     Every p must be an odd prime, max_n (when given) and cases integers
-    of at least 1, and budget an integer of at least 0; otherwise
-    ValueError, before any cell runs.  cases is the number of randomized
-    property cases per family and prime."""
+    of at least 1, budget an integer of at least 0, seed an integer and
+    workers (when given) an integer; otherwise ValueError, before any cell
+    runs.  workers is clamped to 1..cpu_count.  cases is the number of
+    randomized property cases per family and prime."""
     if name == "all":
         names = SUITE_NAMES
     elif name in SUITE_NAMES:
@@ -795,6 +793,10 @@ def run_suite(
         raise ValueError("cases must be an integer >= 1, got %r" % (cases,))
     if not (isinstance(budget, int) and budget >= 0):
         raise ValueError("budget must be an integer >= 0, got %r" % (budget,))
+    if not isinstance(seed, int):
+        raise ValueError("seed must be an integer, got %r" % (seed,))
+    if not (workers is None or isinstance(workers, int)):
+        raise ValueError("workers must be an integer, got %r" % (workers,))
     tasks: list[dict] = []
     for nm in names:
         if nm == "invariants":

@@ -156,6 +156,38 @@ def test_uv_expansion_matches_extraction(delta):
         assert got == milnor_st(Sp, Rp, target, n), (Sp, Rp)
 
 
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("n", [1, 2])
+def test_rank_zero_mq_expansion_is_the_target(p, n):
+    # St^{(),()} is the identity, so the rank-0 re-expansion rebuilds the
+    # M/Q-side target itself
+    ctxn = AlgebraContext(p, n)
+    for delta in (0, 1):
+        for s in range(-delta, n - delta + 1):
+            want = duality.mq_target(ctxn, n, s, delta)
+            assert expand_mq(p, n, 0, delta, s, (), ()) == want, (delta, s)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_rank_zero_uv_expansion_is_the_target(p, k):
+    big = AlgebraContext(p, k + 1)
+    for delta in (0, 1):
+        assert expand_uv(p, 0, k, delta, (), ()) == duality.uv_target(big, k, delta), delta
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_rank_zero_duality_cells_agree(p):
+    # k = 0: the M/Q-side operation is the identity, read at the rank-0 key
+    for n in (1, 2):
+        for delta in (0, 1):
+            for Sp, Rp in admissible_indices((2 - delta) * p**0, n):
+                cases = [((), (), e, j) for e in (0, 1) for j in range(p**n + 2)]
+                for s, status, reason, lhs, rhs in _block_results(
+                        p, n, 0, delta, Sp, Rp, cases):
+                    assert status == "PASS", (n, delta, Sp, Rp, s, lhs, rhs)
+
+
 def test_expansion_input_validation():
     with pytest.raises(ValueError):
         expand_mq(3, 1, 1, 0, 2, (), (0,))  # s out of range

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from dicksonmui.algebra import AlgebraContext, Element, Monomial, embed, render_text
-from dicksonmui.arith import binom_mod, mu_mod, seq_stats
+from dicksonmui.arith import binom_mod, mu_mod
 from dicksonmui.invariants import Ltilde, Mtilde, Q, U, V
 from dicksonmui.steenrod import (
     NotInSpanError,
@@ -18,8 +18,10 @@ from dicksonmui.steenrod import (
     compose_check,
     d_star_p,
     invariant_decompose,
+    milnor_key,
     milnor_st,
     p_power,
+    power_expansion,
     total_power,
 )
 from dicksonmui.verify import assemble_from_milnor
@@ -326,10 +328,25 @@ def test_milnor_length_two_padding(c2):
 def test_milnor_inadmissible_raises(c2):
     with pytest.raises(ValueError):
         milnor_st((), (14,), c2.y(1, 2), 1)  # r0 < 0 in its own degree
+    # refused before the power map runs: a 10-block power map of y would
+    # take hours
+    misses = power_expansion.cache_info().misses
+    with pytest.raises(ValueError, match="inadmissible"):
+        milnor_st((), (0,) * 9 + (2,), c2.y(1), 10)
+    assert power_expansion.cache_info().misses == misses
     with pytest.raises(ValueError):
         milnor_st((1, 0), (0, 0), U(c2, 2), 2)  # S not increasing
     with pytest.raises(ValueError):
         milnor_st((2,), (0, 0), U(c2, 2), 2)  # S entry outside 0..n-1
+
+
+def test_milnor_key_at_every_rank():
+    assert milnor_key((), (), 0) == ((), ())
+    assert milnor_key((), (), 5) == ((), ())
+    assert milnor_key((0,), (1,), 5) == ((0,), (2,))
+    assert milnor_key((0, 1), (1, 2, 0), 11) == ((0, 1), (3, 1, 2))
+    assert milnor_key((0,), (1,), 2) is None
+    assert milnor_key((), (1, 0), 1) is None
 
 
 def test_milnor_nonzero_exterior_stratum(c2):
@@ -342,7 +359,7 @@ def test_milnor_nonzero_exterior_stratum(c2):
 def test_admissible_indices():
     idx = list(admissible_indices(2, 1))  # degree of y
     assert ((), (0,)) in idx and ((0,), (0,)) in idx
-    assert all(seq_stats(S, R, 2).r0 >= 0 for S, R in idx)
+    assert all(milnor_key(S, R, 2) is not None for S, R in idx)
     assert all(len(R) == 1 for _, R in idx)
 
 

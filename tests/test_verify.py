@@ -18,7 +18,6 @@ from dicksonmui.algebra import AlgebraContext
 from dicksonmui.arith import st_operation_degree
 from dicksonmui.duality import duality_case
 from dicksonmui.verify import (
-    WORKERS_ENV,
     _duality_tasks,
     _execute,
     _fmt,
@@ -29,26 +28,12 @@ from dicksonmui.verify import (
 )
 
 
-def test_worker_count_is_clamped_to_cpu_count(monkeypatch):
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
+def test_worker_count_is_clamped_to_cpu_count():
     cores = os.cpu_count() or 1
     assert _worker_count(None) == 1
     assert _worker_count(0) == 1
     assert _worker_count(1) == 1
     assert _worker_count(10**6) == cores
-
-
-def test_worker_count_from_environment(monkeypatch):
-    cores = os.cpu_count() or 1
-    monkeypatch.setenv(WORKERS_ENV, "1000000")
-    assert _worker_count(None) == cores
-    monkeypatch.setenv(WORKERS_ENV, "-3")
-    assert _worker_count(None) == 1
-    monkeypatch.setenv(WORKERS_ENV, " ")
-    assert _worker_count(None) == 1
-    # an explicit count wins over the environment
-    monkeypatch.setenv(WORKERS_ENV, "1000000")
-    assert _worker_count(1) == 1
 
 
 def _schema():
@@ -72,6 +57,17 @@ def test_budget_skips_carry_zero_seconds():
     jsonschema.validate(rep, _schema())
     assert rep["counts"]["skip"] == len(rep["cells"]) > 0
     assert all(row["seconds"] == 0.0 for row in rep["cells"])
+
+
+def test_p3_flag_cells_only_at_p3():
+    # the U2/V2 flag cells exist for p = 3 only, and close the suite's rows
+    cells = [row["cell"] for row in
+             run_suite("closed-forms", p_values=(5,), max_n=1, budget=0)["cells"]]
+    assert cells and not [c for c in cells if "p3" in c.split("/")]
+    cells = [row["cell"] for row in
+             run_suite("closed-forms", p_values=(3, 5), max_n=1, budget=0)["cells"]]
+    assert cells[-2:] == ["flag/u2/p3", "flag/v2/p3"]
+    assert len([c for c in cells if c.startswith("flag/")]) == 4
 
 
 def test_import_leaves_the_process_pool_out():
@@ -223,6 +219,10 @@ def test_failing_pairing_rows_match_the_reference_rows(monkeypatch):
     (dict(cases=2.5), "cases"),
     (dict(budget=-1), "budget"),
     (dict(budget="x"), "budget"),
+    (dict(seed="x"), "seed"),
+    (dict(seed=1.5), "seed"),
+    (dict(workers=1.5), "workers"),
+    (dict(workers="2"), "workers"),
 ])
 def test_run_suite_rejects_out_of_range_arguments(monkeypatch, kwargs, message):
     def no_cell(task):
