@@ -27,7 +27,7 @@ from .duality import invariant_coordinates, mixed_decompose
 from .grammar import parse_text, render_latex, to_json
 from .invariants import L, Ltilde, M, Mtilde, Q, U, V
 from .steenrod import bockstein, milnor_st, p_power
-from .verify import DEFAULT_BUDGET, PROPERTY_CASES, SUITE_NAMES, run_suite
+from .verify import SUITE_NAMES, run_suite
 
 
 class UsageError(ValueError):
@@ -42,8 +42,8 @@ def _emit(el: Element, fmt: str) -> str:
     return render_text(el)
 
 
-def _int_list(raw: str | None) -> tuple[int, ...]:
-    if raw is None or not raw.strip():
+def _int_list(raw: str) -> tuple[int, ...]:
+    if not raw.strip():
         return ()
     try:
         return tuple(int(tok) for tok in raw.split(","))
@@ -156,17 +156,13 @@ def _cmd_closed_form(args) -> int:
 # ---------------------------------------------------------------- verify
 
 def _cmd_verify(args) -> int:
-    rep = run_suite(
-        args.suite,
-        p_values=_int_list(args.p) or None,
-        max_n=args.max_n,
-        grid=args.grid,
-        seed=args.seed,
-        budget=args.budget,
-        workers=args.workers,
-        cases=args.cases,
-    )
-    if args.out:
+    given = vars(args)  # the flags given; every other argument is run_suite's default
+    kwargs = {k: given[k] for k in ("max_n", "grid", "seed", "budget", "workers", "cases")
+              if k in given}
+    if "p" in given:
+        kwargs["p_values"] = _int_list(args.p)
+    rep = run_suite(args.suite, **kwargs)
+    if given.get("out"):
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(rep, fh, indent=2)
             fh.write("\n")
@@ -335,16 +331,18 @@ def _build_parser() -> argparse.ArgumentParser:
     add_fmt(q)
     q.set_defaults(func=_cmd_closed_form)
 
-    q = sub.add_parser("verify", help="run a verification suite")
+    # an option left out is left to run_suite's default, the acceptance grid
+    q = sub.add_parser("verify", help="run a verification suite",
+                       argument_default=argparse.SUPPRESS)
     q.add_argument("--suite", required=True, choices=list(SUITE_NAMES) + ["all"])
     q.add_argument("--p", help="comma list of odd primes, e.g. 3,5")
     q.add_argument("--max-n", type=int, dest="max_n")
-    q.add_argument("--grid", choices=["small", "full"], default="small")
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    q.add_argument("--grid", choices=["small", "full"])
+    q.add_argument("--seed", type=int)
+    q.add_argument("--budget", type=int,
                    help="raw-monomial budget per cell; larger cells are skipped")
     q.add_argument("--workers", type=int)
-    q.add_argument("--cases", type=int, default=PROPERTY_CASES,
+    q.add_argument("--cases", type=int,
                    help="randomized property cases per family and prime, "
                         "split over up to 5 batches")
     q.add_argument("--out", help="also write the JSON report to this file")

@@ -20,7 +20,7 @@ import os
 import random
 import time
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from . import closed_forms as cf
 from . import duality
@@ -53,7 +53,6 @@ from .steenrod import (
     total_power,
 )
 
-SUITE_NAMES = ("core", "invariants", "steenrod", "closed-forms", "duality")
 DEFAULT_BUDGET = 200_000
 PROPERTY_CASES = 1000
 
@@ -78,6 +77,26 @@ def _fmt(t: Sequence[int]) -> str:
 def _subsets(n: int):
     for size in range(n + 1):
         yield from itertools.combinations(range(n), size)
+
+
+DUALITY_SHAPES = ((1, 1), (1, 2), (2, 1))
+
+
+def _grid_caps(p: int, max_n: int, grid: str) -> dict:
+    """Every prime-dependent cap of the verification grid, stated once.
+
+    p = 3 runs the widest grid; at larger p the same shapes grow as p**n,
+    so the caps are smaller there.  ``grid='small'`` lowers only the p = 3
+    duality degree bound."""
+    widest = p == 3
+    return {
+        "lim": min(max_n, 2 if widest else 1),   # closed-form n and k
+        "vmax": 2 if widest else 1,              # brackets u <= v <= vmax
+        "u2v2": widest,                          # u2/v2, flag/u2 and flag/v2 cells
+        "shapes": DUALITY_SHAPES if widest else DUALITY_SHAPES[:1],
+        "degmax": 40 if widest and grid == "full" else 24,  # duality degree bound
+        "reassemble_n": min(max_n, 2),           # steenrod power-map blocks
+    }
 
 
 # ------------------------------------------------------------- invariants
@@ -128,41 +147,36 @@ def _cell_flag_invariance(p: int, k: int, name: str, gi: int) -> dict:
     return _eq_row(apply_matrix(a, _flag_stabilizer_generators(k, p)[gi]), a)
 
 
-def _invariant_tasks(p_values, max_n):
-    tasks = []
+def _invariant_tasks(p_values, max_n, grid, seed, cases):
     for p in p_values:
         for n in range(1, max_n + 1):
             base = _mc(n, p**n - 1)
             for s in range(n + 1):
-                tasks.append(_task("invariants", "Q-recursion/p%d/n%d/s%d" % (p, n, s),
-                                   _cell_q_recursion, (p, n, s), 4 * base))
-            tasks.append(_task("invariants", "V-product/p%d/k%d" % (p, n),
-                               _cell_v_product, (p, n), _mc(n, p ** (n - 1)) * 4))
-            tasks.append(_task("invariants", "Q-base/p%d/n%d" % (p, n),
-                               _cell_q_base, (p, n), base))
-            tasks.append(_task("invariants", "Q-top/p%d/n%d" % (p, n),
-                               _cell_q_top, (p, n), 1))
+                yield _task("invariants", "Q-recursion/p%d/n%d/s%d" % (p, n, s),
+                            _cell_q_recursion, (p, n, s), 4 * base)
+            yield _task("invariants", "V-product/p%d/k%d" % (p, n),
+                        _cell_v_product, (p, n), _mc(n, p ** (n - 1)) * 4)
+            yield _task("invariants", "Q-base/p%d/n%d" % (p, n), _cell_q_base, (p, n), base)
+            yield _task("invariants", "Q-top/p%d/n%d" % (p, n), _cell_q_top, (p, n), 1)
             glgen = gl_generators(n, p)
             slgen = sl_generators(n, p)
             gl_est = base * p**n
             for s in range(n):
                 for gi in range(len(glgen)):
-                    tasks.append(_task("invariants", "GL/p%d/n%d/s%d/g%d" % (p, n, s, gi),
-                                       _cell_gl_invariance, (p, n, s, gi), gl_est))
+                    yield _task("invariants", "GL/p%d/n%d/s%d/g%d" % (p, n, s, gi),
+                                _cell_gl_invariance, (p, n, s, gi), gl_est)
             sl_targets = [("L", -1)] + [("M", s) for s in range(n)]
             sl_est = _mc(n, p**n) * p**n
             for name, s in sl_targets:
                 for gi in range(len(slgen)):
-                    tasks.append(_task("invariants", "SL/p%d/n%d/%s%d/g%d" % (p, n, name, s, gi),
-                                       _cell_sl_invariance, (p, n, name, s, gi), sl_est))
+                    yield _task("invariants", "SL/p%d/n%d/%s%d/g%d" % (p, n, name, s, gi),
+                                _cell_sl_invariance, (p, n, name, s, gi), sl_est)
             if n >= 2:
                 flag_est = _mc(n, p ** (n - 1) * 2) * p**n
                 for name in ("U", "V"):
                     for gi in range(len(_flag_stabilizer_generators(n, p))):
-                        tasks.append(_task(
-                            "invariants", "flag/p%d/k%d/%s/g%d" % (p, n, name, gi),
-                            _cell_flag_invariance, (p, n, name, gi), flag_est))
-    return tasks
+                        yield _task("invariants", "flag/p%d/k%d/%s/g%d" % (p, n, name, gi),
+                                    _cell_flag_invariance, (p, n, name, gi), flag_est)
 
 
 # --------------------------------------------------------------- steenrod
@@ -236,26 +250,22 @@ def _cell_compose(p: int, name: str, s: int, n: int) -> dict:
     return {"status": "FAIL", "reason": "staged power map disagrees at s=%d n=%d" % (s, n)}
 
 
-def _steenrod_tasks(p_values, max_n):
-    tasks = []
+def _steenrod_tasks(p_values, max_n, grid, seed, cases):
     for p in p_values:
+        reassemble_n = _grid_caps(p, max_n, grid)["reassemble_n"]
         for name in _NAMED:
             a = _named_element(p, name)
             q = a.degree()
             for r in range(q // 2 + 1):
-                tasks.append(_task("steenrod", "milnor-power/p%d/%s/r%d" % (p, name, r),
-                                   _cell_milnor_vs_power, (p, name, r),
-                                   _mc(a.ctx.m + 1, q * p // 2 + 1)))
-            tasks.append(_task("steenrod", "milnor-inadmissible/p%d/%s" % (p, name),
-                               _cell_milnor_inadmissible, (p, name), 10))
-            for n in range(1, min(max_n, 2) + 1):
-                tasks.append(_task("steenrod", "reassemble/p%d/%s/n%d" % (p, name, n),
-                                   _cell_reassemble, (p, name, n),
-                                   2 * _mc(a.ctx.m + n, q * p**n // 2 + 1)))
-            tasks.append(_task("steenrod", "compose/p%d/%s/s1n2" % (p, name),
-                               _cell_compose, (p, name, 1, 2),
-                               2 * _mc(a.ctx.m + 2, q * p**2 // 2 + 1)))
-    return tasks
+                yield _task("steenrod", "milnor-power/p%d/%s/r%d" % (p, name, r),
+                            _cell_milnor_vs_power, (p, name, r), _mc(a.ctx.m + 1, q * p // 2 + 1))
+            yield _task("steenrod", "milnor-inadmissible/p%d/%s" % (p, name),
+                        _cell_milnor_inadmissible, (p, name), 10)
+            for n in range(1, reassemble_n + 1):
+                yield _task("steenrod", "reassemble/p%d/%s/n%d" % (p, name, n), _cell_reassemble,
+                            (p, name, n), 2 * _mc(a.ctx.m + n, q * p**n // 2 + 1))
+            yield _task("steenrod", "compose/p%d/%s/s1n2" % (p, name), _cell_compose,
+                        (p, name, 1, 2), 2 * _mc(a.ctx.m + 2, q * p**2 // 2 + 1))
 
 
 # ------------------------------------------------------------ closed forms
@@ -374,69 +384,61 @@ def _cell_flag_v2(p: int) -> dict:
                       "with the extraction at R=%s" % (cf.V2_MIXED_CASE_RESOLVED_SIGN, first)}
 
 
-def _closed_form_tasks(p_values, max_n):
-    tasks = []
+def _closed_form_tasks(p_values, max_n, grid, seed, cases):
+    flags = []
     for p in p_values:
-        lim = min(max_n, 2 if p == 3 else 1)
+        caps = _grid_caps(p, max_n, grid)
+        lim = caps["lim"]
         for k in range(0, lim + 1):
             est = _mc(k + 1, p**k * p)
             for r in range(p**k // 2 + 4):
-                tasks.append(_task("closed-forms", "power/U/p%d/k%d/r%d" % (p, k, r),
-                                   _cell_power_family, (p, "U", r, k, 0), est))
+                yield _task("closed-forms", "power/U/p%d/k%d/r%d" % (p, k, r),
+                            _cell_power_family, (p, "U", r, k, 0), est)
             for r in range(p**k + 4):
-                tasks.append(_task("closed-forms", "power/V/p%d/k%d/r%d" % (p, k, r),
-                                   _cell_power_family, (p, "V", r, k, 0), est))
+                yield _task("closed-forms", "power/V/p%d/k%d/r%d" % (p, k, r),
+                            _cell_power_family, (p, "V", r, k, 0), est)
         for n in range(1, lim + 1):
             est = _mc(n, p**n * p)
             for s in range(-1, n):
-                top = dimension("Mtilde", p, n, s) // 2 + 3
-                for r in range(top + 1):
-                    tasks.append(_task("closed-forms", "power/M/p%d/n%d/s%d/r%d" % (p, n, s, r),
-                                       _cell_power_family, (p, "M", r, n, s), est))
+                for r in range(dimension("Mtilde", p, n, s) // 2 + 4):
+                    yield _task("closed-forms", "power/M/p%d/n%d/s%d/r%d" % (p, n, s, r),
+                                _cell_power_family, (p, "M", r, n, s), est)
             for s in range(n + 1):
-                top = dimension("Q", p, n, s) // 2 + 3
-                for r in range(top + 1):
-                    tasks.append(_task("closed-forms", "power/Q/p%d/n%d/s%d/r%d" % (p, n, s, r),
-                                       _cell_power_family, (p, "Q", r, n, s), est))
-        vmax = 2 if p == 3 else 1
-        for u in range(vmax + 1):
-            for v in range(u, vmax + 1):
-                tasks.append(_task("closed-forms", "bracket/p%d/u%dv%d" % (p, u, v),
-                                   _cell_bracket, (p, u, v), _mc(2, p**v)))
+                for r in range(dimension("Q", p, n, s) // 2 + 4):
+                    yield _task("closed-forms", "power/Q/p%d/n%d/s%d/r%d" % (p, n, s, r),
+                                _cell_power_family, (p, "Q", r, n, s), est)
+        for u in range(caps["vmax"] + 1):
+            for v in range(u, caps["vmax"] + 1):
+                yield _task("closed-forms", "bracket/p%d/u%dv%d" % (p, u, v),
+                            _cell_bracket, (p, u, v), _mc(2, p**v))
         for ln in (1, 2):
             for R in itertools.product(range(p), repeat=ln):
                 for S in _subsets(ln):
                     for eps in (0, 1):
                         for b in range(5):
-                            if milnor_key(S, R, eps + 2 * b) is None:
-                                continue
-                            tasks.append(_task(
-                                "closed-forms",
-                                "rank1/p%d/S(%s)/R(%s)/e%d/b%d" % (p, _fmt(S), _fmt(R), eps, b),
-                                _cell_rank1, (p, S, R, eps, b), _mc(2, b * p**ln)))
-        if p == 3:
+                            if milnor_key(S, R, eps + 2 * b) is not None:
+                                yield _task("closed-forms", "rank1/p%d/S(%s)/R(%s)/e%d/b%d" % (
+                                    p, _fmt(S), _fmt(R), eps, b),
+                                    _cell_rank1, (p, S, R, eps, b), _mc(2, b * p**ln))
+        if caps["u2v2"]:
             for ln in (1, 2):
                 for R in itertools.product(range(p + 1), repeat=ln):
-                    for S in list(_subsets(ln)):
-                        if milnor_key(S, R, p) is None:
-                            continue
-                        tasks.append(_task(
-                            "closed-forms", "u2/p%d/S(%s)/R(%s)" % (p, _fmt(S), _fmt(R)),
-                            _cell_u2, (p, S, R), _mc(ln + 2, p**ln * p)))
+                    for S in _subsets(ln):
+                        if milnor_key(S, R, p) is not None:
+                            yield _task("closed-forms", "u2/p%d/S(%s)/R(%s)" % (
+                                p, _fmt(S), _fmt(R)), _cell_u2, (p, S, R), _mc(ln + 2, p**ln * p))
                     if milnor_key((), R, 2 * p) is not None:
-                        tasks.append(_task("closed-forms", "v2/p%d/R(%s)" % (p, _fmt(R)),
-                                           _cell_v2, (p, R), _mc(ln + 2, p**ln * p)))
-        tasks.append(_task("closed-forms", "flag/mtilde/p%d" % p, _cell_flag_mtilde,
-                           (p, lim), _mc(lim, p**lim * p) * 4))
-    if 3 in p_values:
-        tasks.append(_task("closed-forms", "flag/u2/p3", _cell_flag_u2, (3,), 40_000))
-        tasks.append(_task("closed-forms", "flag/v2/p3", _cell_flag_v2, (3,), 40_000))
-    return tasks
+                        yield _task("closed-forms", "v2/p%d/R(%s)" % (p, _fmt(R)),
+                                    _cell_v2, (p, R), _mc(ln + 2, p**ln * p))
+            # the U2/V2 flag cells close the suite's rows
+            flags += [_task("closed-forms", "flag/u2/p%d" % p, _cell_flag_u2, (p,), 40_000),
+                      _task("closed-forms", "flag/v2/p%d" % p, _cell_flag_v2, (p,), 40_000)]
+        yield _task("closed-forms", "flag/mtilde/p%d" % p, _cell_flag_mtilde,
+                    (p, lim), _mc(lim, p**lim * p) * 4)
+    yield from flags
 
 
 # ---------------------------------------------------------------- duality
-
-DUALITY_SHAPES = ((1, 1), (1, 2), (2, 1))
 
 
 def _block_pairing(p: int, n: int, k: int, delta: int, Sp: tuple, Rp: tuple,
@@ -510,53 +512,40 @@ def _cell_uv_single(p: int, n: int, k: int, delta: int, r: int) -> dict:
     return _eq_row(got, res.value)
 
 
-def _duality_tasks(p_values, grid):
-    degmax = 40 if grid == "full" else 24
-    tasks = []
+def _duality_tasks(p_values, max_n, grid, seed, cases):
     for p in p_values:
-        shapes = DUALITY_SHAPES if p == 3 else ((1, 1),)
-        dm = degmax if p == 3 else min(degmax, 24)
-        for n, k in shapes:
+        caps = _grid_caps(p, max_n, grid)
+        dm = caps["degmax"]
+        for n, k in caps["shapes"]:
             for delta in (0, 1):
                 est = (_mc(n + k + 1, (2 - delta) * p**k * p**n // 2)
                        + 4 * _mc(k + 1, dm // 2))
+                shape = "p%d/n%dk%d/d%d" % (p, n, k, delta)
                 q_uv = (2 - delta) * p**k
                 for Sp in _subsets(n):
                     for Rp in itertools.product(range(p**k + 2), repeat=n):
                         if st_operation_degree(Sp, Rp, p) + q_uv > dm:
                             continue
-                        tasks.append(_task(
-                            "duality",
-                            "pairing/p%d/n%dk%d/d%d/Sp(%s)/Rp(%s)" % (
-                                p, n, k, delta, _fmt(Sp), _fmt(Rp)),
-                            _block_pairing, (p, n, k, delta, Sp, Rp, dm), est))
+                        op = "%s/Sp(%s)/Rp(%s)" % (shape, _fmt(Sp), _fmt(Rp))
+                        yield _task("duality", "pairing/" + op, _block_pairing,
+                                    (p, n, k, delta, Sp, Rp, dm), est)
                         if milnor_key(Sp, Rp, q_uv) is not None:
-                            tasks.append(_task(
-                                "duality",
-                                "uv/p%d/n%dk%d/d%d/Sp(%s)/Rp(%s)" % (
-                                    p, n, k, delta, _fmt(Sp), _fmt(Rp)),
-                                _cell_uv_expand, (p, n, k, delta, Sp, Rp), est))
+                            yield _task("duality", "uv/" + op, _cell_uv_expand,
+                                        (p, n, k, delta, Sp, Rp), est)
                 ctxn = AlgebraContext(p, n)
                 for s in range(-delta, n - delta + 1):
                     q = duality.mq_target(ctxn, n, s, delta).degree()
                     for S, R in admissible_indices(q, k):
-                        if st_operation_degree(S, R, p) + q > dm:
-                            continue
-                        tasks.append(_task(
-                            "duality",
-                            "mq/p%d/n%dk%d/d%d/s%d/S(%s)/R(%s)" % (
-                                p, n, k, delta, s, _fmt(S), _fmt(R)),
-                            _cell_mq_expand, (p, n, k, delta, s, S, R), est))
+                        if st_operation_degree(S, R, p) + q <= dm:
+                            yield _task("duality", "mq/%s/s%d/S(%s)/R(%s)" % (
+                                shape, s, _fmt(S), _fmt(R)),
+                                _cell_mq_expand, (p, n, k, delta, s, S, R), est)
                     for r in range(q // 2 + 1):
-                        tasks.append(_task(
-                            "duality",
-                            "mqsingle/p%d/n%dk%d/d%d/s%d/r%d" % (p, n, k, delta, s, r),
-                            _cell_mq_single, (p, n, k, delta, s, r), est))
+                        yield _task("duality", "mqsingle/%s/s%d/r%d" % (shape, s, r),
+                                    _cell_mq_single, (p, n, k, delta, s, r), est)
                 for r in range(q_uv // 2 + 1):
-                    tasks.append(_task(
-                        "duality", "uvsingle/p%d/n%dk%d/d%d/r%d" % (p, n, k, delta, r),
-                        _cell_uv_single, (p, n, k, delta, r), est))
-    return tasks
+                    yield _task("duality", "uvsingle/%s/r%d" % (shape, r),
+                                _cell_uv_single, (p, n, k, delta, r), est)
 
 
 # -------------------------------------------------------------- properties
@@ -682,20 +671,26 @@ _PROPERTY_FAMILIES = ("commutativity", "cartan", "bockstein",
                       "instability", "degree", "roundtrip")
 
 
-def _core_tasks(p_values, seed, cases):
+def _core_tasks(p_values, max_n, grid, seed, cases):
     # cases per family and prime, split exactly over at most 5 batches
     batches = min(5, cases)
     per, extra = divmod(cases, batches)
-    tasks = []
     for p in p_values:
         for fi, family in enumerate(_PROPERTY_FAMILIES):
             for b in range(batches):
                 size = per + (b < extra)
                 cell_seed = seed * 1_000_003 + fi * 10_007 + b * 101 + p
-                tasks.append(_task("core", "%s/p%d/b%d" % (family, p, b),
-                                   _cell_property, (p, family, cell_seed, size),
-                                   size * 40))
-    return tasks
+                yield _task("core", "%s/p%d/b%d" % (family, p, b), _cell_property,
+                            (p, family, cell_seed, size), size * 40)
+
+
+# Each suite's task builder, in report order.  Every builder takes
+# (p_values, max_n, grid, seed, cases), reads what its suite uses and
+# yields the suite's tasks in report order.
+_BUILDERS = {"core": _core_tasks, "invariants": _invariant_tasks,
+             "steenrod": _steenrod_tasks, "closed-forms": _closed_form_tasks,
+             "duality": _duality_tasks}
+SUITE_NAMES = tuple(_BUILDERS)
 
 
 # ------------------------------------------------------------- scheduling
@@ -761,8 +756,8 @@ def _run_tasks(tasks: list[dict], workers: int, budget: int) -> list[dict]:
 def run_suite(
     name: str,
     *,
-    p_values: "Sequence[int] | None" = None,
-    max_n: "int | None" = None,
+    p_values: Iterable[int] = (3, 5, 7),
+    max_n: int = 3,
     grid: str = "full",
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
@@ -771,11 +766,15 @@ def run_suite(
 ) -> dict:
     """Run one verification suite (or ``all``) and return the report dict.
 
-    Every p must be an odd prime, max_n (when given) and cases integers
-    of at least 1, budget an integer of at least 0, seed an integer and
-    workers (when given) an integer; otherwise ValueError, before any cell
-    runs.  workers is clamped to 1..cpu_count.  cases is the number of
-    randomized property cases per family and prime."""
+    The defaults are the acceptance grid, the same for every suite:
+    p = 3, 5, 7, max_n = 3 and the full duality grid; the CLI passes only
+    the flags it is given.  p_values must name at least one odd prime,
+    none twice; max_n and cases must be integers of at least 1, budget an
+    integer of at least 0, seed an integer and workers (when given) an
+    integer; otherwise ValueError, before any cell runs.  workers is
+    clamped to 1..cpu_count.  cases is the number of randomized property
+    cases per family and prime.  The report records the primes, max_n and
+    grid it ran."""
     if name == "all":
         names = SUITE_NAMES
     elif name in SUITE_NAMES:
@@ -785,9 +784,14 @@ def run_suite(
                          % (name, ", ".join(SUITE_NAMES)))
     if grid not in ("small", "full"):
         raise ValueError("grid must be 'small' or 'full'")
-    for p in p_values or ():
+    primes = tuple(p_values)  # read once: an iterator is spent after one pass
+    if not primes:
+        raise ValueError("p_values must name at least one prime")
+    for p in primes:
         AlgebraContext(p, 0)  # raises the context's own error for a bad p
-    if max_n is not None and not (isinstance(max_n, int) and max_n >= 1):
+    if len(set(primes)) < len(primes):
+        raise ValueError("p_values repeats a prime: %s" % _fmt(primes))
+    if not (isinstance(max_n, int) and max_n >= 1):
         raise ValueError("max_n must be an integer >= 1, got %r" % (max_n,))
     if not (isinstance(cases, int) and cases >= 1):
         raise ValueError("cases must be an integer >= 1, got %r" % (cases,))
@@ -797,18 +801,7 @@ def run_suite(
         raise ValueError("seed must be an integer, got %r" % (seed,))
     if not (workers is None or isinstance(workers, int)):
         raise ValueError("workers must be an integer, got %r" % (workers,))
-    tasks: list[dict] = []
-    for nm in names:
-        if nm == "invariants":
-            tasks += _invariant_tasks(p_values or (3, 5), max_n or 3)
-        elif nm == "steenrod":
-            tasks += _steenrod_tasks(p_values or (3,), max_n or 2)
-        elif nm == "closed-forms":
-            tasks += _closed_form_tasks(p_values or (3, 5), max_n or 2)
-        elif nm == "duality":
-            tasks += _duality_tasks(p_values or (3,), grid)
-        else:
-            tasks += _core_tasks(p_values or (3,), seed, cases)
+    tasks = [t for nm in names for t in _BUILDERS[nm](primes, max_n, grid, seed, cases)]
     w = _worker_count(workers)
     t0 = time.perf_counter()
     rows = _run_tasks(tasks, w, budget)
@@ -816,7 +809,7 @@ def run_suite(
     return {
         "tool": "dicksonmui",
         "suite": name,
-        "p_values": list(p_values) if p_values else None,
+        "p_values": list(primes),
         "max_n": max_n,
         "grid": grid,
         "seed": seed,

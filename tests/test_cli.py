@@ -13,6 +13,7 @@ import pytest
 from dicksonmui.algebra import exact_div
 from dicksonmui.arith import ratio_mod
 from dicksonmui.cli import main
+from dicksonmui.verify import run_suite
 
 
 def run(capsys, *argv):
@@ -237,6 +238,19 @@ def test_verify_budget_skips(capsys):
                if c["status"] == "SKIP")
 
 
+def test_verify_defers_to_the_library_default(capsys):
+    # with no --p, --max-n or --grid the CLI runs run_suite's own default,
+    # the acceptance grid; budget 0 lists its cells without running them
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--budget", "0",
+                       "--format", "json")
+    assert code == 0
+    rep = json.loads(out)
+    want = run_suite("all", p_values=(3, 5, 7), max_n=3, grid="full", budget=0)
+    assert [c["cell"] for c in rep["cells"]] == [c["cell"] for c in want["cells"]]
+    assert (rep["p_values"], rep["max_n"], rep["grid"]) == ([3, 5, 7], 3, "full")
+    assert (rep["seed"], rep["budget"]) == (0, 0)
+
+
 def test_verify_rejects_bad_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense"])
@@ -251,6 +265,8 @@ def test_verify_rejects_bad_suite(capsys):
     (("--p", "4"), "odd prime"),
     (("--p", "3,9"), "odd prime"),
     (("--budget", "-1"), "budget must be an integer >= 0"),
+    (("--p", "3,3"), "p_values repeats a prime: 3,3"),
+    (("--p", ""), "p_values must name at least one prime"),
 ])
 def test_verify_rejects_out_of_range_arguments(capsys, argv, message):
     code, out, err = run(capsys, "verify", "--suite", "all", *argv)

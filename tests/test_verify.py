@@ -70,6 +70,46 @@ def test_p3_flag_cells_only_at_p3():
     assert len([c for c in cells if c.startswith("flag/")]) == 4
 
 
+@pytest.mark.parametrize("primes", [lambda: iter((5,)), lambda: (p for p in (5,))],
+                         ids=["iterator", "generator"])
+def test_p_values_may_be_an_iterator(primes):
+    # the primes are read once, so an iterator runs the grid of its list
+    want = run_suite("closed-forms", p_values=[5], max_n=1, budget=0)
+    got = run_suite("closed-forms", p_values=primes(), max_n=1, budget=0)
+    assert got["p_values"] == [5]
+    assert len(got["cells"]) == len(want["cells"]) == 326
+    assert got["cells"] == want["cells"]
+
+
+_ACCEPTANCE = dict(p_values=(3, 5, 7), max_n=3, grid="full")
+
+
+def _cell_names(report):
+    return [row["cell"] for row in report["cells"]]
+
+
+@pytest.mark.parametrize("name", verify.SUITE_NAMES + ("all",))
+def test_the_default_is_the_acceptance_grid(name):
+    # budget 0 skips every cell, so this lists the grid without running it
+    got = run_suite(name, budget=0)
+    want = run_suite(name, budget=0, **_ACCEPTANCE)
+    assert _cell_names(got) == _cell_names(want)
+    assert len(got["cells"]) > 0
+    assert {k: got[k] for k in ("p_values", "max_n", "grid")} == {
+        "p_values": [3, 5, 7], "max_n": 3, "grid": "full"}
+    jsonschema.validate(got, _schema())
+
+
+def test_the_report_records_the_grid_it_ran():
+    rep = run_suite("steenrod", p_values=(7, 3), max_n=1, grid="small", budget=0)
+    assert (rep["p_values"], rep["max_n"], rep["grid"]) == ([7, 3], 1, "small")
+    jsonschema.validate(rep, _schema())
+    for key, bad in (("p_values", None), ("p_values", []), ("p_values", [3, 3]),
+                     ("max_n", None), ("max_n", 0)):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(dict(rep, **{key: bad}), _schema())
+
+
 def test_import_leaves_the_process_pool_out():
     code = "import sys, dicksonmui; print('concurrent.futures' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -173,7 +213,8 @@ def test_pairing_rows_match_the_reference_rows(monkeypatch):
     # both, with each block timed at exactly 1 s
     clock = itertools.count()
     monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
-    tasks = [t for t in _duality_tasks((3, 5, 7), "full") if t["fn"] is verify._block_pairing]
+    tasks = [t for t in _duality_tasks((3, 5, 7), 3, "full", 0, 1)
+             if t["fn"] is verify._block_pairing]
     assert {t["args"][0] for t in tasks} == {3, 5, 7}
     every = []
     for task in tasks:
@@ -196,7 +237,7 @@ def test_failing_pairing_rows_match_the_reference_rows(monkeypatch):
     clock = itertools.count()
     monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
     failed = 0
-    for task in _duality_tasks((3,), "small"):
+    for task in _duality_tasks((3,), 3, "small", 0, 1):
         if task["fn"] is not verify._block_pairing or task["args"][1:3] != (1, 1):
             continue
         got = _execute(task)
@@ -223,6 +264,10 @@ def test_failing_pairing_rows_match_the_reference_rows(monkeypatch):
     (dict(seed=1.5), "seed"),
     (dict(workers=1.5), "workers"),
     (dict(workers="2"), "workers"),
+    (dict(p_values=()), "at least one prime"),
+    (dict(p_values=(3, 3)), "repeats a prime: 3,3"),
+    (dict(p_values=(5, 3, 7, 5)), "repeats a prime"),
+    (dict(max_n=None), "max_n"),
 ])
 def test_run_suite_rejects_out_of_range_arguments(monkeypatch, kwargs, message):
     def no_cell(task):
