@@ -8,10 +8,10 @@ of actions in symbolic (invariant-basis) form.
 
 Exit codes: 0 on success, 1 when a verification cell fails, 2 on usage,
 domain or arithmetic errors (bad indices, unparsable input, inadmissible
-operation, inexact division, a non-invertible residue).  Every range
-check on a prime or an index is the library's; this module only checks
-that arguments are present and well formed, and prints the library's
-errors as ``error: ...``.
+operation, inexact division, a non-invertible residue) and on a ``--out``
+file that cannot be opened.  Every range check on a prime or an index is
+the library's; this module only checks that arguments are present and
+well formed, and prints the library's errors as ``error: ...``.
 """
 
 from __future__ import annotations
@@ -161,13 +161,22 @@ def _cmd_verify(args) -> int:
               if k in given}
     if "p" in given:
         kwargs["p_values"] = _int_list(args.p)
-    rep = run_suite(args.suite, **kwargs)
-    if given.get("out"):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(rep, fh, indent=2)
-            fh.write("\n")
+    # open --out before any cell runs, so a bad path costs no suite run
+    out = open(args.out, "w", encoding="utf-8") if given.get("out") else None
+    try:
+        rep = run_suite(args.suite, **kwargs)
+        if args.format == "json":
+            text = json.dumps(rep, indent=2)  # one encoding for both destinations
+            if out:
+                out.write(text + "\n")
+        elif out:
+            json.dump(rep, out, indent=2)  # streamed, never one whole string
+            out.write("\n")
+    finally:
+        if out:
+            out.close()
     if args.format == "json":
-        print(json.dumps(rep, indent=2))
+        print(text)
     else:
         for c in rep["cells"]:
             line = "%-4s %s" % (c["status"], c["cell"])
@@ -364,9 +373,10 @@ def main(argv: "list[str] | None" = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         # ValueError covers UsageError and ParseError, ArithmeticError
-        # InexactDivisionError and ZeroDivisionError
+        # InexactDivisionError and ZeroDivisionError, OSError an --out
+        # file that cannot be opened
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -13,8 +13,14 @@ from which everything else is assembled:
     Q_{n,s}  = L_{n,s} / L_n              Mtilde_{n,s} = M_{n,s} L_n^(h-1)
     U_k      = M_{k,k-1} L_{k-1}^(h-1)    V_k = L_k / L_{k-1}
 
-Division is exact division of polynomials; the product and recursion
-forms of V and Q are kept as independent cross-checks.
+Q is built by exact division of polynomials.  V_k is not divided: it is
+assembled from the rank-(k-1) Dickson invariants,
+
+    V_k = sum_{s<k} (-1)^(k-1-s) Q_{k-1,s} y_k^(p^s),
+
+the expansion of L_k along its last row, over L_{k-1}.  The division
+L_k / L_{k-1} and the product and recursion forms of V and Q are kept
+as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from operator import mul
 from .algebra import (
     AlgebraContext,
     Element,
+    Monomial,
     determinant,
     embed,
     exact_div,
@@ -120,6 +127,8 @@ def Q(ctx: AlgebraContext, n: int, s: int) -> Element:
 @cache
 def _q(p: int, n: int, s: int) -> Element:
     c = AlgebraContext(p, n)
+    if s == n:
+        return c.one()  # L_{n,n} = L_n
     return exact_div(L(c, n, s), L(c, n))
 
 
@@ -160,8 +169,15 @@ def V(ctx: AlgebraContext, k: int) -> Element:
 
 @cache
 def _v(p: int, k: int) -> Element:
-    c = AlgebraContext(p, k)
-    return exact_div(L(c, k), L(c, k - 1))
+    """V_k = sum_{s<k} (-1)^(k-1-s) Q_{k-1,s} y_k^(p^s): expanding L_k
+    along its last row.  Each s gives its own power of y_k, so the terms
+    never meet; no product and no division."""
+    terms = {}
+    for s in range(k):
+        e, neg = (p**s,), (k - 1 - s) % 2
+        for mono, c in _q(p, k - 1, s).terms.items():
+            terms[Monomial((), mono.ys + e)] = p - c if neg else c
+    return Element._make(AlgebraContext(p, k), terms)
 
 
 def V_product(ctx: AlgebraContext, k: int) -> Element:

@@ -251,6 +251,33 @@ def test_verify_defers_to_the_library_default(capsys):
     assert (rep["seed"], rep["budget"]) == (0, 0)
 
 
+def test_verify_out_is_opened_before_any_cell(capsys, monkeypatch, tmp_path):
+    from dicksonmui import cli
+
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", lambda *a, **k: ran.append(a))
+    code, out, err = run(capsys, "verify", "--suite", "core", "--p", "3",
+                         "--cases", "5", "--out", str(tmp_path / "missing" / "x.json"))
+    assert (code, out, ran) == (2, "", [])
+    assert err.startswith("error: ") and "x.json" in err
+
+
+def test_verify_out_and_json_hold_one_report(capsys, tmp_path):
+    path = tmp_path / "rep.json"
+    code, out, _ = run(capsys, "verify", "--suite", "closed-forms", "--p", "3",
+                       "--max-n", "1", "--format", "json", "--out", str(path))
+    assert code == 0
+    # byte for byte, run time included: one run, one encoding, two copies
+    assert path.read_text(encoding="utf-8") == out + "\n"
+    assert json.loads(out)["suite"] == "closed-forms"
+    # with text on stdout, the file still holds the JSON report
+    code, out, _ = run(capsys, "verify", "--suite", "closed-forms", "--p", "3",
+                       "--max-n", "1", "--out", str(path))
+    rep = json.loads(path.read_text(encoding="utf-8"))
+    assert code == 0
+    assert out.splitlines()[-1].startswith("suite=closed-forms pass=%d " % rep["counts"]["pass"])
+
+
 def test_verify_rejects_bad_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense"])

@@ -85,9 +85,26 @@ def test_q_edge_cases():
 
 
 def test_v_divides_l():
-    ctx = ctx3(3)
-    for k in (2, 3):
+    # V_k is assembled from Q_{k-1,.}; the division is its reference, up
+    # to the ranks the benchmark builds
+    for p, k in [(3, 2), (3, 3), (3, 5), (5, 4), (7, 4), (13, 4)]:
+        ctx = AlgebraContext(p, k)
         assert exact_div(L(ctx, k), L(ctx, k - 1)) == V(ctx, k)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_u_rank_expansion(p):
+    # U_{n+1} = (-1)^n Ltilde_n x_{n+1}
+    #           + sum_{s<n} (-1)^(n-1-s) Mtilde_{n,s} y_{n+1}^(p^s)
+    for n in (1, 2, 3):
+        ctx = AlgebraContext(p, n + 1)
+        rhs = Ltilde(ctx, n) * ctx.x(n + 1)
+        if n % 2:
+            rhs = -rhs
+        for s in range(n):
+            term = Mtilde(ctx, n, s) * ctx.y(n + 1, p**s)
+            rhs = rhs + (-term if (n - 1 - s) % 2 else term)
+        assert U(ctx, n + 1) == rhs
 
 
 def test_mtilde_minus_one_is_ltilde():
