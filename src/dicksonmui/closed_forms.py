@@ -20,6 +20,7 @@ from collections.abc import Sequence
 from .algebra import AlgebraContext, Element
 from .arith import digit, inv_mod, multinomial_mod, ratio_mod
 from .invariants import M, Q, U, V, Ltilde, Mtilde, bracket_e, bracket_x
+from .steenrod import check_index
 
 ClosedFormResult = namedtuple("ClosedFormResult", ("value", "applicable", "condition"))
 ClosedFormResult.__doc__ = """One closed-form evaluation: its value, whether the formula applied
@@ -188,6 +189,7 @@ def st_on_rank1(
 ) -> Element:
     """St^{S,R}(x_1^eps y_1^b) on a single generator pair.
 
+    (S, R) must pass ``check_index`` with n = len(R), as for ``milnor_st``.
     Empty S multiplies by the multinomial and shifts the exponent by the
     weight |R|; S = (u) additionally trades the exterior factor for
     y^{p^u}; longer S always kills the class.
@@ -196,9 +198,7 @@ def st_on_rank1(
         raise ValueError("eps must be 0 or 1")
     if b < 0:
         raise ValueError("b must be >= 0")
-    S, R = tuple(S), tuple(R)
-    if list(S) != sorted(set(S)) or any(u < 0 for u in S):
-        raise ValueError("S must be strictly increasing and nonnegative")
+    S, R = check_index(S, R, len(R))
     p = ctx.p
     if len(S) >= 2:
         return ctx.zero()
@@ -216,7 +216,8 @@ def st_on_rank1(
 def st_on_u2(
     S: Sequence[int], R: Sequence[int], ctx: AlgebraContext, resolved: bool = True
 ) -> Element:
-    """St^{S,R} U_2 over two generator pairs, S empty or a single index.
+    """St^{S,R} U_2 over two generator pairs, S empty or a single index;
+    (S, R) must pass ``check_index`` with n = len(R).
 
     All Ltilde_1 exponents appearing here are of the form (|R| - ...)/h;
     they are integers whenever the coefficient survives, enforced below.
@@ -227,10 +228,8 @@ def st_on_u2(
     in ``power_on_mtilde``, one level down); the resolved branch includes
     them and matches the Milnor-operation extraction.
     """
-    S, R = tuple(S), tuple(R)
+    S, R = check_index(S, R, len(R))
     n = len(R)
-    if any(r < 0 for r in R):
-        raise ValueError("R entries must be >= 0")
     if len(S) >= 2:
         return ctx.zero()
     p, h = ctx.p, ctx.h
@@ -260,8 +259,6 @@ def st_on_u2(
             val = val + term.scalar_mul(cm * hinv * w_s)
         return val
     u = S[0]
-    if not 0 <= u < n:
-        raise ValueError("single S entry must lie in 0..len(R)-1")
     val = ctx.zero()
     lo = 0 if resolved else u
     for s in range(lo, n):
@@ -282,17 +279,15 @@ V2_MIXED_CASE_RESOLVED_SIGN = -1
 
 
 def st_on_v2(R: Sequence[int], ctx: AlgebraContext, resolved: bool = True) -> Element:
-    """St^{(),R} V_2 over two generator pairs.
+    """St^{(),R} V_2 over two generator pairs; R entries must be >= 0.
 
     Writing r_0 = p - sum(R): a lone entry equal to p (including r_0 = p,
     the identity) gives a Frobenius power of V_2; if instead every entry
     lies in 0..p-1 the value is a weighted sum of y_1-shifted Frobenius
     powers; anything else is 0.
     """
-    R = tuple(R)
+    _, R = check_index((), R, len(R))
     n = len(R)
-    if any(r < 0 for r in R):
-        raise ValueError("R entries must be >= 0")
     p = ctx.p
     full = (p - sum(R),) + R
     nonzero = [i for i, r in enumerate(full) if r]

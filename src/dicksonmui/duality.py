@@ -26,10 +26,10 @@ from .algebra import AlgebraContext, Element, embed
 from .invariants import Q, U, V, Mtilde
 from .steenrod import (
     _candidates,
-    _check_exterior,
     _span_coordinates,
     admissible_indices,
     basis_element,
+    check_index,
     invariant_decompose,
     milnor_key,
     milnor_sign,
@@ -151,6 +151,12 @@ def pairing_sign_exp(
     return total % 2
 
 
+def _check_delta(delta: int) -> None:
+    """Refuse any delta but 0 (the Q/V pair) and 1 (the Mtilde/U pair)."""
+    if delta not in (0, 1):
+        raise ValueError("delta must be 0 or 1, got %r" % (delta,))
+
+
 def mq_target(ctxn: AlgebraContext, n: int, s: int, delta: int) -> Element:
     """The M/Q-side invariant over ctxn: Mtilde_{n,s} if delta else Q_{n,s}."""
     return Mtilde(ctxn, n, s) if delta else Q(ctxn, n, s)
@@ -205,17 +211,15 @@ def _block_results(
     marks cells where one side's operation is inadmissible, which forces
     the other side's dual index out of existence as well.
 
-    (Sp, Rp) and delta are checked once, before any case; each case's
-    R, e, j and S are checked as it is reached.  What depends only on the
-    block is computed once: the U/V-side image and its mixed coordinates,
-    the matched s of each e + 2j, and the M/Q-side pairing of each
-    (s, S, R).
+    delta and (Sp, Rp) are checked once, before any case, by
+    ``_check_delta`` and ``check_index``; each case's (S, R) once per run
+    of equal cases, and its e and j as it is reached.  What depends only
+    on the block is computed once: the U/V-side image and its mixed
+    coordinates, the matched s of each e + 2j, and the M/Q-side pairing of
+    each (s, S, R).
     """
-    if len(Rp) != n:
-        raise ValueError("need len(R) = k and len(Rp) = n")
-    if delta not in (0, 1):
-        raise ValueError("delta, e must be 0/1 and j >= 0")
-    _check_exterior(Sp, n)
+    _check_delta(delta)
+    Sp, Rp = check_index(Sp, Rp, n)
     key_p = milnor_key(Sp, Rp, (2 - delta) * p**k)
     if key_p is not None:
         img = milnor_st(Sp, Rp, uv_target(AlgebraContext(p, k + 1), k, delta), n)
@@ -229,13 +233,11 @@ def _block_results(
     last_S = last_R = None  # consecutive cases of one (S, R) share its reads
     for S, R, e, j in cases:
         S, R = tuple(S), tuple(R)
-        if len(R) != k:
-            raise ValueError("need len(R) = k and len(Rp) = n")
-        if e not in (0, 1) or j < 0:
-            raise ValueError("delta, e must be 0/1 and j >= 0")
         if S is not last_S or R is not last_R:
-            _check_exterior(S, k)
+            check_index(S, R, k)
             last_S, last_R = S, R
+        if e not in (0, 1) or j < 0:
+            raise ValueError("e must be 0 or 1 and j >= 0, got e = %r, j = %r" % (e, j))
         if key_p is None:
             out.append(skipped)
             continue
@@ -290,15 +292,13 @@ def expand_mq(
     """St^{S,R}(Mtilde_{n,s} if delta else Q_{n,s}) rebuilt over n pairs,
     with every coefficient computed as a pairing on the U/V side.
 
-    len(R) = k.  The operation must be admissible on the target (its
-    degree-r0 entry nonnegative); otherwise ValueError.
+    (S, R) must pass ``check_index`` with len(R) = k, and delta be 0 or 1.
+    The operation must be admissible on the target (its degree-r0 entry
+    nonnegative); otherwise ValueError.
     """
-    S, R = tuple(S), tuple(R)
-    if len(R) != k:
-        raise ValueError("need len(R) = k")
-    _check_exterior(S, k)
-    lo = -delta
-    if not lo <= s <= n - delta:
+    _check_delta(delta)
+    S, R = check_index(S, R, k)
+    if not -delta <= s <= n - delta:
         raise ValueError("s out of range")
     key = milnor_key(S, R, (2 - delta) * p**n + dim_bracket(p, s))
     if key is None:
@@ -328,13 +328,12 @@ def expand_uv(
     """St^{S',R'}(U_{k+1} if delta else V_{k+1}) rebuilt over k+1 pairs,
     with every coefficient computed as a pairing on the M/Q side.
 
-    len(Rp) = n.  The s = -1 stratum contributes through U_{k+1} (the
-    Frobenius ladder starts one rung below V_{k+1}).
+    (Sp, Rp) must pass ``check_index`` with len(Rp) = n, and delta be 0
+    or 1.  The s = -1 stratum contributes through U_{k+1} (the Frobenius
+    ladder starts one rung below V_{k+1}).
     """
-    Sp, Rp = tuple(Sp), tuple(Rp)
-    if len(Rp) != n:
-        raise ValueError("need len(Rp) = n")
-    _check_exterior(Sp, n)
+    _check_delta(delta)
+    Sp, Rp = check_index(Sp, Rp, n)
     key_p = milnor_key(Sp, Rp, (2 - delta) * p**k)
     if key_p is None:
         raise ValueError("operation inadmissible on the U/V target")

@@ -9,7 +9,7 @@ Text grammar (canonical form produced by render_text):
 Coefficients render as residues in 1..p-1.  The parser is laxer than the
 renderer: whitespace is optional, "-" is accepted, factors may repeat and
 may appear in any order (exterior reordering contributes its Koszul sign,
-a repeated exterior factor gives 0).
+a repeated exterior factor gives 0).  A negative exponent is refused.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .algebra import AlgebraContext, Element, Monomial, monomial_sort_key, rende
 
 _FACTOR = re.compile(r"^([xy])(\d+)(?:\^(-?\d+))?$")
 _COEFF = re.compile(r"^[+-]?\d+$")
+_MINUS = re.compile(r"(?<!\^)-")
 
 
 class ParseError(ValueError):
@@ -34,8 +35,8 @@ def parse_text(text: str, ctx: AlgebraContext) -> Element:
         raise ParseError("empty input")
     if s == "0":
         return ctx.zero()
-    # normalize "a - b" into "a + -b" so one split suffices
-    s = s.replace("-", "+-").lstrip("+")
+    # "a - b" -> "a + -b" so one split suffices; "^-" keeps its exponent
+    s = _MINUS.sub("+-", s).lstrip("+")
     terms: dict[Monomial, int] = {}
     for raw in s.split("+"):
         raw = raw.strip()

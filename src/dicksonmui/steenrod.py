@@ -15,6 +15,9 @@ monomial basis of the new block (``invariant_decompose``) and rescaling
 cofactors yields the Milnor-basis operations ``milnor_st``; the identity
 milnor_st(emptyset, (r), a) == p_power(r, a) ties the realizations
 together and is checked heavily in the tests.
+
+One rule, ``check_index``, checks every Milnor index (S, R) and basis key
+(S, H) that this module, ``duality`` and ``closed_forms`` take.
 """
 
 from __future__ import annotations
@@ -232,23 +235,11 @@ def compose_check(s: int, n: int, a: Element) -> bool:
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _check_exterior(S: tuple, bound: int) -> None:
-    if any(not 0 <= v < bound for v in S) or list(S) != sorted(set(S)):
-        if not bound:
-            raise ValueError("no exterior index exists over 0 pairs")
-        raise ValueError("exterior index must be strictly increasing in 0..%d" % (bound - 1))
-
-
 def basis_element(p: int, n: int, S: Sequence[int], H: Sequence[int]) -> Element:
     """The invariant monomial Mtilde_{n,s1}..Mtilde_{n,sk} * Ltilde_n^{h0}
-    * Q_{n,1}^{h1} .. Q_{n,n-1}^{h_{n-1}} over n pairs."""
-    S, H = tuple(S), tuple(H)
-    if len(H) != n:
-        raise ValueError("H must have exactly n entries")
-    if any(h < 0 for h in H):
-        raise ValueError("H entries must be >= 0")
-    _check_exterior(S, n)
-    return _basis_element(p, n, S, H)
+    * Q_{n,1}^{h1} .. Q_{n,n-1}^{h_{n-1}} over n pairs; (S, H) must pass
+    ``check_index``."""
+    return _basis_element(p, n, *check_index(S, H, n))
 
 
 @cache
@@ -349,6 +340,23 @@ def invariant_decompose(a: Element, n: int) -> dict[Key, Element]:
     return {key: Element._make(tail_ctx, terms) for key, terms in entries.items()}
 
 
+def check_index(S: Sequence[int], R: Sequence[int], n: int) -> Key:
+    """(S, R) as tuples once they pass the index rule of an n-block, shared
+    by every Milnor index St^{S,R} and basis key (S, H): R (or H) has n
+    entries >= 0 and S is strictly increasing inside 0..n-1; otherwise a
+    ValueError names the broken rule.  Admissibility is ``milnor_key``'s."""
+    S, R = tuple(S), tuple(R)
+    if len(R) != n:
+        raise ValueError("R (or H) must have exactly n = %d entries, got %r" % (n, R))
+    if any(r < 0 for r in R):
+        raise ValueError("R (or H) entries must be >= 0, got %r" % (R,))
+    if any(not 0 <= v < n for v in S) or list(S) != sorted(set(S)):
+        if not n:
+            raise ValueError("no exterior index exists over 0 pairs")
+        raise ValueError("S must be strictly increasing inside 0..n-1 (n = %d), got %r" % (n, S))
+    return S, R
+
+
 def milnor_key(S: tuple[int, ...], R: tuple[int, ...], q: int) -> "Key | None":
     """The invariant-basis key (S, H) whose cofactor in the len(R)-block
     power map of a degree-q class is St^{S,R} of it, up to rescaling:
@@ -382,18 +390,12 @@ def milnor_st(S: Sequence[int], R: Sequence[int], a: Element, n: "int | None" = 
 
     Read off as the ``milnor_key`` cofactor of the n-block power-map
     expansion of ``a``, rescaled by mu(q)^{-n} (-1)^{milnor_sign} where
-    q = deg a.  Requires r0 = q - l(S) - 2 sum(R) >= 0; operations beyond
+    q = deg a.  (S, R) must pass ``check_index`` with n = len(R) unless n
+    is given.  Requires r0 = q - l(S) - 2 sum(R) >= 0; operations beyond
     that excess bound are not represented in the expansion, and are
     refused before the power map runs.
     """
-    S, R = tuple(S), tuple(R)
-    if n is None:
-        n = len(R)
-    if len(R) != n:
-        raise ValueError("R must have exactly n entries")
-    if any(r < 0 for r in R):
-        raise ValueError("R entries must be >= 0")
-    _check_exterior(S, n)
+    S, R = check_index(S, R, len(R) if n is None else n)
     if a.is_zero():
         return a
     # one term's degree is q; power_expansion checks that a is homogeneous

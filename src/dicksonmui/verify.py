@@ -771,10 +771,10 @@ def run_suite(
     the flags it is given.  p_values must name at least one odd prime,
     none twice; max_n and cases must be integers of at least 1, budget an
     integer of at least 0, seed an integer and workers (when given) an
-    integer; otherwise ValueError, before any cell runs.  workers is
-    clamped to 1..cpu_count.  cases is the number of randomized property
-    cases per family and prime.  The report records the primes, max_n and
-    grid it ran."""
+    integer, none a bool; otherwise ValueError, before any cell runs.
+    workers is clamped to 1..cpu_count.  cases is the number of randomized
+    property cases per family and prime.  The report records the primes,
+    max_n and grid it ran."""
     if name == "all":
         names = SUITE_NAMES
     elif name in SUITE_NAMES:
@@ -791,15 +791,15 @@ def run_suite(
         AlgebraContext(p, 0)  # raises the context's own error for a bad p
     if len(set(primes)) < len(primes):
         raise ValueError("p_values repeats a prime: %s" % _fmt(primes))
-    if not (isinstance(max_n, int) and max_n >= 1):
+    if not (type(max_n) is int and max_n >= 1):
         raise ValueError("max_n must be an integer >= 1, got %r" % (max_n,))
-    if not (isinstance(cases, int) and cases >= 1):
+    if not (type(cases) is int and cases >= 1):
         raise ValueError("cases must be an integer >= 1, got %r" % (cases,))
-    if not (isinstance(budget, int) and budget >= 0):
+    if not (type(budget) is int and budget >= 0):
         raise ValueError("budget must be an integer >= 0, got %r" % (budget,))
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise ValueError("seed must be an integer, got %r" % (seed,))
-    if not (workers is None or isinstance(workers, int)):
+    if not (workers is None or type(workers) is int):
         raise ValueError("workers must be an integer, got %r" % (workers,))
     tasks = [t for nm in names for t in _BUILDERS[nm](primes, max_n, grid, seed, cases)]
     w = _worker_count(workers)

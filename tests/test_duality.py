@@ -10,7 +10,7 @@ from dicksonmui.algebra import AlgebraContext, embed
 from dicksonmui.arith import st_operation_degree
 from dicksonmui.duality import (
     _block_results,
-    _check_exterior,
+    _check_delta,
     _matched_s,
     expand_mq,
     expand_uv,
@@ -22,7 +22,7 @@ from dicksonmui.duality import (
     duality_case,
 )
 from dicksonmui.invariants import Ltilde, Mtilde, Q, U, V
-from dicksonmui.steenrod import NotInSpanError, admissible_indices, milnor_st
+from dicksonmui.steenrod import NotInSpanError, admissible_indices, check_index, milnor_st
 from dicksonmui.verify import _subsets
 
 
@@ -249,13 +249,11 @@ def test_sign_term_even_where_pairings_are_nonzero(p, n, k, delta):
 def _reference_duality_case(p, n, k, delta, S, R, Sp, Rp, e, j):
     # one cell on its own, every value recomputed: an oracle for
     # _block_results, which shares the block's work across its cases
-    S, R, Sp, Rp = tuple(S), tuple(R), tuple(Sp), tuple(Rp)
-    if len(R) != k or len(Rp) != n:
-        raise ValueError("need len(R) = k and len(Rp) = n")
-    if delta not in (0, 1) or e not in (0, 1) or j < 0:
-        raise ValueError("delta, e must be 0/1 and j >= 0")
-    _check_exterior(S, k)
-    _check_exterior(Sp, n)
+    _check_delta(delta)
+    Sp, Rp = check_index(Sp, Rp, n)
+    S, R = check_index(S, R, k)
+    if e not in (0, 1) or j < 0:
+        raise ValueError("e must be 0 or 1 and j >= 0, got e = %r, j = %r" % (e, j))
     rep = {
         "p": p, "n": n, "k": k, "delta": delta,
         "S": S, "R": R, "Sp": Sp, "Rp": Rp, "e": e, "j": j,
@@ -375,7 +373,7 @@ def test_case_errors_match_reference(args):
 def test_block_checks_every_case():
     # a bad case after good ones still raises, and an empty block is empty
     good = ((), (0,), 0, 0)
-    with pytest.raises(ValueError, match="exterior"):
+    with pytest.raises(ValueError, match="strictly increasing"):
         _block_results(3, 1, 1, 0, (), (0,), [good, ((1,), (0,), 0, 0)])
     with pytest.raises(ValueError, match="j >= 0"):
         _block_results(3, 1, 1, 1, (), (9,), [good, ((), (0,), 0, -1)])

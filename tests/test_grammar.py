@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -64,6 +65,14 @@ def test_parse_errors(ctx, bad):
         parse_text(bad, ctx)
 
 
+@pytest.mark.parametrize("text", ["y1^-1", "y1^-2", "x1 + 2*y2^-1", "y2 - y1^-1"])
+def test_negative_exponent_is_named(ctx, text):
+    # the "-" after "^" stays in its factor rather than splitting the term
+    with pytest.raises(ParseError, match="negative exponent"):
+        parse_text(text, ctx)
+    _parses_like_reference(text, ctx)
+
+
 def test_exterior_order_sign(ctx):
     # x2*x1 re-sorts with a sign
     assert parse_text("x2*x1", ctx) == (ctx.x(1) * ctx.x(2)).scalar_mul(-1)
@@ -102,7 +111,7 @@ def _reference_parse_text(text, ctx):
         raise ParseError("empty input")
     if s == "0":
         return ctx.zero()
-    s = s.replace("-", "+-").lstrip("+")
+    s = re.sub(r"(?<!\^)-", "+-", s).lstrip("+")
     out = ctx.zero()
     for raw in s.split("+"):
         raw = raw.strip()

@@ -8,6 +8,8 @@ import pytest
 
 from dicksonmui.algebra import AlgebraContext, Element, Monomial, embed, render_text
 from dicksonmui.arith import binom_mod, mu_mod
+from dicksonmui.closed_forms import st_on_rank1, st_on_u2, st_on_v2
+from dicksonmui.duality import _block_results, duality_case, expand_mq, expand_uv
 from dicksonmui.invariants import Ltilde, Mtilde, Q, U, V
 from dicksonmui.steenrod import (
     NotInSpanError,
@@ -338,6 +340,60 @@ def test_milnor_inadmissible_raises(c2):
         milnor_st((1, 0), (0, 0), U(c2, 2), 2)  # S not increasing
     with pytest.raises(ValueError):
         milnor_st((2,), (0, 0), U(c2, 2), 2)  # S entry outside 0..n-1
+
+
+# The five ways an index (S, R) of a 2-block can break the shape rule of
+# check_index, each with the part of its error message that names the rule.
+_BAD_INDICES = {
+    "wrong length": ((), (0,), "exactly n = 2 entries"),
+    "negative entry": ((), (0, -1), "entries must be >= 0"),
+    "S not increasing": ((1, 0), (0, 0), "strictly increasing inside 0..n-1"),
+    "S repeated": ((0, 0), (0, 0), "strictly increasing inside 0..n-1"),
+    "S outside 0..n-1": ((2,), (0, 0), "strictly increasing inside 0..n-1"),
+}
+_C1, _C2 = AlgebraContext(3, 1), AlgebraContext(3, 2)
+# Every entry point that takes an index, fed the bad one as its 2-block
+# index.  A duality entry takes two indices and is tried on each side; the
+# other side's index is valid, and Rp = (99,) is inadmissible, so no block
+# work runs before the cases.  The closed forms read n = len(R), so no
+# length is wrong for them, and st_on_v2 takes no S.
+_INDEX_ENTRIES = {
+    "milnor_st": lambda S, R: milnor_st(S, R, U(_C2, 2), 2),
+    "basis_element": lambda S, H: basis_element(3, 2, S, H),
+    "duality_case M/Q": lambda S, R: duality_case(3, 1, 2, 0, S, R, (), (99,), 0, 0),
+    "duality_case U/V": lambda Sp, Rp: duality_case(3, 2, 1, 0, (), (0,), Sp, Rp, 0, 0),
+    "_block_results M/Q": lambda S, R: _block_results(3, 1, 2, 0, (), (99,), [(S, R, 0, 0)]),
+    "_block_results U/V": lambda Sp, Rp: _block_results(3, 2, 1, 0, Sp, Rp, []),
+    "expand_mq": lambda S, R: expand_mq(3, 1, 2, 0, 0, S, R),
+    "expand_uv": lambda Sp, Rp: expand_uv(3, 2, 1, 0, Sp, Rp),
+    "st_on_rank1": lambda S, R: st_on_rank1(S, R, 1, 2, _C1),
+    "st_on_u2": lambda S, R: st_on_u2(S, R, _C2),
+    "st_on_v2": lambda S, R: st_on_v2(R, _C2),
+}
+_NO_LENGTH = ("st_on_rank1", "st_on_u2", "st_on_v2")
+
+
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry in _INDEX_ENTRIES for bad in _BAD_INDICES
+    if not (bad == "wrong length" and entry in _NO_LENGTH)
+    and not (entry == "st_on_v2" and bad.startswith("S "))
+])
+def test_every_entry_point_refuses_a_bad_index(entry, bad):
+    S, R, message = _BAD_INDICES[bad]
+    with pytest.raises(ValueError, match=message):
+        _INDEX_ENTRIES[entry](S, R)
+
+
+@pytest.mark.parametrize("delta", [-1, 2])
+@pytest.mark.parametrize("entry", [
+    lambda delta: duality_case(3, 1, 1, delta, (), (0,), (), (0,), 0, 0),
+    lambda delta: _block_results(3, 1, 1, delta, (), (0,), []),
+    lambda delta: expand_mq(3, 1, 1, delta, 0, (), (0,)),
+    lambda delta: expand_uv(3, 1, 1, delta, (), (0,)),
+], ids=["duality_case", "_block_results", "expand_mq", "expand_uv"])
+def test_every_duality_entry_refuses_a_bad_delta(entry, delta):
+    with pytest.raises(ValueError, match="delta must be 0 or 1"):
+        entry(delta)
 
 
 def test_milnor_key_at_every_rank():

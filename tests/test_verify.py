@@ -268,6 +268,11 @@ def test_failing_pairing_rows_match_the_reference_rows(monkeypatch):
     (dict(p_values=(3, 3)), "repeats a prime: 3,3"),
     (dict(p_values=(5, 3, 7, 5)), "repeats a prime"),
     (dict(max_n=None), "max_n"),
+    (dict(max_n=True), "max_n"),
+    (dict(cases=True), "cases"),
+    (dict(budget=False), "budget"),
+    (dict(seed=True), "seed"),
+    (dict(workers=True), "workers"),
 ])
 def test_run_suite_rejects_out_of_range_arguments(monkeypatch, kwargs, message):
     def no_cell(task):
