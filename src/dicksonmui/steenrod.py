@@ -395,7 +395,8 @@ def milnor_st(S: Sequence[int], R: Sequence[int], a: Element, n: "int | None" = 
     that excess bound are not represented in the expansion, and are
     refused before the power map runs.
     """
-    S, R = check_index(S, R, len(R) if n is None else n)
+    n = len(R) if n is None else n
+    S, R = check_index(S, R, n)
     if a.is_zero():
         return a
     # one term's degree is q; power_expansion checks that a is homogeneous

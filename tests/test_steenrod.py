@@ -317,6 +317,7 @@ def test_milnor_single_entry_is_power(c2):
     for a in (U(c2, 2), V(c2, 2), c2.x(1) * c2.y(2)):
         for r in range(a.degree() // 2 + 1):
             assert milnor_st((), (r,), a, 1) == p_power(r, a)
+            assert milnor_st((), (r,), a) == p_power(r, a)
 
 
 def test_milnor_length_two_padding(c2):
