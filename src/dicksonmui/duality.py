@@ -13,13 +13,14 @@ Dual functionals are coefficient extractions: m̃_S q̃_H reads off the
 (S, H) coordinate in the invariant monomial basis, and the mixed
 functional m̃_S q̃_H ⊗ u^e γ_j(v) reads the (S, H, e, j) coordinate in
 the basis {Mtilde_S Qtilde^H U_{k+1}^e V_{k+1}^j} of the (k+1)-pair
-algebra.  An index with a negative entry names no basis monomial, so its
-functional annihilates everything.
+algebra.  Every pairing is read at a key that ``milnor_key`` makes from an
+index that passed ``check_index``; an index with no key names no basis
+monomial, so it pairs to 0.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from functools import cache
 
 from .algebra import AlgebraContext, Element, embed
@@ -75,16 +76,19 @@ def _mixed_candidates(p: int, k: int, d: int, xcount: int) -> tuple[tuple[tuple,
 def mixed_decompose(a: Element, k: int) -> dict[tuple, int]:
     """Coordinates of a in {Mtilde_S Qtilde^H U_{k+1}^eps V_{k+1}^m}.
 
-    a must be homogeneous over k+1 pairs and lie in the span (raises
-    NotInSpanError otherwise).  Zero coordinates are omitted.  The result
+    k must be >= 0 and a homogeneous over k+1 pairs (ValueError
+    otherwise, the zero element included), and a must lie in the span
+    (NotInSpanError otherwise).  Zero coordinates are omitted.  The result
     is cached and shared: read it, do not mutate it.
     """
-    if a.is_zero():
-        return {}
+    if k < 0:
+        raise ValueError("k must be >= 0, got %r" % (k,))
     if a.ctx.m != k + 1:
         raise ValueError("element must live over k+1 generator pairs")
     if not a.is_homogeneous():
         raise ValueError("mixed decomposition needs a homogeneous element")
+    if a.is_zero():
+        return {}
     p, d = a.ctx.p, a.degree()
     by_xcount: dict[int, dict] = {}
     for mono, c in a.terms.items():
@@ -93,15 +97,6 @@ def mixed_decompose(a: Element, k: int) -> dict[tuple, int]:
     for xc, target in by_xcount.items():
         out.update(_span_coordinates(_mixed_candidates(p, k, d, xc), target, p))
     return out
-
-
-def mixed_pairing(
-    img: Element, k: int, S: Sequence[int], H: Sequence[int], eps: int, m: int
-) -> int:
-    """<m̃_S q̃_H ⊗ u^eps γ_m(v), img> over k+1 pairs."""
-    if any(h < 0 for h in H) or m < 0:
-        return 0
-    return mixed_decompose(img, k).get((tuple(S), tuple(H), eps, m), 0)
 
 
 @cache
@@ -117,13 +112,6 @@ def invariant_coordinates(img: Element, n: int) -> dict[tuple, int]:
             raise ValueError("cofactor at %s,%s is not a scalar" % (S, H))
         out[S, H] = c
     return out
-
-
-def invariant_pairing(img: Element, n: int, S: Sequence[int], H: Sequence[int]) -> int:
-    """<m̃_S q̃_H, img> for an n-pair invariant element img."""
-    if any(h < 0 for h in H):
-        return 0
-    return invariant_coordinates(img, n).get((tuple(S), tuple(H)), 0)
 
 
 def pairing_sign_exp(
@@ -176,7 +164,7 @@ def _signed_mq_pairing(
     rimg = milnor_st(S, R, target, k)
     if rimg.is_zero():
         return 0
-    c = invariant_pairing(rimg, n, Sp, Hp)
+    c = invariant_coordinates(rimg, n).get((Sp, Hp), 0)
     if c and pairing_sign_exp(p, n, k, delta, s, S, R, Sp, Rp):
         c = p - c
     return c
@@ -199,73 +187,62 @@ _NO_MATCH = "no matching s; left pairing must vanish"
 
 
 def _block_results(
-    p: int, n: int, k: int, delta: int, Sp: tuple, Rp: tuple,
-    cases: Iterable[tuple[Sequence[int], Sequence[int], int, int]],
-) -> list[tuple]:
-    """Evaluate the duality cells (S, R, e, j) of cases against one U/V-side
-    operation St^{Sp,Rp}; returns one (s, status, reason, lhs, rhs) tuple
-    per case, in order.
+    p: int, n: int, k: int, delta: int, Sp: Sequence[int], Rp: Sequence[int],
+    heads: Sequence[tuple[Sequence[int], Sequence[int]]],
+    ejs: Sequence[tuple[int, int]],
+) -> list[list[tuple]]:
+    """Evaluate the duality cells (S, R, e, j) of the grid heads x ejs
+    against one U/V-side operation St^{Sp,Rp}: for each (S, R) of heads, in
+    order, a list of one (s, status, reason, lhs, rhs) tuple per (e, j) of
+    ejs, in order.
 
     status PASS means the two pairings agreed (or the left one vanished
     on a cell with no matching s); FAIL is a genuine inequality; SKIP
     marks cells where one side's operation is inadmissible, which forces
     the other side's dual index out of existence as well.
 
-    delta and (Sp, Rp) are checked once, before any case, by
-    ``_check_delta`` and ``check_index``; each case's (S, R) once per run
-    of equal cases, and its e and j as it is reached.  What depends only
-    on the block is computed once: the U/V-side image and its mixed
-    coordinates, the matched s of each e + 2j, and the M/Q-side pairing of
-    each (s, S, R).
+    delta, (Sp, Rp), every head and every (e, j) are checked before any
+    algebra runs.  The U/V-side image and its mixed coordinates are
+    computed at most once per block, when the first cell with a key reads
+    them; the matched s once per (e, j); every pairing is read at a
+    ``milnor_key``.
     """
     _check_delta(delta)
     Sp, Rp = check_index(Sp, Rp, n)
-    key_p = milnor_key(Sp, Rp, (2 - delta) * p**k)
-    if key_p is not None:
-        img = milnor_st(Sp, Rp, uv_target(AlgebraContext(p, k + 1), k, delta), n)
-        ctxn = AlgebraContext(p, n)
-    coords = None  # mixed_decompose(img, k), read on first use
-    q_mq = (2 - delta) * p**n
-    matched: dict[int, "int | None"] = {}  # e + 2j -> s
-    rhs_of: dict[tuple, int] = {}  # (s, S, R) -> signed M/Q-side pairing
-    skipped = (None, "SKIP", _UV_INADMISSIBLE, None, None)
-    out = []
-    last_S = last_R = None  # consecutive cases of one (S, R) share its reads
-    for S, R, e, j in cases:
-        S, R = tuple(S), tuple(R)
-        if S is not last_S or R is not last_R:
-            check_index(S, R, k)
-            last_S, last_R = S, R
+    heads = [check_index(S, R, k) for S, R in heads]
+    for e, j in ejs:
         if e not in (0, 1) or j < 0:
             raise ValueError("e must be 0 or 1 and j >= 0, got e = %r, j = %r" % (e, j))
-        if key_p is None:
-            out.append(skipped)
-            continue
-        key = milnor_key(S, R, q_mq - e - 2 * j)
-        if e + 2 * j in matched:
-            s = matched[e + 2 * j]
-        else:
-            s = matched[e + 2 * j] = _matched_s(p, n, delta, e, j)
-        if s is not None and key is None:
-            # equivalently: St^{S,R} inadmissible on the matched M/Q target
-            out.append((s, "SKIP", _MQ_INADMISSIBLE, None, None))
-            continue
-        # <m̃_S q̃_H ⊗ u^e γ_j(v), img> at the key of St^{S,R} in degree
-        # q_mq - e - 2j, as mixed_pairing reads it
-        if key is None:
+    key_p = milnor_key(Sp, Rp, (2 - delta) * p**k)
+    if key_p is None:
+        return [[(None, "SKIP", _UV_INADMISSIBLE, None, None)] * len(ejs) for _ in heads]
+    coords = None
+    ctxn = AlgebraContext(p, n)
+    q_mq = (2 - delta) * p**n
+    cells = [(e, j, q_mq - e - 2 * j, _matched_s(p, n, delta, e, j)) for e, j in ejs]
+    out = []
+    for S, R in heads:
+        row = []
+        for e, j, q, s in cells:
+            key = milnor_key(S, R, q)
+            if key is None and s is not None:
+                # St^{S,R} is inadmissible on the matched M/Q target
+                row.append((s, "SKIP", _MQ_INADMISSIBLE, None, None))
+                continue
+            # <m̃_S q̃_H ⊗ u^e γ_j(v), St^{Sp,Rp}(U/V_{k+1})>, 0 with no key
             lhs = 0
-        else:
-            if coords is None:
-                coords = mixed_decompose(img, k)
-            lhs = coords.get(key + (e, j), 0)
-        if s is None:
-            out.append((None, "PASS" if lhs == 0 else "FAIL", _NO_MATCH, lhs, 0))
-            continue
-        rhs = rhs_of.get((s, S, R))
-        if rhs is None:
-            rhs = rhs_of[s, S, R] = _signed_mq_pairing(
+            if key is not None:
+                if coords is None:
+                    coords = mixed_decompose(milnor_st(
+                        Sp, Rp, uv_target(AlgebraContext(p, k + 1), k, delta), n), k)
+                lhs = coords.get(key + (e, j), 0)
+            if s is None:
+                row.append((None, "PASS" if lhs == 0 else "FAIL", _NO_MATCH, lhs, 0))
+                continue
+            rhs = _signed_mq_pairing(
                 p, n, k, delta, s, mq_target(ctxn, n, s, delta), S, R, Sp, Rp, key_p[1])
-        out.append((s, "PASS" if lhs == rhs else "FAIL", "", lhs, rhs))
+            row.append((s, "PASS" if lhs == rhs else "FAIL", "", lhs, rhs))
+        out.append(row)
     return out
 
 
@@ -275,7 +252,7 @@ def duality_case(
 ) -> dict:
     """Evaluate one duality cell (_block_results); returns its report dict."""
     S, R, Sp, Rp = tuple(S), tuple(R), tuple(Sp), tuple(Rp)
-    ((s, status, reason, lhs, rhs),) = _block_results(p, n, k, delta, Sp, Rp, [(S, R, e, j)])
+    [[(s, status, reason, lhs, rhs)]] = _block_results(p, n, k, delta, Sp, Rp, [(S, R)], [(e, j)])
     return {
         "p": p, "n": n, "k": k, "delta": delta,
         "S": S, "R": R, "Sp": Sp, "Rp": Rp, "e": e, "j": j,
@@ -313,7 +290,7 @@ def expand_mq(
         img = milnor_st(Sp, Rp, uv, n)
         if img.is_zero():
             continue
-        c = mixed_pairing(img, k, *key, e, j)
+        c = mixed_decompose(img, k).get(key + (e, j), 0)
         if not c:
             continue
         if pairing_sign_exp(p, n, k, delta, s, S, R, Sp, Rp):

@@ -452,22 +452,16 @@ def _block_pairing(p: int, n: int, k: int, delta: int, Sp: tuple, Rp: tuple,
     q_mq = (2 - delta) * p**n
     ejs = [(e, j) for e in (0, 1) for j in range(p**n + 2) if e + 2 * j <= q_mq + 2]
     tails = ["%d/j%d" % ej for ej in ejs]
-    heads = []  # (S, R, label head)
-    for S in _subsets(k):
-        for R in itertools.product(range(p**n + 2), repeat=k):
-            if milnor_key(S, R, q_mq + 4) is None:
-                continue
-            if st_operation_degree(S, R, p) > degmax:
-                continue
-            heads.append((S, R, "%s/S(%s)/R(%s)/e" % (base, _fmt(S), _fmt(R))))
-    cases = [(S, R, e, j) for S, R, _ in heads for e, j in ejs]
-    results = iter(duality._block_results(p, n, k, delta, Sp, Rp, cases))
+    heads = [(S, R) for S in _subsets(k) for R in itertools.product(range(p**n + 2), repeat=k)
+             if milnor_key(S, R, q_mq + 4) is not None
+             and st_operation_degree(S, R, p) <= degmax]
+    results = duality._block_results(p, n, k, delta, Sp, Rp, heads, ejs)
     Sl, Rl = list(Sp), list(Rp)
     rows = []
-    for S, R, head in heads:
+    for (S, R), res in zip(heads, results):
+        head = "%s/S(%s)/R(%s)/e" % (base, _fmt(S), _fmt(R))
         sl, rl = list(S), list(R)
-        # ejs runs out first, so zip takes no result of the next (S, R)
-        for (e, j), tail, (s, status, reason, lhs, rhs) in zip(ejs, tails, results):
+        for (e, j), tail, (s, status, reason, lhs, rhs) in zip(ejs, tails, res):
             row = {
                 "suite": "duality",
                 "cell": head + tail,

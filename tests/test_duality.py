@@ -15,9 +15,8 @@ from dicksonmui.duality import (
     expand_mq,
     expand_uv,
     dim_bracket,
-    invariant_pairing,
+    invariant_coordinates,
     mixed_decompose,
-    mixed_pairing,
     pairing_sign_exp,
     duality_case,
 )
@@ -57,6 +56,10 @@ def test_mixed_decompose_rejects_outside_span():
         mixed_decompose(ctx.y(2), 1)
     with pytest.raises(ValueError):
         mixed_decompose(AlgebraContext(3, 3).y(1), 1)  # wrong pair count
+    with pytest.raises(ValueError, match="k\\+1 generator pairs"):
+        mixed_decompose(AlgebraContext(3, 5).zero(), 1)  # zero, wrong pair count
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        mixed_decompose(AlgebraContext(3, 0).one(), -1)
 
 
 def test_mixed_decompose_rejects_empty_basis():
@@ -70,15 +73,14 @@ def test_invariant_pairing_reads_embedded_invariants():
     # Q_{2,1} embedded over three pairs has the constant cofactor 1
     big = AlgebraContext(3, 3)
     q21 = embed(Q(AlgebraContext(3, 2), 2, 1), big)
-    assert invariant_pairing(q21, 2, (), (0, 1)) == 1
-    assert invariant_pairing(q21, 2, (), (2, 0)) == 0
+    assert invariant_coordinates(q21, 2) == {((), (0, 1)): 1}
 
 
 def test_invariant_pairing_rejects_non_scalar_cofactor():
     # Ltilde_2 * y3 has the cofactor y1 over the trailing pair
     ctx = AlgebraContext(3, 3)
     with pytest.raises(ValueError, match="not a scalar"):
-        invariant_pairing(Ltilde(ctx, 2) * ctx.y(3), 2, (), (1, 0))
+        invariant_coordinates(Ltilde(ctx, 2) * ctx.y(3), 2)
 
 
 def test_matched_cell_passes_with_nonzero_pairing():
@@ -102,7 +104,9 @@ def test_skip_when_right_dual_index_missing():
     assert "U/V" in rep["reason"]
 
 
-def test_skip_when_left_dual_index_missing():
+def test_skip_when_left_dual_index_missing(monkeypatch):
+    # a SKIP cell reads no U/V-side coordinates, so none are computed
+    monkeypatch.setattr(duality, "mixed_decompose", lambda *args: pytest.fail("decomposed"))
     rep = duality_case(3, 1, 1, 0, (0,), (2,), (), (0,), 0, 1)
     assert rep["status"] == "SKIP"
     assert "M/Q" in rep["reason"]
@@ -182,9 +186,9 @@ def test_rank_zero_duality_cells_agree(p):
     for n in (1, 2):
         for delta in (0, 1):
             for Sp, Rp in admissible_indices((2 - delta) * p**0, n):
-                cases = [((), (), e, j) for e in (0, 1) for j in range(p**n + 2)]
-                for s, status, reason, lhs, rhs in _block_results(
-                        p, n, 0, delta, Sp, Rp, cases):
+                ejs = [(e, j) for e in (0, 1) for j in range(p**n + 2)]
+                [row] = _block_results(p, n, 0, delta, Sp, Rp, [((), ())], ejs)
+                for s, status, reason, lhs, rhs in row:
                     assert status == "PASS", (n, delta, Sp, Rp, s, lhs, rhs)
 
 
@@ -233,8 +237,8 @@ def test_sign_term_even_where_pairings_are_nonzero(p, n, k, delta):
             H = (target.degree() - len(S) - 2 * sum(R),) + tuple(R[: k - 1])
             rimg = milnor_st(S, R, target, k)
             for Sp, Hp, img in uv_side:
-                rhs = invariant_pairing(rimg, n, Sp, Hp)
-                lhs = mixed_pairing(img, k, S, H, e, j)
+                rhs = invariant_coordinates(rimg, n).get((Sp, Hp), 0)
+                lhs = mixed_decompose(img, k).get((S, H, e, j), 0)
                 assert bool(lhs) == bool(rhs), (s, S, R, Sp, Hp)
                 if rhs:
                     nonzero += 1
@@ -270,8 +274,9 @@ def _reference_duality_case(p, n, k, delta, S, R, Sp, Rp, e, j):
     H = ((2 - delta) * p**n - e - 2 * j - t - 2 * sum(R),) + R[: k - 1]
     s = _matched_s(p, n, delta, e, j)
     rep["s"] = s
+    # an index with H[0] < 0 names no basis monomial: its pairing is 0
+    lhs = 0 if H[0] < 0 else mixed_decompose(img, k).get((S, H, e, j), 0)
     if s is None:
-        lhs = mixed_pairing(img, k, S, H, e, j)
         rep["lhs"], rep["rhs"] = lhs, 0
         rep["status"] = "PASS" if lhs == 0 else "FAIL"
         rep["reason"] = "no matching s; left pairing must vanish"
@@ -281,9 +286,8 @@ def _reference_duality_case(p, n, k, delta, S, R, Sp, Rp, e, j):
         return rep
     ctxn = AlgebraContext(p, n)
     target = Mtilde(ctxn, n, s) if delta else Q(ctxn, n, s)
-    lhs = mixed_pairing(img, k, S, H, e, j)
     rimg = milnor_st(S, R, target, k)
-    rhs = invariant_pairing(rimg, n, Sp, (r0p,) + Rp[: n - 1])
+    rhs = invariant_coordinates(rimg, n).get((Sp, (r0p,) + Rp[: n - 1]), 0)
     if duality.pairing_sign_exp(p, n, k, delta, s, S, R, Sp, Rp):
         rhs = (p - rhs) % p
     rep["lhs"], rep["rhs"] = lhs, rhs
@@ -303,28 +307,21 @@ def test_block_matches_reference_on_every_case(n, k, delta):
     # shape, on every (Sp, Rp) of its blocks and on those its degree cap
     # leaves out, where the U/V side turns inadmissible
     p, degmax = 3, 40
-    q_uv, q_mq = (2 - delta) * p**k, (2 - delta) * p**n
-    cases = []
-    for S in _subsets(k):
-        for R in itertools.product(range(p**n + 2), repeat=k):
-            if 2 * sum(R) + len(S) > q_mq + 4 or st_operation_degree(S, R, p) > degmax:
-                continue
-            for e in (0, 1):
-                for j in range(p**n + 2):
-                    if e + 2 * j <= q_mq + 2:
-                        cases.append((S, R, e, j))
+    q_mq = (2 - delta) * p**n
+    heads = [(S, R) for S in _subsets(k) for R in itertools.product(range(p**n + 2), repeat=k)
+             if 2 * sum(R) + len(S) <= q_mq + 4 and st_operation_degree(S, R, p) <= degmax]
+    ejs = [(e, j) for e in (0, 1) for j in range(p**n + 2) if e + 2 * j <= q_mq + 2]
     statuses = set()
     for Sp in _subsets(n):
         for Rp in itertools.product(range(p**k + 2), repeat=n):
-            got = _block_results(p, n, k, delta, Sp, Rp, cases)
-            assert len(got) == len(cases)
-            for case, res in zip(cases, got):
-                S, R, e, j = case
-                want = _reference_duality_case(p, n, k, delta, S, R, Sp, Rp, e, j)
-                assert res == _values(want), (Sp, Rp, case)
-                statuses.add(res[1:3])
+            got = _block_results(p, n, k, delta, Sp, Rp, heads, ejs)
+            assert [len(row) for row in got] == [len(ejs)] * len(heads)
+            for (S, R), row in zip(heads, got):
+                for (e, j), res in zip(ejs, row):
+                    want = _reference_duality_case(p, n, k, delta, S, R, Sp, Rp, e, j)
+                    assert res == _values(want), (Sp, Rp, S, R, e, j)
+                    statuses.add(res[1:3])
             # the one-cell call reports the block's values as a dict
-            S, R, e, j = cases[-1]
             assert duality_case(p, n, k, delta, S, R, Sp, Rp, e, j) == want
     # matched and unmatched PASS, and both SKIPs
     assert len(statuses) == 4, statuses
@@ -336,17 +333,18 @@ def test_block_applies_the_relating_sign(monkeypatch):
     # would not show; forced odd, every nonzero right pairing must flip
     monkeypatch.setattr(duality, "pairing_sign_exp", lambda *args: 1)
     p, n, k, delta, Sp, Rp = 3, 1, 1, 0, (), (0,)
-    cases = [(S, (r,), e, j) for S in ((), (0,)) for r in range(4)
-             for e in (0, 1) for j in range(4)]
+    heads = [(S, (r,)) for S in ((), (0,)) for r in range(4)]
+    ejs = [(e, j) for e in (0, 1) for j in range(4)]
     flipped = 0
-    for case, res in zip(cases, _block_results(p, n, k, delta, Sp, Rp, cases)):
-        want = _reference_duality_case(p, n, k, delta, *case[:2], Sp, Rp, *case[2:])
-        assert res == _values(want), case
-        assert duality_case(p, n, k, delta, *case[:2], Sp, Rp, *case[2:]) == want
-        s, status, reason, lhs, rhs = res
-        if status == "FAIL":
-            assert rhs == p - lhs
-            flipped += 1
+    for (S, R), row in zip(heads, _block_results(p, n, k, delta, Sp, Rp, heads, ejs)):
+        for (e, j), res in zip(ejs, row):
+            want = _reference_duality_case(p, n, k, delta, S, R, Sp, Rp, e, j)
+            assert res == _values(want), (S, R, e, j)
+            assert duality_case(p, n, k, delta, S, R, Sp, Rp, e, j) == want
+            s, status, reason, lhs, rhs = res
+            if status == "FAIL":
+                assert rhs == p - lhs
+                flipped += 1
     assert flipped
 
 
@@ -370,11 +368,25 @@ def test_case_errors_match_reference(args):
     assert str(got.value) == str(want.value)
 
 
-def test_block_checks_every_case():
-    # a bad case after good ones still raises, and an empty block is empty
-    good = ((), (0,), 0, 0)
+def test_block_checks_every_case(monkeypatch):
+    # a bad head or (e, j) after good ones raises before any algebra runs,
+    # on an admissible block and on a U/V-inadmissible one (r0' = 3 - 18);
+    # an empty grid gives empty rows
+    ran = []
+    monkeypatch.setattr(duality, "milnor_st", lambda *args: ran.append(args))
+    good = ((), (0,))
     with pytest.raises(ValueError, match="strictly increasing"):
-        _block_results(3, 1, 1, 0, (), (0,), [good, ((1,), (0,), 0, 0)])
+        _block_results(3, 1, 1, 0, (), (0,), [good, ((1,), (0,))], [(0, 0)])
     with pytest.raises(ValueError, match="j >= 0"):
-        _block_results(3, 1, 1, 1, (), (9,), [good, ((), (0,), 0, -1)])
-    assert _block_results(3, 1, 1, 0, (), (0,), []) == []
+        _block_results(3, 1, 1, 0, (), (0,), [good], [(0, 0), (0, -1)])
+    with pytest.raises(ValueError, match="j >= 0"):
+        _block_results(3, 1, 1, 1, (), (9,), [good], [(0, 0), (0, -1)])
+    with pytest.raises(ValueError, match="e must be 0 or 1"):
+        _block_results(3, 1, 1, 1, (), (0,), [good], [(0, 0), (2, 0)])
+    assert ran == []
+    monkeypatch.undo()
+    assert _block_results(3, 1, 1, 0, (), (0,), [], [(0, 0)]) == []
+    assert _block_results(3, 1, 1, 0, (), (0,), [good, good], []) == [[], []]
+    # every head gets its own row, on the U/V-inadmissible block too
+    rows = _block_results(3, 1, 1, 1, (), (9,), [good, good], [(0, 0)])
+    assert rows[0] == rows[1] and rows[0] is not rows[1]

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from dicksonmui import duality
 from dicksonmui.algebra import AlgebraContext, Element, Monomial, embed, render_text
 from dicksonmui.arith import binom_mod, mu_mod
 from dicksonmui.closed_forms import st_on_rank1, st_on_u2, st_on_v2
@@ -355,16 +356,17 @@ _BAD_INDICES = {
 _C1, _C2 = AlgebraContext(3, 1), AlgebraContext(3, 2)
 # Every entry point that takes an index, fed the bad one as its 2-block
 # index.  A duality entry takes two indices and is tried on each side; the
-# other side's index is valid, and Rp = (99,) is inadmissible, so no block
-# work runs before the cases.  The closed forms read n = len(R), so no
-# length is wrong for them, and st_on_v2 takes no S.
+# other side's index is valid and admissible, so the block would run its
+# algebra if the bad index were not refused first.  The closed forms read
+# n = len(R), so no length is wrong for them, and st_on_v2 takes no S.
 _INDEX_ENTRIES = {
     "milnor_st": lambda S, R: milnor_st(S, R, U(_C2, 2), 2),
     "basis_element": lambda S, H: basis_element(3, 2, S, H),
-    "duality_case M/Q": lambda S, R: duality_case(3, 1, 2, 0, S, R, (), (99,), 0, 0),
+    "duality_case M/Q": lambda S, R: duality_case(3, 1, 2, 0, S, R, (), (0,), 0, 0),
     "duality_case U/V": lambda Sp, Rp: duality_case(3, 2, 1, 0, (), (0,), Sp, Rp, 0, 0),
-    "_block_results M/Q": lambda S, R: _block_results(3, 1, 2, 0, (), (99,), [(S, R, 0, 0)]),
-    "_block_results U/V": lambda Sp, Rp: _block_results(3, 2, 1, 0, Sp, Rp, []),
+    "_block_results M/Q": lambda S, R: _block_results(3, 1, 2, 0, (), (0,), [(S, R)], [(0, 0)]),
+    "_block_results U/V": lambda Sp, Rp: _block_results(
+        3, 2, 1, 0, Sp, Rp, [((), (0,))], [(0, 0)]),
     "expand_mq": lambda S, R: expand_mq(3, 1, 2, 0, 0, S, R),
     "expand_uv": lambda Sp, Rp: expand_uv(3, 2, 1, 0, Sp, Rp),
     "st_on_rank1": lambda S, R: st_on_rank1(S, R, 1, 2, _C1),
@@ -379,22 +381,29 @@ _NO_LENGTH = ("st_on_rank1", "st_on_u2", "st_on_v2")
     if not (bad == "wrong length" and entry in _NO_LENGTH)
     and not (entry == "st_on_v2" and bad.startswith("S "))
 ])
-def test_every_entry_point_refuses_a_bad_index(entry, bad):
+def test_every_entry_point_refuses_a_bad_index(entry, bad, monkeypatch):
+    # no duality algebra runs before the index is refused
+    ran = []
+    monkeypatch.setattr(duality, "milnor_st", lambda *args: ran.append(args))
     S, R, message = _BAD_INDICES[bad]
     with pytest.raises(ValueError, match=message):
         _INDEX_ENTRIES[entry](S, R)
+    assert ran == []
 
 
 @pytest.mark.parametrize("delta", [-1, 2])
 @pytest.mark.parametrize("entry", [
     lambda delta: duality_case(3, 1, 1, delta, (), (0,), (), (0,), 0, 0),
-    lambda delta: _block_results(3, 1, 1, delta, (), (0,), []),
+    lambda delta: _block_results(3, 1, 1, delta, (), (0,), [((), (0,))], [(0, 0)]),
     lambda delta: expand_mq(3, 1, 1, delta, 0, (), (0,)),
     lambda delta: expand_uv(3, 1, 1, delta, (), (0,)),
 ], ids=["duality_case", "_block_results", "expand_mq", "expand_uv"])
-def test_every_duality_entry_refuses_a_bad_delta(entry, delta):
+def test_every_duality_entry_refuses_a_bad_delta(entry, delta, monkeypatch):
+    ran = []
+    monkeypatch.setattr(duality, "milnor_st", lambda *args: ran.append(args))
     with pytest.raises(ValueError, match="delta must be 0 or 1"):
         entry(delta)
+    assert ran == []
 
 
 def test_milnor_key_at_every_rank():
