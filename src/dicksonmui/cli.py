@@ -157,7 +157,7 @@ def _cmd_closed_form(args) -> int:
 
 def _cmd_verify(args) -> int:
     given = vars(args)  # the flags given; every other argument is run_suite's default
-    kwargs = {k: given[k] for k in ("max_n", "grid", "seed", "budget", "workers", "cases")
+    kwargs = {k: given[k] for k in ("max_n", "grid", "seed", "budget", "cases")
               if k in given}
     if "p" in given:
         kwargs["p_values"] = _int_list(args.p)
@@ -165,13 +165,12 @@ def _cmd_verify(args) -> int:
     out = open(args.out, "w", encoding="utf-8") if given.get("out") else None
     try:
         rep = run_suite(args.suite, **kwargs)
-        if args.format == "json":
-            text = json.dumps(rep, indent=2)  # one encoding for both destinations
+        if args.format == "json" or out:
+            # one compact encoding for both destinations: without indent,
+            # json.dumps runs the C encoder
+            text = json.dumps(rep)
             if out:
                 out.write(text + "\n")
-        elif out:
-            json.dump(rep, out, indent=2)  # streamed, never one whole string
-            out.write("\n")
     finally:
         if out:
             out.close()
@@ -249,13 +248,14 @@ def _cmd_table(args) -> int:
     idx = args.n if args.n is not None else args.k
     if idx is None:
         raise UsageError("--n (or --k) is required")
+    rmax = args.max_r
+    if rmax is not None and rmax < 0:
+        raise UsageError("--max-r must be >= 0, got %d" % rmax)
     columns = _table_columns(family, p, idx)
     svals = [s for s, _ in columns]
     # by default the largest r any column admits: P^r z = 0 once 2r > deg z
-    if args.max_r is None:
+    if rmax is None:
         rmax = max(target.degree() for _, target in columns) // 2
-    else:
-        rmax = args.max_r
     latex = args.format == "latex"
     mixed = family in ("U", "V")
     grid: dict[int, dict] = {}
@@ -350,7 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--seed", type=int)
     q.add_argument("--budget", type=int,
                    help="raw-monomial budget per cell; larger cells are skipped")
-    q.add_argument("--workers", type=int)
     q.add_argument("--cases", type=int,
                    help="randomized property cases per family and prime, "
                         "split over up to 5 batches")

@@ -7,16 +7,14 @@ of seeded property checks.  Cells report PASS/FAIL/SKIP rows; a SKIP
 always carries a reason (usually the raw-monomial budget) and is never
 silent.
 
-Cells are dispatched to a process pool when the worker count exceeds
-one; report rows keep the deterministic build order regardless of
-completion order.
+Cells run in this process, one after another in build order, so the
+report rows come in a fixed order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 import time
 from collections import Counter
@@ -691,7 +689,6 @@ SUITE_NAMES = tuple(_BUILDERS)
 
 
 def _task(suite: str, cell: str, fn, args: tuple, est: int) -> dict:
-    # fn is a module-level cell function, so a task pickles for the pool
     return {"suite": suite, "cell": cell, "fn": fn, "args": args, "est": int(est)}
 
 
@@ -712,41 +709,6 @@ def _execute(task: dict) -> list[dict]:
     return [{"suite": task["suite"], "cell": task["cell"], **out, "seconds": round(dt, 6)}]
 
 
-def _worker_count(workers: "int | None") -> int:
-    """The requested worker count (1 when None), clamped to 1..cpu_count
-    so no request forks more processes than cores."""
-    return max(1, min(1 if workers is None else workers, os.cpu_count() or 1))
-
-
-def _run_tasks(tasks: list[dict], workers: int, budget: int) -> list[dict]:
-    runnable = [t for t in tasks if t["est"] <= budget]
-    if workers > 1 and len(runnable) > 1:
-        try:
-            # imported here: a pool is rare, and the imports cost every start-up
-            import multiprocessing as mp
-            from concurrent.futures import ProcessPoolExecutor
-
-            chunk = max(1, len(runnable) // (workers * 8))
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=mp.get_context("fork")
-            ) as pool:
-                results = list(pool.map(_execute, runnable, chunksize=chunk))
-        except (OSError, ValueError):
-            results = [_execute(t) for t in runnable]
-    else:
-        results = [_execute(t) for t in runnable]
-    it = iter(results)
-    rows: list[dict] = []
-    for t in tasks:
-        if t["est"] > budget:
-            rows.append({"suite": t["suite"], "cell": t["cell"], "status": "SKIP",
-                         "reason": "budget: ~%d raw monomials > %d" % (t["est"], budget),
-                         "seconds": 0.0})
-        else:
-            rows.extend(next(it))
-    return rows
-
-
 def run_suite(
     name: str,
     *,
@@ -764,11 +726,13 @@ def run_suite(
     p = 3, 5, 7, max_n = 3 and the full duality grid; the CLI passes only
     the flags it is given.  p_values must name at least one odd prime,
     none twice; max_n and cases must be integers of at least 1, budget an
-    integer of at least 0, seed an integer and workers (when given) an
-    integer, none a bool; otherwise ValueError, before any cell runs.
-    workers is clamped to 1..cpu_count.  cases is the number of randomized
-    property cases per family and prime.  The report records the primes,
-    max_n and grid it ran."""
+    integer of at least 0 and seed an integer, none a bool; otherwise
+    ValueError, before any cell runs.  cases is the number of randomized
+    property cases per family and prime.  Every cell runs in this process,
+    in build order.  workers accepts only None or 1 (anything else,
+    bools included, is a ValueError): bench/workloads.py still passes
+    workers=1, and the keyword goes once it stops.  The report records
+    the primes, max_n and grid it ran."""
     if name == "all":
         names = SUITE_NAMES
     elif name in SUITE_NAMES:
@@ -793,12 +757,19 @@ def run_suite(
         raise ValueError("budget must be an integer >= 0, got %r" % (budget,))
     if type(seed) is not int:
         raise ValueError("seed must be an integer, got %r" % (seed,))
-    if not (workers is None or type(workers) is int):
-        raise ValueError("workers must be an integer, got %r" % (workers,))
-    tasks = [t for nm in names for t in _BUILDERS[nm](primes, max_n, grid, seed, cases)]
-    w = _worker_count(workers)
+    if not (workers is None or (type(workers) is int and workers == 1)):
+        raise ValueError("workers must be 1 (cells run in one process), got %r"
+                         % (workers,))
     t0 = time.perf_counter()
-    rows = _run_tasks(tasks, w, budget)
+    rows: list[dict] = []
+    for nm in names:
+        for t in _BUILDERS[nm](primes, max_n, grid, seed, cases):
+            if t["est"] > budget:
+                rows.append({"suite": t["suite"], "cell": t["cell"], "status": "SKIP",
+                             "reason": "budget: ~%d raw monomials > %d" % (t["est"], budget),
+                             "seconds": 0.0})
+            else:
+                rows.extend(_execute(t))
     counts = Counter(r["status"] for r in rows)
     return {
         "tool": "dicksonmui",
@@ -808,7 +779,6 @@ def run_suite(
         "grid": grid,
         "seed": seed,
         "budget": budget,
-        "workers": w,
         "counts": {"pass": counts.get("PASS", 0), "fail": counts.get("FAIL", 0),
                    "skip": counts.get("SKIP", 0)},
         "seconds": round(time.perf_counter() - t0, 3),

@@ -284,6 +284,14 @@ def test_verify_rejects_bad_suite(capsys):
     assert exc.value.code == 2
 
 
+def test_verify_has_no_workers_option(capsys):
+    # every cell runs in one process; the option is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "core", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, message", [
     (("--max-n", "0"), "max_n must be an integer >= 1"),
     (("--max-n", "-2"), "max_n must be an integer >= 1"),
@@ -326,9 +334,14 @@ def test_verify_out_writes_report(capsys, tmp_path):
 
 
 def test_table_empty_range(capsys):
-    code, out, _ = run(capsys, "table", "--p", "3", "--family", "Q", "--n", "1",
-                       "--max-r", "-1")
-    assert code == 0 and out.splitlines() == ["r  s=0"]
+    # a negative --max-r asks for a table with no rows: refused, not an
+    # empty table under exit code 0
+    for family, idx in (("Q", "--n"), ("V", "--k")):
+        argv = ("table", "--p", "3", "--family", family, idx, "1", "--max-r")
+        code, out, err = run(capsys, *argv, "-1")
+        assert (code, out, err) == (2, "", "error: --max-r must be >= 0, got -1\n")
+        code, out, _ = run(capsys, *argv, "0")
+        assert code == 0 and len(out.splitlines()) == 2
 
 
 def _inexact_division(r, a):

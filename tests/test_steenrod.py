@@ -1,6 +1,7 @@
 """Steenrod operations: the Cartan oracle, the block power map, and
 Milnor-basis extraction."""
 
+import itertools
 import math
 import random
 
@@ -11,6 +12,7 @@ from dicksonmui.algebra import AlgebraContext, Element, Monomial, embed, render_
 from dicksonmui.arith import binom_mod, mu_mod
 from dicksonmui.closed_forms import st_on_rank1, st_on_u2, st_on_v2
 from dicksonmui.duality import _block_results, duality_case, expand_mq, expand_uv
+from dicksonmui.grammar import parse_text
 from dicksonmui.invariants import Ltilde, Mtilde, Q, U, V
 from dicksonmui.steenrod import (
     NotInSpanError,
@@ -427,6 +429,101 @@ def test_admissible_indices():
     assert ((), (0,)) in idx and ((0,), (0,)) in idx
     assert all(milnor_key(S, R, 2) is not None for S, R in idx)
     assert all(len(R) == 1 for _, R in idx)
+
+
+def _compositions(d, parts):
+    """Every tuple of `parts` entries >= 0 that sum to d."""
+    for cuts in itertools.combinations_with_replacement(range(d + 1), parts - 1):
+        bounds = (0,) + cuts + (d,)
+        yield tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+
+
+def _digit_splits(e, parts, p):
+    """Every (c, multinomial(e; c) mod p) with c a `parts`-tuple summing to
+    e and the multinomial nonzero mod p.  By Lucas's theorem those c add up
+    to e digit by digit in base p with no carry, and the multinomial is the
+    product of the digits' multinomials, so only nonzero terms are built."""
+    splits, place = [((0,) * parts, 1)], 1
+    while e:
+        e, d = divmod(e, p)
+        digit = []
+        for t in _compositions(d, parts):
+            coef = math.factorial(d)
+            for v in t:
+                coef //= math.factorial(v)
+            digit.append((t, coef % p))
+        splits = [(tuple(ci + ti * place for ci, ti in zip(c, t)), k * kt % p)
+                  for c, k in splits for t, kt in digit]
+        place *= p
+    return splits
+
+
+def _coaction(a, n):
+    """{(S, R): [tau_S xi^R] lambda(a)} over tau_0..tau_{n-1}, xi_1..xi_n.
+
+    The Milnor coaction is multiplicative with the Koszul sign and sends
+    x -> x (x) 1 + sum_j y^{p^j} (x) tau_j and y -> sum_j y^{p^j} (x) xi_j
+    (xi_0 = 1).  Each y_i^e spreads e over xi_0..xi_n with a multinomial
+    coefficient; each x_i stays or becomes y_i^{p^j} tau_j.  An independent
+    formula: it reads neither the power map nor p_power."""
+    ctx, p = a.ctx, a.ctx.p
+    out: dict = {}
+    for (xs, ys), coef in a.terms.items():
+        # (y exponents, R, coefficient) over the splits of every y_i^e
+        ysplits = [((), (0,) * n, coef)]
+        for e in ys:
+            ysplits = [(yy + (sum(cj * p**j for j, cj in enumerate(c)),),
+                        tuple(r + cj for r, cj in zip(R, c[1:])), k * kc % p)
+                       for yy, R, k in ysplits for c, kc in _digit_splits(e, n + 1, p)]
+        for choice in itertools.product((None,) + tuple(range(n)), repeat=len(xs)):
+            taus = [j for j in choice if j is not None]
+            if len(set(taus)) < len(taus):
+                continue  # tau_j^2 = 0
+            # each tau passes every later x that stays, then the taus sort
+            swaps = sum(jb is None for ia, ja in enumerate(choice) if ja is not None
+                        for jb in choice[ia + 1:])
+            swaps += sum(u > v for u, v in itertools.combinations(taus, 2))
+            kept = tuple(i for i, j in zip(xs, choice) if j is None)
+            shift = [0] * ctx.m
+            for i, j in zip(xs, choice):
+                if j is not None:
+                    shift[i - 1] += p**j
+            S = tuple(sorted(taus))
+            for yy, R, k in ysplits:
+                mono = Monomial(kept, tuple(e + t for e, t in zip(yy, shift)))
+                terms = out.setdefault((S, R), {})
+                terms[mono] = terms.get(mono, 0) + (-k if swaps % 2 else k)
+    return {key: Element(ctx, terms) for key, terms in out.items()}
+
+
+_COACTION_ELEMENTS = {
+    # 0, 1, 2 and 3 exterior factors
+    "y1": lambda p: parse_text("y1", AlgebraContext(p, 1)),
+    "x1*y1^2": lambda p: parse_text("x1*y1^2", AlgebraContext(p, 1)),
+    "V_2": lambda p: V(AlgebraContext(p, 2), 2),
+    "U_2": lambda p: U(AlgebraContext(p, 2), 2),
+    "x1*x2*y1": lambda p: parse_text("x1*x2*y1", AlgebraContext(p, 2)),
+    "x1*x2*x3*y2": lambda p: parse_text("x1*x2*x3*y2", AlgebraContext(p, 3)),
+}
+
+
+@pytest.mark.parametrize("name", list(_COACTION_ELEMENTS))
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_milnor_st_is_the_coaction_coefficient(p, n, name):
+    # the sign rule a coaction route must keep:
+    # St^{S,R} a = (-1)^{|S|(q-1)} [tau_S xi^R] lambda(a), q = deg a
+    a = _COACTION_ELEMENTS[name](p)
+    q = a.degree()
+    coaction = _coaction(a, n)
+    indices = list(admissible_indices(q, n))
+    # the coaction has no term past the excess bound
+    assert set(coaction) <= set(indices)
+    for S, R in indices:
+        want = coaction.get((S, R), a.ctx.zero())
+        if len(S) * (q - 1) % 2:
+            want = -want
+        assert milnor_st(S, R, a, n) == want, (S, R)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

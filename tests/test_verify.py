@@ -23,17 +23,8 @@ from dicksonmui.verify import (
     _fmt,
     _rand_monomial,
     _subsets,
-    _worker_count,
     run_suite,
 )
-
-
-def test_worker_count_is_clamped_to_cpu_count():
-    cores = os.cpu_count() or 1
-    assert _worker_count(None) == 1
-    assert _worker_count(0) == 1
-    assert _worker_count(1) == 1
-    assert _worker_count(10**6) == cores
 
 
 def _schema():
@@ -111,24 +102,29 @@ def test_the_report_records_the_grid_it_ran():
 
 
 def test_import_leaves_the_process_pool_out():
-    code = "import sys, dicksonmui; print('concurrent.futures' in sys.modules)"
+    # every suite runs in this process: neither importing the package nor
+    # running cells of every suite loads a pool module
+    code = ("import sys, dicksonmui\n"
+            "from dicksonmui.verify import run_suite\n"
+            "rep = run_suite('all', p_values=(3,), max_n=1, grid='small', cases=5)\n"
+            "assert rep['counts']['pass'] > 0 and not rep['counts']['fail']\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
-def _without_seconds(report):
-    rows = [{k: v for k, v in row.items() if k != "seconds"} for row in report["cells"]]
-    return dict(report, seconds=None, workers=None, cells=rows)
-
-
-def test_worker_pool_gives_the_serial_report():
-    args = dict(p_values=(3,), max_n=1)
-    serial = run_suite("closed-forms", workers=1, **args)
-    pooled = run_suite("closed-forms", workers=2, **args)
-    assert len(serial["cells"]) > 1
-    assert _without_seconds(pooled) == _without_seconds(serial)
+def test_the_report_has_no_worker_count():
+    rep = run_suite("closed-forms", p_values=(3,), max_n=1)
+    assert "workers" not in rep and rep["counts"]["pass"] > 0
+    jsonschema.validate(rep, _schema())
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(dict(rep, workers=1), _schema())
+    # the one value workers still accepts runs the same cells
+    again = run_suite("closed-forms", p_values=(3,), max_n=1, workers=1)
+    assert _cell_names(again) == _cell_names(rep)
 
 
 def _reference_rand_monomial(rng, ctx, max_e=5):
@@ -157,7 +153,7 @@ FULL_REPORT_SHA256 = "dddd883776700b4c2f2e6018240e2c1ff60b950157885f5a5c51b5af41
 
 
 def test_full_report_is_unchanged():
-    rep = run_suite("all", p_values=(3, 5, 7), max_n=3, grid="full", budget=10**9, workers=1)
+    rep = run_suite("all", p_values=(3, 5, 7), max_n=3, grid="full", budget=10**9)
     assert rep["counts"] == {"pass": 20065, "fail": 0, "skip": 17074}
     rows = [{k: v for k, v in row.items() if k != "seconds"} for row in rep["cells"]]
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
@@ -273,15 +269,17 @@ def test_failing_pairing_rows_match_the_reference_rows(monkeypatch):
     (dict(budget=False), "budget"),
     (dict(seed=True), "seed"),
     (dict(workers=True), "workers"),
+    (dict(workers=2), "workers must be 1"),
+    (dict(workers=0), "workers must be 1"),
+    (dict(workers=False), "workers must be 1"),
 ])
 def test_run_suite_rejects_out_of_range_arguments(monkeypatch, kwargs, message):
-    def no_cell(task):
-        raise AssertionError("a cell ran before the range check")
-
-    monkeypatch.setattr(verify, "_execute", no_cell)
+    ran = []  # every cell would pass through _execute; none may
+    monkeypatch.setattr(verify, "_execute", lambda task: ran.append(task) or [])
     for name in ("all", "core", "duality"):
         with pytest.raises(ValueError, match=message):
             run_suite(name, **kwargs)
+    assert ran == []
 
 
 def _cases_per_batch(report):
