@@ -163,6 +163,11 @@ class AlgebraContext:
         if not 1 <= i <= self.m:
             raise ValueError("generator index %r outside 1..%d" % (i, self.m))
 
+    def check_pairs(self, k: int) -> None:
+        """Raise ValueError unless the context has at least k generator pairs."""
+        if self.m < k:
+            raise ValueError("context too small: m = %d, needs at least %d pairs" % (self.m, k))
+
 
 class Element:
     """An immutable element of E(x_1..x_m) (x) P(y_1..y_m) over Z/p."""
@@ -322,10 +327,6 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         return self.ctx == other.ctx and self.terms == other.terms
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def __hash__(self) -> int:
         hv = self._hash
@@ -818,12 +819,33 @@ def embed(a: Element, new_ctx: AlgebraContext) -> Element:
         return a
     if new_ctx.p != a.ctx.p:
         raise ContextMismatchError("embed cannot change p")
-    if new_ctx.m < a.ctx.m:
-        raise ValueError("target context is too small")
+    new_ctx.check_pairs(a.ctx.m)
     pad = (0,) * (new_ctx.m - a.ctx.m)
     return Element._make(
         new_ctx, {Monomial(m.xs, m.ys + pad): c for m, c in a.terms.items()}
     )
+
+
+def _render_terms(a: Element, x: str, y: str, ypow: str, sep: str) -> str:
+    """The sorted term walk of render_text and grammar.render_latex: each
+    term is its coefficient (unless 1) and its factors, formatted by x, y
+    and ypow and joined by sep; terms are joined by " + "."""
+    if a.is_zero():
+        return "0"
+    bits = []
+    for mono in sorted(a.terms, key=monomial_sort_key, reverse=True):
+        c = a.terms[mono]
+        factors = [x % i for i in mono.xs]
+        for i in range(len(mono.ys), 0, -1):
+            e = mono.ys[i - 1]
+            if e == 1:
+                factors.append(y % i)
+            elif e:
+                factors.append(ypow % (i, e))
+        if c != 1 or not factors:
+            factors = [str(c)] + factors
+        bits.append(sep.join(factors))
+    return " + ".join(bits)
 
 
 def render_text(a: Element) -> str:
@@ -832,19 +854,4 @@ def render_text(a: Element) -> str:
     Exterior factors lead in orientation order; polynomial factors follow
     highest index first, mirroring the term order.
     """
-    if a.is_zero():
-        return "0"
-    bits = []
-    for mono in sorted(a.terms, key=monomial_sort_key, reverse=True):
-        c = a.terms[mono]
-        factors = ["x%d" % i for i in mono.xs]
-        for i in range(len(mono.ys), 0, -1):
-            e = mono.ys[i - 1]
-            if e == 1:
-                factors.append("y%d" % i)
-            elif e:
-                factors.append("y%d^%d" % (i, e))
-        if c != 1 or not factors:
-            factors = [str(c)] + factors
-        bits.append("*".join(factors))
-    return " + ".join(bits)
+    return _render_terms(a, "x%d", "y%d", "y%d^%d", "*")

@@ -47,7 +47,6 @@ def dim_bracket(p: int, s: int) -> int:
 
 # ---------------------------------------------------------------- pairings
 
-@cache
 def _mixed_candidates(p: int, k: int, d: int, xcount: int) -> tuple[tuple[tuple, dict], ...]:
     """Degree-d keys (S, H, eps, m) with len(S) + eps = xcount, paired with
     the raw term maps of Mtilde_S Qtilde^H U_{k+1}^eps V_{k+1}^m."""

@@ -17,7 +17,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 
-from .algebra import AlgebraContext, Element, Monomial, monomial_sort_key, render_text
+from .algebra import (AlgebraContext, Element, Monomial, _render_terms, monomial_sort_key,
+                      render_text)
 
 _FACTOR = re.compile(r"^([xy])(\d+)(?:\^(-?\d+))?$")
 _COEFF = re.compile(r"^[+-]?\d+$")
@@ -119,23 +120,8 @@ def from_json(data: dict, ctx: "AlgebraContext | None" = None) -> Element:
 
 
 def render_latex(a: Element) -> str:
-    if a.is_zero():
-        return "0"
-    bits = []
-    for mono in sorted(a.terms, key=monomial_sort_key, reverse=True):
-        c = a.terms[mono]
-        factors = ["x_{%d}" % i for i in mono.xs]
-        for i in range(len(mono.ys) - 1, -1, -1):  # same order as render_text
-            e = mono.ys[i]
-            if e == 1:
-                factors.append("y_{%d}" % (i + 1))
-            elif e:
-                factors.append("y_{%d}^{%d}" % (i + 1, e))
-        body = " ".join(factors)
-        if c != 1 or not body:
-            body = ("%d " % c) + body
-        bits.append(body.strip())
-    return " + ".join(bits)
+    """LaTeX form, e.g. ``x_{1} y_{2}^{3} + 2 x_{2} y_{1}^{3}``, in render_text's order."""
+    return _render_terms(a, "x_{%d}", "y_{%d}", "y_{%d}^{%d}", " ")
 
 
 __all__ = [

@@ -53,8 +53,7 @@ def bracket_e(ctx: AlgebraContext, es: Sequence[int]) -> Element:
         return ctx.one()
     if any(e < 0 for e in es):
         raise ValueError("bracket exponents must be >= 0")
-    if ctx.m < k:
-        raise ValueError("context has %d pairs, bracket needs %d" % (ctx.m, k))
+    ctx.check_pairs(k)
     return embed(_bracket_e(ctx.p, es), ctx)
 
 
@@ -72,8 +71,7 @@ def bracket_x(ctx: AlgebraContext, es: Sequence[int]) -> Element:
     k = len(es) + 1
     if any(e < 0 for e in es):
         raise ValueError("bracket exponents must be >= 0")
-    if ctx.m < k:
-        raise ValueError("context has %d pairs, bracket needs %d" % (ctx.m, k))
+    ctx.check_pairs(k)
     return embed(_bracket_x(ctx.p, es), ctx)
 
 
@@ -108,6 +106,9 @@ def M(ctx: AlgebraContext, k: int, s: int) -> Element:
 
 def Ltilde(ctx: AlgebraContext, n: int) -> Element:
     """Ltilde_n = L_n^h, of degree p^n - 1."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    ctx.check_pairs(n)
     return embed(_ltilde(ctx.p, n), ctx)
 
 
@@ -121,6 +122,7 @@ def Q(ctx: AlgebraContext, n: int, s: int) -> Element:
     """The Dickson invariant Q_{n,s} = L_{n,s} / L_n, 0 <= s <= n."""
     if not 0 <= s <= n:
         raise ValueError("s must lie in 0..n")
+    ctx.check_pairs(n)
     return embed(_q(ctx.p, n, s), ctx)
 
 
@@ -138,6 +140,7 @@ def Mtilde(ctx: AlgebraContext, n: int, s: int) -> Element:
         return Ltilde(ctx, n)
     if not 0 <= s < n:
         raise ValueError("s must lie in -1..n-1")
+    ctx.check_pairs(n)
     return embed(_mtilde(ctx.p, n, s), ctx)
 
 
@@ -151,6 +154,7 @@ def U(ctx: AlgebraContext, k: int) -> Element:
     """U_k = M_{k,k-1} L_{k-1}^(h-1), of degree p^(k-1)."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    ctx.check_pairs(k)
     return embed(_u(ctx.p, k), ctx)
 
 
@@ -164,6 +168,7 @@ def V(ctx: AlgebraContext, k: int) -> Element:
     """V_k = L_k / L_{k-1}, of degree 2 p^(k-1)."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    ctx.check_pairs(k)
     return embed(_v(ctx.p, k), ctx)
 
 
@@ -193,8 +198,7 @@ def V_product(ctx: AlgebraContext, k: int) -> Element:
     recursion that Q_recursion checks."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if ctx.m < k:
-        raise ValueError("context too small")
+    ctx.check_pairs(k)
     p = ctx.p
     level = []
     for coeffs in itertools.product(range(p), repeat=k - 1):
@@ -212,12 +216,13 @@ def Q_recursion(ctx: AlgebraContext, n: int, s: int) -> Element:
     """Independent oracle: Q_{n,s} = Q_{n-1,s-1}^p + Q_{n-1,s} V_n^(p-1),
     with Q_{k,k} = 1 and Q_{k,-1} = 0.  Reads row n, which is built once
     per (p, n)."""
-    if s < 0:
+    if n < 0 or not -1 <= s <= n:
+        raise ValueError("s must lie in 0..n")
+    ctx.check_pairs(n)
+    if s == -1:
         return ctx.zero()
     if s == n:
         return ctx.one()
-    if not 0 <= s < n:
-        raise ValueError("s must lie in 0..n")
     return embed(_q_recursion_row(ctx.p, n)[s], ctx)
 
 
@@ -273,8 +278,7 @@ def apply_matrix(a: Element, matrix: Sequence[Sequence[int]]) -> Element:
     on the first k = len(A) generator pairs."""
     ctx = a.ctx
     k = len(matrix)
-    if k > ctx.m:
-        raise ValueError("matrix acts on more pairs than the context has")
+    ctx.check_pairs(k)
     for row in matrix:
         if len(row) != k:
             raise ValueError("matrix must be square")

@@ -22,10 +22,11 @@ from collections.abc import Iterable, Sequence
 
 from . import closed_forms as cf
 from . import duality
-from .algebra import AlgebraContext, Element, Monomial, embed, relabel, render_text
+from .algebra import AlgebraContext, Element, Monomial, embed, exact_div, relabel, render_text
 from .arith import mu_mod, st_operation_degree
 from .grammar import from_json, parse_text, render_latex, to_json
 from .invariants import (
+    L,
     Ltilde,
     Mtilde,
     Q,
@@ -117,7 +118,7 @@ def _cell_q_base(p: int, n: int) -> dict:
 
 def _cell_q_top(p: int, n: int) -> dict:
     ctx = AlgebraContext(p, n)
-    return _eq_row(Q(ctx, n, n), ctx.one())
+    return _eq_row(Q(ctx, n, n), exact_div(L(ctx, n, n), L(ctx, n)))
 
 
 def _cell_gl_invariance(p: int, n: int, s: int, gi: int) -> dict:
@@ -543,44 +544,23 @@ def _duality_tasks(p_values, max_n, grid, seed, cases):
 # -------------------------------------------------------------- properties
 
 
-def _below(bits, n: int) -> int:
-    """A uniform draw from range(n), n >= 1, made as Random._randbelow
-    makes it: getrandbits(n.bit_length()) until the value is below n."""
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
-
-
 def _rand_monomial(rng: random.Random, ctx: AlgebraContext, max_e: int = 5) -> Element:
-    # The draws of sorted(rng.sample(range(1, m + 1), rng.randint(0,
-    # min(m, 2)))), then rng.randint(0, max_e) per exponent and
-    # rng.randint(1, p - 1), without their layers of calls: every value is
-    # drawn as _below draws it (inline for the exponents, which share one
-    # bound), and the sample swaps within a pool list as Random.sample
-    # does for a population of at most 21.  Valid by construction (sorted
-    # distinct indices in 1..m, exponents and a coefficient in range), so
-    # it skips ctx.monomial's checks.
-    bits = rng.getrandbits
-    m = ctx.m
-    pool = list(range(1, m + 1))
-    xs = []
-    for i in range(_below(bits, min(m, 2) + 1)):
-        j = _below(bits, m - i)
-        xs.append(pool[j])
-        pool[j] = pool[m - i - 1]
-    xs.sort()
-    n = max_e + 1
-    k = n.bit_length()
-    ys = []
-    for _ in range(m):
-        e = bits(k)
-        while e >= n:
-            e = bits(k)
+    # One uniform draw: an exterior mask of at most two bits (redrawn until
+    # it has), then the exponents in 0..max_e and the coefficient in
+    # 1..p-1 as the mixed-radix digits of one randrange.  Valid by
+    # construction, so it skips ctx.monomial's checks.
+    m, n = ctx.m, max_e + 1
+    mask = rng.getrandbits(m)
+    while mask.bit_count() > 2:
+        mask = rng.getrandbits(m)
+    r = rng.randrange(n**m * (ctx.p - 1))
+    xs, ys = [], []
+    for i in range(1, m + 1):
+        if mask >> (i - 1) & 1:
+            xs.append(i)
+        r, e = divmod(r, n)
         ys.append(e)
-    mono = Monomial(tuple(xs), tuple(ys))
-    return Element._make(ctx, {mono: 1 + _below(bits, ctx.p - 1)})
+    return Element._make(ctx, {Monomial(tuple(xs), tuple(ys)): r + 1})
 
 
 def _rand_element(rng: random.Random, ctx: AlgebraContext, terms: int = 2,

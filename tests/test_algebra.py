@@ -117,6 +117,15 @@ def test_scalar_arithmetic(ctx):
     assert ctx.one().constant_term() == 1
 
 
+def test_not_equal_inverts_equality(ctx):
+    # Python's default __ne__: it inverts __eq__ and passes NotImplemented on
+    a = ctx.y(1).scalar_mul(2)
+    assert not (a != ctx.y(1).scalar_mul(5)) and a != ctx.y(1)
+    assert not (ctx.scalar(4) != 1) and ctx.one() != 2
+    assert a != "2*y1" and a != AlgebraContext(3, 1).y(1).scalar_mul(2)
+    assert a.__ne__("2*y1") is NotImplemented
+
+
 def test_pow_rules(ctx):
     y = ctx.y(1) + ctx.y(2)
     assert y**3 == ctx.y(1, 3) + ctx.y(2, 3)  # Frobenius mod 3

@@ -101,6 +101,23 @@ def test_latex(ctx):
     assert render_latex(a) == "y_{2}^{3} + 2 y_{2} y_{1}^{2}"
     assert render_latex(ctx.zero()) == "0"
     assert render_latex(ctx.x(1) * ctx.y(2)) == "x_{1} y_{2}"
+    assert render_latex(ctx.scalar(2)) == "2"
+    assert render_latex(parse_text("2*x2*x1*y1^3", ctx)) == "x_{1} x_{2} y_{1}^{3}"
+
+
+@pytest.mark.parametrize("p, m", [(3, 2), (5, 3)])
+def test_latex_is_the_text_form_respelled(p, m):
+    # both renderers walk one term order; only the factor spelling and the
+    # separator differ
+    ctx = AlgebraContext(p, m)
+    rng = random.Random(p * m)
+    for _ in range(200):
+        a = sum((ctx.monomial(sorted(rng.sample(range(1, m + 1), rng.randint(0, 2))),
+                              [rng.randint(0, 4) for _ in range(m)], rng.randint(0, p - 1))
+                 for _ in range(rng.randint(0, 4))), ctx.zero())
+        text = re.sub(r"y(\d+)\^(\d+)", r"y_{\1}^{\2}", render_text(a))
+        text = re.sub(r"([xy])(\d+)", r"\1_{\2}", text).replace("*", " ")
+        assert render_latex(a) == text
 
 
 def _reference_parse_text(text, ctx):

@@ -5,7 +5,8 @@ import itertools
 
 import pytest
 
-from dicksonmui.algebra import AlgebraContext, exact_div, render_text
+from dicksonmui import invariants
+from dicksonmui.algebra import AlgebraContext, embed, exact_div, render_text
 from dicksonmui.invariants import (
     L,
     Ltilde,
@@ -15,6 +16,8 @@ from dicksonmui.invariants import (
     U,
     V,
     apply_matrix,
+    bracket_e,
+    bracket_x,
     dimension,
     gl_generators,
     Q_recursion,
@@ -69,6 +72,44 @@ def test_q_recursion_in_other_contexts():
         Q_recursion(big, 2, 3)
     with pytest.raises(ValueError, match="too small"):
         Q_recursion(AlgebraContext(3, 1), 2, 0)
+
+
+@pytest.mark.parametrize("front, builder, args", [
+    (bracket_e, "_bracket_e", ((0, 1, 2),)),
+    (bracket_x, "_bracket_x", ((0, 1),)),
+    (Ltilde, "_ltilde", (3,)),
+    (Q, "_q", (3, 1)),
+    (Mtilde, "_mtilde", (3, 1)),
+    (Mtilde, "_ltilde", (3, -1)),
+    (U, "_u", (3,)),
+    (V, "_v", (3,)),
+    (Q_recursion, "_q_recursion_row", (3, 1)),
+])
+def test_front_checks_the_context_before_building(monkeypatch, front, builder, args):
+    # one rule and one message; the cached builder never starts
+    calls = []
+    monkeypatch.setattr(invariants, builder, lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match=r"^context too small: m = 2, needs at least 3 pairs$"):
+        front(AlgebraContext(5, 2), *args)
+    assert calls == []
+
+
+def test_every_pair_count_check_is_the_context_rule():
+    small = AlgebraContext(3, 1)
+    for call in (lambda: V_product(small, 2), lambda: apply_matrix(small.y(1), [[1, 0], [0, 1]]),
+                 lambda: embed(V(ctx3(2), 2), small)):
+        with pytest.raises(ValueError, match=r"^context too small: m = 1, needs at least 2 pairs$"):
+            call()
+
+
+def test_front_index_rules():
+    ctx = ctx3(2)
+    with pytest.raises(ValueError, match="s must lie in 0..n"):
+        Q_recursion(ctx, 2, -7)  # only s = -1 reads as Q_{n,-1} = 0
+    with pytest.raises(ValueError, match="s must lie in 0..n"):
+        Q_recursion(ctx, -1, -1)
+    with pytest.raises(ValueError, match="^n must be >= 0$"):
+        Ltilde(ctx, -1)
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 4)])

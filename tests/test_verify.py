@@ -127,22 +127,24 @@ def test_the_report_has_no_worker_count():
     assert _cell_names(again) == _cell_names(rep)
 
 
-def _reference_rand_monomial(rng, ctx, max_e=5):
-    # the same draws as _rand_monomial, built through the validating
-    # ctx.monomial
-    xs = tuple(sorted(rng.sample(range(1, ctx.m + 1), rng.randint(0, min(ctx.m, 2)))))
-    ys = tuple(rng.randint(0, max_e) for _ in range(ctx.m))
-    return ctx.monomial(xs, ys, rng.randint(1, ctx.p - 1))
-
-
-def test_rand_monomial_draws_the_reference_elements():
+def test_rand_monomial_draws_valid_uniform_terms():
     for p, m, max_e in ((3, 2, 5), (5, 2, 3), (7, 3, 5), (3, 1, 0), (5, 0, 5)):
         ctx = AlgebraContext(p, m)
-        fast, slow = random.Random(p + m), random.Random(p + m)
+        rng, twin = random.Random(p + m), random.Random(p + m)
+        masks, exponents, coeffs = set(), set(), set()
         for _ in range(300):
-            a = _rand_monomial(fast, ctx, max_e)
-            assert a == _reference_rand_monomial(slow, ctx, max_e)
-        assert fast.getstate() == slow.getstate()
+            a = _rand_monomial(rng, ctx, max_e)
+            assert a == _rand_monomial(twin, ctx, max_e)  # one seed, one sequence
+            [(mono, c)] = a.terms.items()
+            assert ctx.monomial(mono.xs, mono.ys, c).terms == a.terms
+            assert len(mono.xs) <= 2 and max(mono.ys, default=0) <= max_e and 1 <= c < p
+            masks.add(mono.xs)
+            exponents.update(mono.ys)
+            coeffs.add(c)
+        if (p, m, max_e) == (5, 2, 3):
+            # 300 draws reach every exterior mask, exponent and coefficient
+            assert masks == {(), (1,), (2,), (1, 2)}
+            assert exponents == set(range(4)) and coeffs == set(range(1, 5))
 
 
 # The full p = 3, 5, 7 report up to n = 3 with nothing skipped on budget
