@@ -51,13 +51,20 @@ def _int_list(raw: str) -> tuple[int, ...]:
         raise UsageError("expected a comma-separated integer list, got %r" % raw)
 
 
+def _context(p: int, pairs: int) -> AlgebraContext:
+    """The context of an invariant whose index asks for `pairs` generator
+    pairs.  A negative index gets none, so the family's own index rule
+    rejects it, not the context's rule on m."""
+    return AlgebraContext(p, max(pairs, 0))
+
+
 # ------------------------------------------------------------- invariant
 
 def _cmd_invariant(args) -> int:
     idx = args.n if args.n is not None else args.k
     if idx is None:
         raise UsageError("--n (or --k) is required")
-    ctx = AlgebraContext(args.p, idx)
+    ctx = _context(args.p, idx)
     name, s = args.name, args.s
     if name in ("U", "V", "Ltilde") and s is not None:
         raise UsageError("--s does not apply to %s" % name)
@@ -127,11 +134,11 @@ def _closed_form(family: str, p: int, r: int, n: int | None,
             raise UsageError("--k is required for family %s" % family)
         if s is not None:
             raise UsageError("--s does not apply to family %s" % family)
-        ctx = AlgebraContext(p, k + 1)
+        ctx = _context(p, k + 1)
         return (cf.power_on_u if family == "U" else cf.power_on_v)(r, k, ctx)
     if n is None:
         raise UsageError("--n is required for family %s" % family)
-    ctx = AlgebraContext(p, n)
+    ctx = _context(p, n)
     if s is None:
         raise UsageError("--s is required for family %s" % family)
     if family == "M":
@@ -237,9 +244,9 @@ def _table_columns(family: str, p: int, idx: int) -> list[tuple]:
     and Q keep their first column (s = -1, s = 0) at every index, so an
     index the closed form refuses meets that refusal in the first cell."""
     if family in ("U", "V"):
-        return [(None, (U if family == "U" else V)(AlgebraContext(p, idx + 1), idx + 1))]
+        return [(None, (U if family == "U" else V)(_context(p, idx + 1), idx + 1))]
     first, inv = (-1, Mtilde) if family == "M" else (0, Q)
-    ctx = AlgebraContext(p, idx)
+    ctx = _context(p, idx)
     return [(s, inv(ctx, idx, s)) for s in [first] + list(range(first + 1, idx))]
 
 

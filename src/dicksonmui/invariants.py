@@ -13,30 +13,36 @@ from which everything else is assembled:
     Q_{n,s}  = L_{n,s} / L_n              Mtilde_{n,s} = M_{n,s} L_n^(h-1)
     U_k      = M_{k,k-1} L_{k-1}^(h-1)    V_k = L_k / L_{k-1}
 
-Q is built by exact division of polynomials.  V_k is not divided: it is
+No invariant is built by polynomial division.  L_{n,s} and L_n are
+alternants and Q_{n,s} is symmetric, so Q is solved over monomial
+symmetric functions, partition by partition (_alternant_quotient).  V_k is
 assembled from the rank-(k-1) Dickson invariants,
 
     V_k = sum_{s<k} (-1)^(k-1-s) Q_{k-1,s} y_k^(p^s),
 
-the expansion of L_k along its last row, over L_{k-1}.  The division
-L_k / L_{k-1} and the product and recursion forms of V and Q are kept
-as independent cross-checks.
+the expansion of L_k along its last row, over L_{k-1}.  The divisions
+L_{n,s} / L_n and L_k / L_{k-1} and the product and recursion forms of V
+and Q are kept as independent cross-checks.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from functools import cache, reduce
-from operator import mul
+from functools import cache, partial, reduce
+from heapq import heappop, heappush
+from math import factorial, prod
+from operator import add, mul, sub
 
 from .algebra import (
     AlgebraContext,
     Element,
+    InexactDivisionError,
     Monomial,
+    _new_tuple,
+    _pack,
     determinant,
     embed,
-    exact_div,
 )
 from .arith import matrix_rank_mod
 
@@ -120,6 +126,8 @@ def _ltilde(p: int, n: int) -> Element:
 
 def Q(ctx: AlgebraContext, n: int, s: int) -> Element:
     """The Dickson invariant Q_{n,s} = L_{n,s} / L_n, 0 <= s <= n."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if not 0 <= s <= n:
         raise ValueError("s must lie in 0..n")
     ctx.check_pairs(n)
@@ -128,10 +136,113 @@ def Q(ctx: AlgebraContext, n: int, s: int) -> Element:
 
 @cache
 def _q(p: int, n: int, s: int) -> Element:
+    """Q_{n,s} = a_mu / a_beta, with beta = (p^(n-1), ..., p, 1) and mu =
+    (p^n, ..., p, 1) without p^s.  L_n and L_{n,s} are these alternants
+    with their n columns reversed alike, so the signs cancel."""
     c = AlgebraContext(p, n)
     if s == n:
         return c.one()  # L_{n,n} = L_n
-    return exact_div(L(c, n, s), L(c, n))
+    beta = tuple(p**e for e in reversed(range(n)))
+    mu = tuple(p**e for e in reversed(range(n + 1)) if e != s)
+    return _alternant_quotient(c, beta, mu)
+
+
+def _alternant_quotient(ctx: AlgebraContext, beta: tuple[int, ...], mu: tuple[int, ...]) -> Element:
+    """The symmetric quotient a_mu / a_beta of the alternants
+    a_g = det(y_i^(g_j)), for strictly decreasing beta and mu.
+
+    The quotient is sum_nu c_nu m_nu over partitions nu, m_nu the monomial
+    symmetric function, and m_nu a_beta = sum a_(beta + nu') over the
+    distinct rearrangements nu' of nu (Macdonald, Symmetric Functions and
+    Hall Polynomials, ch. I 3).  Here a_g is +-a_(sort g), the sign of the
+    sorting permutation, or 0 when g repeats an entry.  The alternants of
+    strictly decreasing vectors are a basis, and the lex-largest of the
+    a_(beta + nu') is a_(beta + nu), with coefficient 1.  So the division
+    runs from the top, in alternant coordinates: pop the lex-largest
+    lambda left in the remainder, record c_nu at nu = lambda - beta, and
+    subtract c_nu m_nu a_beta.  Vectors are packed into ints as in
+    algebra, first entry most significant, so int order is lex order; no
+    entry exceeds mu_1.
+
+    Each rearrangement is written nu o sigma^-1 for a permutation sigma.
+    Permuting the entries of beta + nu o sigma^-1 by sigma gives
+    w = nu + beta o sigma, at the sign of sigma.  While w is strictly
+    decreasing (for every sigma once every gap of nu exceeds
+    beta_1 - beta_n), w is the sorted vector, and its key is the key of
+    nu plus a fixed offset per sigma; only the other w are sorted.  Each
+    nu's orbit becomes its monomials once, at the end.
+    """
+    p, n = ctx.p, len(beta)
+    width = mu[0].bit_length()
+    mask = (1 << width) - 1
+    shifts = range(width * (n - 1), -1, -width)
+    pairs = list(itertools.combinations(range(n), 2))
+    span = beta[0] - beta[-1]
+    base_key = _pack(beta, width)
+    # every sigma but the identity (which gives lambda itself) as beta o sigma,
+    # its key, whether sigma is odd, and its steps beta_sigma(j+1) - beta_sigma(j)
+    perms = [
+        (g, _pack(g, width), prod([g[i] - g[j] for i, j in pairs]) < 0,
+         tuple(map(sub, g[1:], g)))
+        for g in itertools.permutations(beta)
+    ][1:]
+    rem = {_pack(mu, width): 1}
+    heap = [-k for k in rem]
+    get = rem.get
+    distinct: dict[tuple[int, ...], int] = {}  # c_nu by nu, nu with distinct parts
+    repeated: dict[tuple[int, ...], int] = {}  # and nu with a repeated part
+    while heap:
+        key = -heappop(heap)
+        c = rem.pop(key) % p
+        if not c:
+            continue  # cancelled
+        nu = tuple([(key >> sh & mask) - b for sh, b in zip(shifts, beta)])
+        gaps = list(map(sub, nu, nu[1:]))
+        low = min(gaps, default=span + 1)
+        if nu[-1] < 0 or low < 0:
+            raise InexactDivisionError("a_beta does not divide a_mu")
+        (distinct if low else repeated)[nu] = c
+        base = key - base_key
+        minus = (p - c, c)  # -c_nu times the sign, indexed by its oddness
+        if low > span:  # every w is strictly decreasing
+            updates = [(base + off, minus[odd]) for _, off, odd, _ in perms]
+        else:
+            updates = []
+            for g, off, odd, steps in perms:
+                # w is strictly decreasing when every gap of nu exceeds its
+                # step.  A zero gap under a rising step means nu o sigma^-1
+                # is also the rearrangement of another sigma: skip it
+                fits = True
+                for gap, step in zip(gaps, steps):
+                    if gap <= step:
+                        if not gap:
+                            break
+                        fits = False
+                else:
+                    if fits:
+                        updates.append((base + off, minus[odd]))
+                        continue
+                    w = list(map(add, nu, g))
+                    # the sign of sorting w, or 0 when w repeats an entry
+                    vdm = prod([w[i] - w[j] for i, j in pairs])
+                    if vdm:
+                        w.sort(reverse=True)
+                        updates.append((_pack(w, width), minus[odd ^ (vdm < 0)]))
+        for k, v in updates:
+            old = get(k)
+            if old is None:
+                rem[k] = v
+                heappush(heap, -k)
+            else:
+                rem[k] = old + v
+    orbit_size = factorial(n)
+    ys = itertools.chain.from_iterable(map(itertools.permutations, distinct))
+    coeffs = [c for c in distinct.values() for _ in range(orbit_size)]
+    terms = dict(zip(map(partial(_new_tuple, Monomial), zip(itertools.repeat(()), ys)), coeffs))
+    for nu, c in repeated.items():
+        orbit = set(itertools.permutations(nu))
+        terms.update(dict.fromkeys([_new_tuple(Monomial, ((), ys)) for ys in orbit], c))
+    return Element._make(ctx, terms)
 
 
 def Mtilde(ctx: AlgebraContext, n: int, s: int) -> Element:

@@ -141,6 +141,16 @@ def test_out_of_range_s_is_the_library_error(capsys, argv, message):
     (("steenrod", "milnor", "--p", "3", "--R", "", "--expr", "y1"), 0, "y1", ""),
     (("verify", "--suite", "core", "--budget", "-1"), 2, "",
      "error: budget must be an integer >= 0, got -1\n"),
+    # a negative index meets the family's rule, not the context's rule on m
+    (("invariant", "--p", "3", "--name", "Ltilde", "--n", "-1"), 2, "", "error: n must be >= 0\n"),
+    (("invariant", "--p", "3", "--name", "V", "--k", "-1"), 2, "", "error: k must be >= 1\n"),
+    (("invariant", "--p", "3", "--name", "Q", "--n", "-1", "--s", "0"), 2, "",
+     "error: n must be >= 0\n"),
+    (("closed-form", "--p", "3", "--family", "U", "--r", "1", "--k", "-2"), 2, "",
+     "error: r and k must be >= 0\n"),
+    (("closed-form", "--p", "3", "--family", "Q", "--r", "1", "--n", "-1", "--s", "0"), 2, "",
+     "error: need r >= 0 and n >= 1\n"),
+    (("table", "--p", "3", "--family", "Q", "--n", "-1"), 2, "", "error: n must be >= 0\n"),
 ])
 def test_the_cli_defers_range_checks_to_the_library(capsys, argv, code, out, err):
     # inputs the CLI once refused itself: the library decides, and the

@@ -110,6 +110,8 @@ def test_front_index_rules():
         Q_recursion(ctx, -1, -1)
     with pytest.raises(ValueError, match="^n must be >= 0$"):
         Ltilde(ctx, -1)
+    with pytest.raises(ValueError, match="^n must be >= 0$"):
+        Q(ctx, -1, 0)
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 4)])
@@ -123,6 +125,38 @@ def test_q_edge_cases():
     # bottom Q is the square of the top exterior-free invariant
     assert Q(ctx, 2, 0) == Ltilde(ctx, 2) ** 2
     assert Q(ctx, 2, 2) == ctx.one()
+
+
+# every (p, n) with n <= 4 and p^n <= 3000, the benchmark's ranks (13, 3),
+# (3, 4) and (7, 3) among them
+DIVISION_RANKS = [(p, n) for p in (3, 5, 7, 11, 13) for n in range(1, 5) if p**n <= 3000]
+
+
+@pytest.mark.parametrize("p,n", DIVISION_RANKS)
+def test_q_is_the_division_of_l(p, n):
+    # Q is built over monomial symmetric functions; the polynomial
+    # division L_{n,s} / L_n is its reference
+    ctx = AlgebraContext(p, n)
+    for s in range(n + 1):
+        assert Q(ctx, n, s) == exact_div(L(ctx, n, s), L(ctx, n))
+
+
+def test_q5_at_p3_multiplies_back():
+    ctx = AlgebraContext(3, 5)
+    for s in range(5):
+        assert Q(ctx, 5, s) * L(ctx, 5) == L(ctx, 5, s)
+
+
+def test_q_builds_without_division(monkeypatch):
+    # the builder reads no determinant: it divides alternants, not L's
+    want = exact_div(L(ctx3(3), 3, 1), L(ctx3(3), 3))
+
+    def refuse(*args):
+        raise AssertionError("the builder of Q built a determinant")
+
+    monkeypatch.setattr(invariants, "L", refuse)
+    monkeypatch.setattr(invariants, "determinant", refuse)
+    assert invariants._q.__wrapped__(3, 3, 1) == want
 
 
 def test_v_divides_l():
