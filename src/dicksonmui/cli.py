@@ -60,34 +60,24 @@ def _context(p: int, pairs: int) -> AlgebraContext:
 
 # ------------------------------------------------------------- invariant
 
+# Each front by name, and how it takes --s: None when it takes none, else
+# the invariant that needs it ("" when --s is optional)
+_FRONTS = {"L": (L, ""), "M": (M, "M_{k,s}"), "Ltilde": (Ltilde, None),
+           "Mtilde": (Mtilde, "Mtilde_{n,s}"), "Q": (Q, "Q_{n,s}"),
+           "U": (U, None), "V": (V, None)}
+
+
 def _cmd_invariant(args) -> int:
     idx = args.n if args.n is not None else args.k
     if idx is None:
         raise UsageError("--n (or --k) is required")
     ctx = _context(args.p, idx)
-    name, s = args.name, args.s
-    if name in ("U", "V", "Ltilde") and s is not None:
-        raise UsageError("--s does not apply to %s" % name)
-    if name == "U":
-        el = U(ctx, idx)
-    elif name == "V":
-        el = V(ctx, idx)
-    elif name == "Ltilde":
-        el = Ltilde(ctx, idx)
-    elif name == "L":
-        el = L(ctx, idx, s)
-    elif name == "M":
-        if s is None:
-            raise UsageError("M_{k,s} needs --s")
-        el = M(ctx, idx, s)
-    elif name == "Mtilde":
-        if s is None:
-            raise UsageError("Mtilde_{n,s} needs --s")
-        el = Mtilde(ctx, idx, s)
-    else:  # Q
-        if s is None:
-            raise UsageError("Q_{n,s} needs --s")
-        el = Q(ctx, idx, s)
+    front, needs_s = _FRONTS[args.name]
+    if needs_s is None and args.s is not None:
+        raise UsageError("--s does not apply to %s" % args.name)
+    if needs_s and args.s is None:
+        raise UsageError("%s needs --s" % needs_s)
+    el = front(ctx, idx) if needs_s is None else front(ctx, idx, args.s)
     print(_emit(el, args.format))
     return 0
 
@@ -129,21 +119,17 @@ def _cmd_steenrod_milnor(args) -> int:
 
 def _closed_form(family: str, p: int, r: int, n: int | None,
                  k: int | None, s: int | None) -> "cf.ClosedFormResult":
-    if family in ("U", "V"):
-        if k is None:
-            raise UsageError("--k is required for family %s" % family)
-        if s is not None:
-            raise UsageError("--s does not apply to family %s" % family)
-        ctx = _context(p, k + 1)
-        return (cf.power_on_u if family == "U" else cf.power_on_v)(r, k, ctx)
-    if n is None:
-        raise UsageError("--n is required for family %s" % family)
-    ctx = _context(p, n)
-    if s is None:
+    fam = cf.FAMILIES[family]
+    takes_s = fam.first_s is not None
+    idx, flag = (n, "--n") if takes_s else (k, "--k")
+    if idx is None:
+        raise UsageError("%s is required for family %s" % (flag, family))
+    if s is not None and not takes_s:
+        raise UsageError("--s does not apply to family %s" % family)
+    ctx = _context(p, idx + fam.shift)
+    if s is None and takes_s:
         raise UsageError("--s is required for family %s" % family)
-    if family == "M":
-        return cf.power_on_mtilde(r, n, s, ctx)
-    return cf.power_on_q(r, n, s, ctx)
+    return fam.power(r, idx, s, ctx)
 
 
 def _cmd_closed_form(args) -> int:
@@ -243,11 +229,11 @@ def _table_columns(family: str, p: int, idx: int) -> list[tuple]:
     """(s, target invariant) for each table column; s is None for U/V.  M
     and Q keep their first column (s = -1, s = 0) at every index, so an
     index the closed form refuses meets that refusal in the first cell."""
-    if family in ("U", "V"):
-        return [(None, (U if family == "U" else V)(_context(p, idx + 1), idx + 1))]
-    first, inv = (-1, Mtilde) if family == "M" else (0, Q)
-    ctx = _context(p, idx)
-    return [(s, inv(ctx, idx, s)) for s in [first] + list(range(first + 1, idx))]
+    fam = cf.FAMILIES[family]
+    ctx = _context(p, idx + fam.shift)
+    first = fam.first_s
+    svals = [None] if first is None else [first] + list(range(first + 1, idx))
+    return [(s, fam.target(ctx, idx, s)) for s in svals]
 
 
 def _cmd_table(args) -> int:
@@ -312,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("invariant", help="construct one invariant")
     q.add_argument("--p", type=int, required=True)
     q.add_argument("--name", required=True,
-                   choices=["L", "M", "Ltilde", "Mtilde", "Q", "U", "V"])
+                   choices=list(_FRONTS))
     q.add_argument("--n", type=int)
     q.add_argument("--k", type=int, help="alias for --n")
     q.add_argument("--s", type=int)
@@ -339,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("closed-form", help="one closed-form action P^r")
     q.add_argument("--p", type=int, required=True)
-    q.add_argument("--family", required=True, choices=["U", "M", "V", "Q"])
+    q.add_argument("--family", required=True, choices=list(cf.FAMILIES))
     q.add_argument("--r", type=int, required=True)
     q.add_argument("--n", type=int)
     q.add_argument("--k", type=int)
@@ -366,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("table", help="oracle-checked grid of P^r actions")
     q.add_argument("--p", type=int, required=True)
-    q.add_argument("--family", required=True, choices=["U", "M", "V", "Q"])
+    q.add_argument("--family", required=True, choices=list(cf.FAMILIES))
     q.add_argument("--n", type=int)
     q.add_argument("--k", type=int, help="alias for --n")
     q.add_argument("--max-r", type=int, dest="max_r")

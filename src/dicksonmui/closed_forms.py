@@ -17,9 +17,10 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
+from . import invariants
 from .algebra import AlgebraContext, Element
 from .arith import digit, inv_mod, multinomial_mod, ratio_mod
-from .invariants import M, Q, U, V, Ltilde, Mtilde, bracket_e, bracket_x
+from .invariants import M, Q, U, V, Ltilde, Mtilde, bracket_e, bracket_x, check_family
 from .steenrod import check_index
 
 ClosedFormResult = namedtuple("ClosedFormResult", ("value", "applicable", "condition"))
@@ -48,8 +49,9 @@ def power_on_u(r: int, k: int, ctx: AlgebraContext) -> ClosedFormResult:
     c (h U_{k+1} + sum_u t_u V_{k+1} Mtilde_{k,u} Q_{k,u}^{-1}) prod Q_{k,i}^{t_i}
     with the inverse power folded into the product before anything is built.
     """
-    if r < 0 or k < 0:
-        raise ValueError("r and k must be >= 0")
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    check_family("U", k, shift=1)
     p, h = ctx.p, ctx.h
     if 2 * r >= p**k:
         return ClosedFormResult(ctx.zero(), False, "2r >= p^k")
@@ -90,10 +92,11 @@ def power_on_mtilde(
     alpha_{s-1}).  ``resolved=False`` reproduces the source display,
     which stops the exterior sum at u = s; see the note above.
     """
-    if r < 0 or n < 1:
-        raise ValueError("need r >= 0 and n >= 1")
-    if not -1 <= s <= n - 1:
-        raise ValueError("s must lie in -1..n-1")
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    check_family("Mtilde", n, s)
     p, h = ctx.p, ctx.h
     bound = p**n + (-1 if s == -1 else -2 * p**s)
     if 2 * r > bound:
@@ -132,8 +135,9 @@ def power_on_mtilde(
 
 def power_on_v(r: int, k: int, ctx: AlgebraContext) -> ClosedFormResult:
     """P^r V_{k+1}: the top case V^p at r = p^k, else the digit formula."""
-    if r < 0 or k < 0:
-        raise ValueError("r and k must be >= 0")
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    check_family("V", k, shift=1)
     p = ctx.p
     if r == p**k:
         return ClosedFormResult(V(ctx, k + 1) ** p, True, "r = p^k")
@@ -154,10 +158,11 @@ def power_on_q(r: int, n: int, s: int, ctx: AlgebraContext) -> ClosedFormResult:
     """P^r Q_{n,s}: the top case Q^p at r = p^n - p^s, else the digit
     formula with the bumped step at position s folded into Q_{n,s}'s net
     exponent 1 + alpha_s - alpha_{s-1}."""
-    if r < 0 or n < 1:
-        raise ValueError("need r >= 0 and n >= 1")
-    if not 0 <= s <= n:
-        raise ValueError("s must lie in 0..n")
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    check_family("Q", n, s)
     p = ctx.p
     top = p**n - p**s
     if r == top:
@@ -182,6 +187,32 @@ def power_on_q(r: int, n: int, s: int, ctx: AlgebraContext) -> ClosedFormResult:
     exps = [ti + (i == s) for i, ti in enumerate(t)]
     val = _q_product(ctx.scalar(cm), n, exps)
     return ClosedFormResult(val, True, "r < p^n - p^s, digits admissible")
+
+
+class ClosedFamily(namedtuple("ClosedFamily", ("front", "shift", "first_s", "power"))):
+    """A closed-form family: the invariant family it acts on, that
+    invariant's rank less the caller's index (1 for U_{k+1}), the first s
+    of a table row (None: it takes no s) and power(r, index, s, ctx)."""
+
+    __slots__ = ()
+
+    def target(self, ctx: AlgebraContext, idx: int, s: "int | None" = None) -> Element:
+        """The invariant acted on at the caller's index, refused in the
+        caller's terms; its front is read from invariants by name."""
+        check_family(self.front, idx, s, shift=self.shift)
+        args = (idx + self.shift,) if self.first_s is None else (idx, s)
+        return getattr(invariants, self.front)(ctx, *args)
+
+
+# The closed-form families by letter.  Closed forms and fronts are called
+# through their module names, not held here, so a wrapper rebound to a
+# name (as the benchmark tracer does) sees every call.
+FAMILIES = {
+    "U": ClosedFamily("U", 1, None, lambda r, k, s, ctx: power_on_u(r, k, ctx)),
+    "M": ClosedFamily("Mtilde", 0, -1, lambda r, n, s, ctx: power_on_mtilde(r, n, s, ctx)),
+    "V": ClosedFamily("V", 1, None, lambda r, k, s, ctx: power_on_v(r, k, ctx)),
+    "Q": ClosedFamily("Q", 0, 0, lambda r, n, s, ctx: power_on_q(r, n, s, ctx)),
+}
 
 
 def st_on_rank1(

@@ -50,6 +50,27 @@ from .arith import matrix_rank_mod
 # a cached builder; the public fronts validate, then embed the result in
 # the caller's context.  Elements are immutable, so sharing them is safe.
 
+# Each family's index rule: its rank's name and least value, and the range
+# of its s (None: it has none) as the least s and the most less the rank.
+_RULES = {"L": ("k", 0, (0, 0)), "M": ("k", 0, (0, -1)), "Ltilde": ("n", 0, None),
+          "Q": ("n", 0, (0, 0)), "Mtilde": ("n", 0, (-1, -1)),
+          "U": ("k", 1, None), "V": ("k", 1, None)}
+
+
+def check_family(family: str, k: int, s: "int | None" = None,
+                 ctx: "AlgebraContext | None" = None, shift: int = 0) -> None:
+    """Check an index of `family` by its rule: the rank k + shift, then s
+    (unless None or the family has none), then that ctx has k pairs.  A
+    caller whose k names the rank k + shift (U_{k+1}) reads the rule in
+    its own terms."""
+    name, least, srange = _RULES[family]
+    if k + shift < least:
+        raise ValueError("%s must be >= %d" % (name, least - shift))
+    if srange and s is not None and not srange[0] <= s <= k + srange[1]:
+        raise ValueError("s must lie in %d..%s%s" % (srange[0], name, "-1" if srange[1] else ""))
+    if ctx is not None:
+        ctx.check_pairs(k)
+
 
 def bracket_e(ctx: AlgebraContext, es: Sequence[int]) -> Element:
     """[e_1, ..., e_k]: determinant of the k x k matrix (y_i^(p^e_j))."""
@@ -94,27 +115,21 @@ def _bracket_x(p: int, es: tuple[int, ...]) -> Element:
 
 def L(ctx: AlgebraContext, k: int, s: "int | None" = None) -> Element:
     """L_k = [0..k-1] when s is None, else L_{k,s} = [0,..,s-hat,..,k]."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    check_family("L", k, s, ctx)
     if s is None:
         return bracket_e(ctx, tuple(range(k)))
-    if not 0 <= s <= k:
-        raise ValueError("s must lie in 0..k")
     return bracket_e(ctx, tuple(e for e in range(k + 1) if e != s))
 
 
 def M(ctx: AlgebraContext, k: int, s: int) -> Element:
     """M_{k,s} = [1; 0, ..., s-hat, ..., k-1] for 0 <= s < k."""
-    if not 0 <= s < k:
-        raise ValueError("s must lie in 0..k-1")
+    check_family("M", k, s, ctx)
     return bracket_x(ctx, tuple(e for e in range(k) if e != s))
 
 
 def Ltilde(ctx: AlgebraContext, n: int) -> Element:
     """Ltilde_n = L_n^h, of degree p^n - 1."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    ctx.check_pairs(n)
+    check_family("Ltilde", n, ctx=ctx)
     return embed(_ltilde(ctx.p, n), ctx)
 
 
@@ -126,11 +141,7 @@ def _ltilde(p: int, n: int) -> Element:
 
 def Q(ctx: AlgebraContext, n: int, s: int) -> Element:
     """The Dickson invariant Q_{n,s} = L_{n,s} / L_n, 0 <= s <= n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if not 0 <= s <= n:
-        raise ValueError("s must lie in 0..n")
-    ctx.check_pairs(n)
+    check_family("Q", n, s, ctx)
     return embed(_q(ctx.p, n, s), ctx)
 
 
@@ -247,11 +258,9 @@ def _alternant_quotient(ctx: AlgebraContext, beta: tuple[int, ...], mu: tuple[in
 
 def Mtilde(ctx: AlgebraContext, n: int, s: int) -> Element:
     """Mtilde_{n,s} = M_{n,s} L_n^(h-1); s = -1 is read as Ltilde_n."""
+    check_family("Mtilde", n, s, ctx)
     if s == -1:
         return Ltilde(ctx, n)
-    if not 0 <= s < n:
-        raise ValueError("s must lie in -1..n-1")
-    ctx.check_pairs(n)
     return embed(_mtilde(ctx.p, n, s), ctx)
 
 
@@ -263,9 +272,7 @@ def _mtilde(p: int, n: int, s: int) -> Element:
 
 def U(ctx: AlgebraContext, k: int) -> Element:
     """U_k = M_{k,k-1} L_{k-1}^(h-1), of degree p^(k-1)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    ctx.check_pairs(k)
+    check_family("U", k, ctx=ctx)
     return embed(_u(ctx.p, k), ctx)
 
 
@@ -277,9 +284,7 @@ def _u(p: int, k: int) -> Element:
 
 def V(ctx: AlgebraContext, k: int) -> Element:
     """V_k = L_k / L_{k-1}, of degree 2 p^(k-1)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    ctx.check_pairs(k)
+    check_family("V", k, ctx=ctx)
     return embed(_v(ctx.p, k), ctx)
 
 
@@ -307,9 +312,7 @@ def V_product(ctx: AlgebraContext, k: int) -> Element:
     small.  It is the same product, only reassociated; it never uses
     prod_c (X + cY) = X^p - X Y^(p-1), which would turn it into the
     recursion that Q_recursion checks."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    ctx.check_pairs(k)
+    check_family("V", k, ctx=ctx)
     p = ctx.p
     level = []
     for coeffs in itertools.product(range(p), repeat=k - 1):
@@ -325,11 +328,9 @@ def V_product(ctx: AlgebraContext, k: int) -> Element:
 
 def Q_recursion(ctx: AlgebraContext, n: int, s: int) -> Element:
     """Independent oracle: Q_{n,s} = Q_{n-1,s-1}^p + Q_{n-1,s} V_n^(p-1),
-    with Q_{k,k} = 1 and Q_{k,-1} = 0.  Reads row n, which is built once
-    per (p, n)."""
-    if n < 0 or not -1 <= s <= n:
-        raise ValueError("s must lie in 0..n")
-    ctx.check_pairs(n)
+    with Q_{k,k} = 1 and Q_{k,-1} = 0, which extends Q's rule by s = -1.
+    Reads row n, which is built once per (p, n)."""
+    check_family("Q", n, None if s == -1 else s, ctx)
     if s == -1:
         return ctx.zero()
     if s == n:
@@ -352,36 +353,26 @@ def _q_recursion_row(p: int, n: int) -> tuple[Element, ...]:
     return tuple(row)
 
 
+# The degree of each family's invariant at its indices; Ls is L_{k,s}.
+_DEGREES = {
+    "L": lambda p, k: 2 * (p**k - 1) // (p - 1),
+    "Ls": lambda p, k, s: 2 * ((p ** (k + 1) - 1) // (p - 1) - p**s),
+    "M": lambda p, k, s: 1 + 2 * ((p**k - 1) // (p - 1) - p**s),
+    "Ltilde": lambda p, n: p**n - 1,
+    "Q": lambda p, n, s: 2 * (p**n - p**s),
+    "Mtilde": lambda p, n, s: p**n - (1 if s == -1 else 2 * p**s),
+    "U": lambda p, k: p ** (k - 1),
+    "V": lambda p, k: 2 * p ** (k - 1),
+}
+
+
 def dimension(name: str, p: int, *args: int) -> int:
-    """Degree bookkeeping for the invariant families."""
-    h = (p - 1) // 2
-    if name == "L":
-        (k,) = args
-        return 2 * (p**k - 1) // (p - 1)
-    if name == "Ls":
-        k, s = args
-        return 2 * ((p ** (k + 1) - 1) // (p - 1) - p**s)
-    if name == "M":
-        k, s = args
-        return 1 + 2 * ((p**k - 1) // (p - 1) - p**s)
-    if name == "Ltilde":
-        (n,) = args
-        return p**n - 1
-    if name == "Q":
-        n, s = args
-        return 2 * (p**n - p**s)
-    if name == "Mtilde":
-        n, s = args
-        if s == -1:
-            return p**n - 1
-        return p**n - 2 * p**s
-    if name == "U":
-        (k,) = args
-        return p ** (k - 1)
-    if name == "V":
-        (k,) = args
-        return 2 * p ** (k - 1)
-    raise ValueError("unknown invariant family %r" % name)
+    """The degree of the invariant `name` at the indices args, which must
+    meet its family's rule."""
+    if name not in _DEGREES:
+        raise ValueError("unknown invariant family %r" % name)
+    check_family("L" if name == "Ls" else name, *args)
+    return _DEGREES[name](p, *args)
 
 
 def apply_matrix(a: Element, matrix: Sequence[Sequence[int]]) -> Element:

@@ -271,18 +271,10 @@ def _steenrod_tasks(p_values, max_n, grid, seed, cases):
 
 
 def _cell_power_family(p: int, family: str, r: int, i1: int, i2: int) -> dict:
-    if family == "U":
-        ctx = AlgebraContext(p, i1 + 1)
-        target, res = U(ctx, i1 + 1), cf.power_on_u(r, i1, ctx)
-    elif family == "V":
-        ctx = AlgebraContext(p, i1 + 1)
-        target, res = V(ctx, i1 + 1), cf.power_on_v(r, i1, ctx)
-    elif family == "M":
-        ctx = AlgebraContext(p, i1)
-        target, res = Mtilde(ctx, i1, i2), cf.power_on_mtilde(r, i1, i2, ctx)
-    else:
-        ctx = AlgebraContext(p, i1)
-        target, res = Q(ctx, i1, i2), cf.power_on_q(r, i1, i2, ctx)
+    fam = cf.FAMILIES[family]
+    ctx = AlgebraContext(p, i1 + fam.shift)
+    target = fam.target(ctx, i1, i2)
+    res = fam.power(r, i1, i2, ctx)
     row = _eq_row(res.value, p_power(r, target))
     if row["status"] == "PASS" and not res.applicable:
         row["reason"] = "zero branch: %s" % res.condition
@@ -492,8 +484,7 @@ def _cell_mq_single(p: int, n: int, k: int, delta: int, s: int, r: int) -> dict:
     ctxn = AlgebraContext(p, n)
     R = (r,) + (0,) * (k - 1)
     got = duality.expand_mq(p, n, k, delta, s, (), R)
-    res = (cf.power_on_mtilde(r, n, s, ctxn) if delta
-           else cf.power_on_q(r, n, s, ctxn))
+    res = cf.FAMILIES["M" if delta else "Q"].power(r, n, s, ctxn)
     return _eq_row(got, res.value)
 
 
@@ -501,7 +492,7 @@ def _cell_uv_single(p: int, n: int, k: int, delta: int, r: int) -> dict:
     big = AlgebraContext(p, k + 1)
     Rp = (r,) + (0,) * (n - 1)
     got = duality.expand_uv(p, n, k, delta, (), Rp)
-    res = cf.power_on_u(r, k, big) if delta else cf.power_on_v(r, k, big)
+    res = cf.FAMILIES["U" if delta else "V"].power(r, k, None, big)
     return _eq_row(got, res.value)
 
 

@@ -133,7 +133,7 @@ def test_out_of_range_s_is_the_library_error(capsys, argv, message):
     (("closed-form", "--p", "3", "--family", "U", "--k", "0", "--r", "0"), 0, "x1", ""),
     (("closed-form", "--p", "3", "--family", "V", "--k", "0", "--r", "1"), 0, "y1^3", ""),
     (("closed-form", "--p", "3", "--family", "Q", "--n", "1", "--s", "0", "--r", "-1"), 2, "",
-     "error: need r >= 0 and n >= 1\n"),
+     "error: r must be >= 0\n"),
     (("table", "--p", "3", "--family", "V", "--k", "0"), 0, "r  V_1\n0  V_1\n1  V_1^3", ""),
     (("invariant", "--p", "3", "--name", "L", "--n", "0"), 0, "1", ""),
     (("invariant", "--p", "3", "--name", "V", "--k", "0"), 2, "", "error: k must be >= 1\n"),
@@ -147,10 +147,19 @@ def test_out_of_range_s_is_the_library_error(capsys, argv, message):
     (("invariant", "--p", "3", "--name", "Q", "--n", "-1", "--s", "0"), 2, "",
      "error: n must be >= 0\n"),
     (("closed-form", "--p", "3", "--family", "U", "--r", "1", "--k", "-2"), 2, "",
-     "error: r and k must be >= 0\n"),
+     "error: k must be >= 0\n"),
     (("closed-form", "--p", "3", "--family", "Q", "--r", "1", "--n", "-1", "--s", "0"), 2, "",
-     "error: need r >= 0 and n >= 1\n"),
+     "error: n must be >= 1\n"),
     (("table", "--p", "3", "--family", "Q", "--n", "-1"), 2, "", "error: n must be >= 0\n"),
+    # a negative rank meets the rank's rule first, stated in the index the
+    # caller passed: V_{k+1} needs k >= 0 from table and closed-form alike
+    (("invariant", "--p", "3", "--name", "M", "--n", "-1", "--s", "0"), 2, "",
+     "error: k must be >= 0\n"),
+    (("invariant", "--p", "3", "--name", "Mtilde", "--n", "-1", "--s", "0"), 2, "",
+     "error: n must be >= 0\n"),
+    (("table", "--p", "3", "--family", "V", "--k", "-1"), 2, "", "error: k must be >= 0\n"),
+    (("closed-form", "--p", "3", "--family", "V", "--r", "0", "--k", "-1"), 2, "",
+     "error: k must be >= 0\n"),
 ])
 def test_the_cli_defers_range_checks_to_the_library(capsys, argv, code, out, err):
     # inputs the CLI once refused itself: the library decides, and the
@@ -162,9 +171,9 @@ def test_the_cli_defers_range_checks_to_the_library(capsys, argv, code, out, err
     # over 0 pairs there is no exterior index to name
     (("steenrod", "milnor", "--p", "3", "--S", "0", "--R", "", "--expr", "y1"),
      "no exterior index exists over 0 pairs"),
-    # both index-0 tables reach the closed form's refusal
-    (("table", "--p", "3", "--family", "Q", "--n", "0"), "need r >= 0 and n >= 1"),
-    (("table", "--p", "3", "--family", "M", "--n", "0"), "need r >= 0 and n >= 1"),
+    # both index-0 tables reach the closed form's refusal, which names n
+    (("table", "--p", "3", "--family", "Q", "--n", "0"), "n must be >= 1"),
+    (("table", "--p", "3", "--family", "M", "--n", "0"), "n must be >= 1"),
 ])
 def test_index_zero_inputs_are_refused(capsys, argv, message):
     code, out, err = run(capsys, *argv)

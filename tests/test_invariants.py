@@ -52,6 +52,13 @@ def test_degrees_match_dimension():
         for k in (1, 2, 3):
             assert U(ctx, k).degree() == p ** (k - 1)
             assert V(ctx, k).degree() == 2 * p ** (k - 1)
+    # an index no invariant has meets its family's rule, not a number
+    for args, message in [(("Q", 3, -1, 0), "n must be >= 0"), (("U", 3, 0), "k must be >= 1"),
+                          (("Q", 3, 2, 5), "s must lie in 0..n"),
+                          (("Ls", 3, 1, 2), "s must lie in 0..k"),
+                          (("Mtilde", 3, 1, 1), "s must lie in -1..n-1")]:
+        with pytest.raises(ValueError, match="^%s$" % message):
+            dimension(*args)
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2)])
@@ -106,12 +113,40 @@ def test_front_index_rules():
     ctx = ctx3(2)
     with pytest.raises(ValueError, match="s must lie in 0..n"):
         Q_recursion(ctx, 2, -7)  # only s = -1 reads as Q_{n,-1} = 0
-    with pytest.raises(ValueError, match="s must lie in 0..n"):
+    with pytest.raises(ValueError, match="^n must be >= 0$"):
         Q_recursion(ctx, -1, -1)
     with pytest.raises(ValueError, match="^n must be >= 0$"):
         Ltilde(ctx, -1)
     with pytest.raises(ValueError, match="^n must be >= 0$"):
         Q(ctx, -1, 0)
+
+
+# (front, rank message, bad s at rank 2 or None, its message); the rank
+# is checked first, so a bad s and a context of 0 pairs go unread
+FRONT_RULES = [
+    (L, "k must be >= 0", 3, "s must lie in 0..k"),
+    (M, "k must be >= 0", 2, "s must lie in 0..k-1"),
+    (Ltilde, "n must be >= 0", None, None),
+    (Q, "n must be >= 0", 3, "s must lie in 0..n"),
+    (Mtilde, "n must be >= 0", 2, "s must lie in -1..n-1"),
+    (U, "k must be >= 1", None, None),
+    (V, "k must be >= 1", None, None),
+    (V_product, "k must be >= 1", None, None),
+    (Q_recursion, "n must be >= 0", 3, "s must lie in 0..n"),
+]
+
+
+@pytest.mark.parametrize("front, rank_message, bad_s, s_message", FRONT_RULES,
+                         ids=[rule[0].__name__ for rule in FRONT_RULES])
+def test_each_front_checks_its_rank_first(front, rank_message, bad_s, s_message):
+    least = 1 if front in (U, V, V_product) else 0
+    args = () if bad_s is None else (-5,)
+    with pytest.raises(ValueError, match="^%s$" % rank_message):
+        front(ctx3(0), least - 1, *args)
+    if bad_s is not None:
+        for s in (bad_s, -2):
+            with pytest.raises(ValueError, match="^%s$" % s_message):
+                front(ctx3(0), 2, s)
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 4)])
