@@ -17,6 +17,7 @@ from collections import namedtuple
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from functools import cache
 from heapq import heapify, heappop, heappush
+from itertools import combinations
 from operator import add, mul
 
 from .arith import inv_mod, is_odd_prime
@@ -71,6 +72,38 @@ def _unpack_keys(keys: Collection[int], width: int, m: int) -> list[tuple[int, .
     return list(zip(*fields))
 
 
+def _check_coefficient(c) -> None:
+    # type() rather than isinstance: a bool is an int, and 1.0 == 1
+    if type(c) is not int:
+        raise ValueError("coefficient must be an int, got %r" % (c,))
+
+
+def _check_term(key, c, m: int) -> Monomial:
+    """The term rule behind every public way into an Element over m pairs:
+    c is an int (not a bool); key is a Monomial, or a plain (xs, ys) pair
+    taken as one, whose xs are a strictly increasing tuple of ints in 1..m
+    and whose ys are a tuple of exactly m ints >= 0.  Returns key as a
+    Monomial, or raises ValueError naming the broken part.  Plain loops:
+    generators would cost about four times as much per term."""
+    _check_coefficient(c)
+    if key.__class__ is not Monomial:
+        if type(key) is not tuple or len(key) != 2:
+            raise ValueError("a term key must be a Monomial or an (xs, ys) pair, got %r" % (key,))
+        key = _new_tuple(Monomial, key)
+    xs, ys = key
+    last = 0
+    # a part of the wrong shape is walked as (None,), which fails the int test
+    for i in xs if type(xs) is tuple else (None,):
+        if type(i) is not int or not last < i <= m:
+            raise ValueError("exterior indices must be a strictly increasing tuple of ints "
+                             "in 1..%d, got %r" % (m, xs))
+        last = i
+    for e in ys if type(ys) is tuple and len(ys) == m else (None,):
+        if type(e) is not int or e < 0:
+            raise ValueError("exponents must be a tuple of %d ints >= 0, got %r" % (m, ys))
+    return key
+
+
 class AlgebraContext:
     """The ambient algebra E(x_1..x_m) (x) P(y_1..y_m) over Z/p.
 
@@ -120,48 +153,26 @@ class AlgebraContext:
         return Element._make(self, {})
 
     def scalar(self, c: int) -> "Element":
-        c %= self.p
-        if not c:
-            return self.zero()
-        return Element._make(self, {Monomial((), self._empty_ys()): c})
+        return Element(self, {Monomial((), self._empty_ys()): c})
 
     def one(self) -> "Element":
         return self.scalar(1)
 
     def x(self, i: int) -> "Element":
-        self._check_index(i)
-        return Element._make(self, {Monomial((i,), self._empty_ys()): 1})
+        return Element(self, {Monomial((i,), self._empty_ys()): 1})
 
     def y(self, i: int, e: int = 1) -> "Element":
         self._check_index(i)
-        if e < 0:
-            raise ValueError("negative exponent")
-        if e == 0:
-            return self.one()
-        ys = [0] * self.m
-        ys[i - 1] = e
-        return Element._make(self, {Monomial((), tuple(ys)): 1})
+        return self.monomial((), (0,) * (i - 1) + (e,))
 
     def monomial(self, xs: Iterable[int] = (), ys: Iterable[int] = (), c: int = 1) -> "Element":
-        xs = tuple(xs)
+        """c x_xs y^ys; a short ys is padded with zeros."""
         ys = tuple(ys)
-        if len(ys) > self.m:
-            raise ValueError("too many y exponents")
-        ys = ys + (0,) * (self.m - len(ys))
-        if any(e < 0 for e in ys):
-            raise ValueError("negative exponent")
-        if list(xs) != sorted(set(xs)):
-            raise ValueError("exterior indices must be strictly increasing")
-        for i in xs:
-            self._check_index(i)
-        c %= self.p
-        if not c:
-            return self.zero()
-        return Element._make(self, {Monomial(xs, ys): c})
+        return Element(self, {Monomial(tuple(xs), ys + (0,) * (self.m - len(ys))): c})
 
     def _check_index(self, i: int):
-        if not 1 <= i <= self.m:
-            raise ValueError("generator index %r outside 1..%d" % (i, self.m))
+        if type(i) is not int or not 1 <= i <= self.m:
+            raise ValueError("generator index must be an int in 1..%d, got %r" % (self.m, i))
 
     def check_pairs(self, k: int) -> None:
         """Raise ValueError unless the context has at least k generator pairs."""
@@ -174,15 +185,22 @@ class Element:
 
     __slots__ = ("ctx", "terms", "_hash")
 
-    def __init__(self, ctx: AlgebraContext, terms: Mapping[Monomial, int]):
-        clean: dict[Monomial, int] = {}
-        for mono, c in terms.items():
-            c %= ctx.p
-            if c:
-                clean[mono] = c
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+    def __init__(self, ctx: AlgebraContext,
+                 terms: "Mapping[Monomial, int] | Iterable[tuple[Monomial, int]]"):
+        """The checked constructor: terms, a mapping or an iterable of (key,
+        coefficient) pairs, must each meet the term rule (_check_term).
+        Repeated keys add; coefficients are reduced mod p, zeros dropped."""
+        m = ctx.m
+        acc: dict[Monomial, int] = {}
+        get = acc.get
+        # a mapping is what has keys(), as for dict.update
+        for key, c in terms.items() if hasattr(terms, "keys") else terms:
+            key = _check_term(key, c, m)
+            acc[key] = get(key, 0) + c
+        p = ctx.p
+        _set_ctx(self, ctx)
+        _set_terms(self, {key: r for key, c in acc.items() if (r := c % p)})
+        _set_hash(self, None)
 
     @classmethod
     def _make(cls, ctx: AlgebraContext, clean_terms: dict[Monomial, int]) -> "Element":
@@ -297,6 +315,7 @@ class Element:
         return NotImplemented
 
     def scalar_mul(self, c: int) -> "Element":
+        _check_coefficient(c)
         p = self.ctx.p
         c %= p
         if not c:
@@ -304,6 +323,8 @@ class Element:
         return Element._make(self.ctx, {m: v * c % p for m, v in self.terms.items()})
 
     def __pow__(self, e: int) -> "Element":
+        if type(e) is not int:
+            return NotImplemented
         if e < 0:
             raise ValueError("negative power")
         if e == 0:
@@ -322,9 +343,9 @@ class Element:
     # -- comparisons -------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self == self.ctx.scalar(other)
-        if not isinstance(other, Element):
+        if type(other) is int:  # not a bool: that compares unequal, and never raises
+            other = self.ctx.scalar(other)
+        elif not isinstance(other, Element):
             return NotImplemented
         return self.ctx == other.ctx and self.terms == other.terms
 
@@ -365,9 +386,13 @@ class Element:
                 raise ContextMismatchError("y image lives in a different context")
             if any(mono.degree() % 2 for mono in img.terms):
                 raise ValueError("image of y_%d must be even" % i)
-        # drop identity images so untouched factors stay inside one monomial
-        x_images = {i: img for i, img in x_images.items() if img != ctx.x(i)}
-        y_images = {i: img for i, img in y_images.items() if img != ctx.y(i)}
+        # drop identity images so untouched factors stay inside one monomial;
+        # compared by terms, so no identity is built through the term rule
+        zero = ctx._empty_ys()
+        x_images = {i: img for i, img in x_images.items()
+                    if img.terms != {Monomial((i,), zero): 1}}
+        y_images = {i: img for i, img in y_images.items()
+                    if img.terms != {Monomial((), zero[:i - 1] + (1,) + zero[i:]): 1}}
         if not x_images and not y_images:
             return self
         # One field width for the whole call.  A term's image has y-degree
@@ -778,17 +803,12 @@ def relabel(a: Element, new_ctx: AlgebraContext, index_map: Mapping[int, int]) -
     if new_ctx.p != a.ctx.p:
         raise ContextMismatchError("relabel cannot change p")
     out: dict[Monomial, int] = {}
-    p = new_ctx.p
+    get = out.get
     for mono, c in a.terms.items():
         mapped = [index_map.get(i, i) for i in mono.xs]
         if len(set(mapped)) != len(mapped):
             raise ValueError("index map is not injective on exterior part")
-        inversions = sum(
-            1
-            for i in range(len(mapped))
-            for j in range(i + 1, len(mapped))
-            if mapped[i] > mapped[j]
-        )
+        inversions = sum(u > v for u, v in combinations(mapped, 2))
         ys = [0] * new_ctx.m
         for i, e in enumerate(mono.ys):
             if e:
@@ -802,12 +822,9 @@ def relabel(a: Element, new_ctx: AlgebraContext, index_map: Mapping[int, int]) -
             if not 1 <= i <= new_ctx.m:
                 raise ValueError("mapped index %d outside target context" % i)
         mono2 = Monomial(tuple(sorted(mapped)), tuple(ys))
-        v = (out.get(mono2, 0) + (-c if inversions % 2 else c)) % p
-        if v:
-            out[mono2] = v
-        else:
-            out.pop(mono2, None)
-    return Element._make(new_ctx, out)
+        out[mono2] = get(mono2, 0) + (-c if inversions % 2 else c)
+    p = new_ctx.p
+    return Element._make(new_ctx, {mono: r for mono, c in out.items() if (r := c % p)})
 
 
 def embed(a: Element, new_ctx: AlgebraContext) -> Element:

@@ -24,7 +24,8 @@ from collections.abc import Sequence
 from functools import cache
 
 from .algebra import AlgebraContext, Element, embed
-from .invariants import Q, U, V, Mtilde
+from .closed_forms import FAMILIES
+from .invariants import U, V
 from .steenrod import (
     _candidates,
     _span_coordinates,
@@ -144,14 +145,10 @@ def _check_delta(delta: int) -> None:
         raise ValueError("delta must be 0 or 1, got %r" % (delta,))
 
 
-def mq_target(ctxn: AlgebraContext, n: int, s: int, delta: int) -> Element:
-    """The M/Q-side invariant over ctxn: Mtilde_{n,s} if delta else Q_{n,s}."""
-    return Mtilde(ctxn, n, s) if delta else Q(ctxn, n, s)
-
-
-def uv_target(big: AlgebraContext, k: int, delta: int) -> Element:
-    """The U/V-side invariant over big: U_{k+1} if delta else V_{k+1}."""
-    return U(big, k + 1) if delta else V(big, k + 1)
+# delta -> the closed_forms.FAMILIES letters of the invariants it pairs,
+# (M/Q side over n pairs, U/V side over k+1 pairs): 0 pairs Q_{n,s} with
+# V_{k+1}, 1 pairs Mtilde_{n,s} with U_{k+1}
+PAIRED_FAMILIES = (("Q", "V"), ("M", "U"))
 
 
 def _signed_mq_pairing(
@@ -207,6 +204,7 @@ def _block_results(
     ``milnor_key``.
     """
     _check_delta(delta)
+    mq, uv = (FAMILIES[letter] for letter in PAIRED_FAMILIES[delta])
     Sp, Rp = check_index(Sp, Rp, n)
     heads = [check_index(S, R, k) for S, R in heads]
     for e, j in ejs:
@@ -233,13 +231,13 @@ def _block_results(
             if key is not None:
                 if coords is None:
                     coords = mixed_decompose(milnor_st(
-                        Sp, Rp, uv_target(AlgebraContext(p, k + 1), k, delta), n), k)
+                        Sp, Rp, uv.target(AlgebraContext(p, k + 1), k), n), k)
                 lhs = coords.get(key + (e, j), 0)
             if s is None:
                 row.append((None, "PASS" if lhs == 0 else "FAIL", _NO_MATCH, lhs, 0))
                 continue
             rhs = _signed_mq_pairing(
-                p, n, k, delta, s, mq_target(ctxn, n, s, delta), S, R, Sp, Rp, key_p[1])
+                p, n, k, delta, s, mq.target(ctxn, n, s), S, R, Sp, Rp, key_p[1])
             row.append((s, "PASS" if lhs == rhs else "FAIL", "", lhs, rhs))
         out.append(row)
     return out
@@ -281,7 +279,7 @@ def expand_mq(
         raise ValueError("operation inadmissible on the M/Q target")
     e, j = (1, 0) if s == -1 else (0, p**s)
     big = AlgebraContext(p, k + 1)
-    uv = uv_target(big, k, delta)
+    uv = FAMILIES[PAIRED_FAMILIES[delta][1]].target(big, k)
     ctxn = AlgebraContext(p, n)
     q_uv = (2 - delta) * p**k
     total = ctxn.zero()
@@ -315,9 +313,10 @@ def expand_uv(
         raise ValueError("operation inadmissible on the U/V target")
     big = AlgebraContext(p, k + 1)
     ctxn = AlgebraContext(p, n)
+    mq = FAMILIES[PAIRED_FAMILIES[delta][0]]
     total = big.zero()
     for s in range(-delta, n - delta + 1):
-        target = mq_target(ctxn, n, s, delta)
+        target = mq.target(ctxn, n, s)
         q_mq = target.degree()
         tail = U(big, k + 1) if s == -1 else V(big, k + 1) ** (p**s)
         for S, R in admissible_indices(q_mq, k):

@@ -30,7 +30,8 @@ class ParseError(ValueError):
 
 
 def parse_text(text: str, ctx: AlgebraContext) -> Element:
-    """Parse the text grammar back into an Element over ctx."""
+    """Parse the text grammar back into an Element over ctx.  An index
+    outside 1..m, refused by the algebra, is raised as a ParseError."""
     s = text.strip()
     if not s:
         raise ParseError("empty input")
@@ -38,14 +39,18 @@ def parse_text(text: str, ctx: AlgebraContext) -> Element:
         return ctx.zero()
     # "a - b" -> "a + -b" so one split suffices; "^-" keeps its exponent
     s = _MINUS.sub("+-", s).lstrip("+")
-    terms: dict[Monomial, int] = {}
-    for raw in s.split("+"):
-        raw = raw.strip()
-        if not raw:
-            raise ParseError("empty term in %r" % text)
-        mono, c = _parse_term(raw, ctx)
-        terms[mono] = terms.get(mono, 0) + c
-    return Element(ctx, terms)
+    try:
+        terms = []
+        for raw in s.split("+"):
+            raw = raw.strip()
+            if not raw:
+                raise ParseError("empty term in %r" % text)
+            terms.append(_parse_term(raw, ctx))
+        return Element(ctx, terms)
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _parse_term(raw: str, ctx: AlgebraContext) -> tuple[Monomial, int]:
@@ -69,8 +74,6 @@ def _parse_term(raw: str, ctx: AlgebraContext) -> tuple[Monomial, int]:
         if not m:
             raise ParseError("bad factor %r" % piece)
         kind, idx, exp = m.group(1), int(m.group(2)), m.group(3)
-        if not 1 <= idx <= ctx.m:
-            raise ParseError("generator index %d outside 1..%d" % (idx, ctx.m))
         if kind == "x":
             if exp is not None:
                 raise ParseError("exterior generators take no exponent: %r" % piece)
@@ -87,36 +90,25 @@ def _parse_term(raw: str, ctx: AlgebraContext) -> tuple[Monomial, int]:
             e = 1 if exp is None else int(exp)
             if e < 0:
                 raise ParseError("negative exponent in %r" % piece)
+            ctx._check_index(idx)  # the slot of y_idx
             ys[idx - 1] += e
     return Monomial(tuple(xs), tuple(ys)), 0 if repeated else coeff
 
 
 def to_json(a: Element) -> dict:
     """JSON form: {"p": p, "m": m, "terms": [{"c":..,"x":[..],"y":[..]}, ..]}."""
-    terms = []
-    for mono in sorted(a.terms, key=monomial_sort_key, reverse=True):
-        terms.append({"c": a.terms[mono], "x": list(mono.xs), "y": list(mono.ys)})
-    return {"p": a.ctx.p, "m": a.ctx.m, "terms": terms}
+    return {"p": a.ctx.p, "m": a.ctx.m,
+            "terms": [{"c": a.terms[mono], "x": list(mono.xs), "y": list(mono.ys)}
+                      for mono in sorted(a.terms, key=monomial_sort_key, reverse=True)]}
 
 
 def from_json(data: dict, ctx: "AlgebraContext | None" = None) -> Element:
+    """The inverse of to_json; no field is coerced, each term meets the term rule."""
     if ctx is None:
-        ctx = AlgebraContext(int(data["p"]), int(data["m"]))
+        ctx = AlgebraContext(data["p"], data["m"])
     elif ctx.p != data["p"] or ctx.m != data["m"]:
         raise ValueError("JSON context (p=%(p)s, m=%(m)s) does not match" % data)
-    terms: dict[Monomial, int] = {}
-    for t in data["terms"]:
-        xs = tuple(int(i) for i in t["x"])
-        ys = tuple(int(e) for e in t["y"])
-        if len(ys) != ctx.m:
-            raise ValueError("y exponent vector must have length m")
-        if list(xs) != sorted(set(xs)) or not all(1 <= i <= ctx.m for i in xs):
-            raise ValueError("bad exterior support %r" % (xs,))
-        if any(e < 0 for e in ys):
-            raise ValueError("negative exponent")
-        mono = Monomial(xs, ys)
-        terms[mono] = terms.get(mono, 0) + int(t["c"])
-    return Element(ctx, terms)
+    return Element(ctx, [(Monomial(tuple(t["x"]), tuple(t["y"])), t["c"]) for t in data["terms"]])
 
 
 def render_latex(a: Element) -> str:

@@ -386,18 +386,13 @@ def apply_matrix(a: Element, matrix: Sequence[Sequence[int]]) -> Element:
             raise ValueError("matrix must be square")
     if matrix_rank_mod(matrix, ctx.p) < k:
         raise ValueError("matrix is singular mod %d" % ctx.p)
+    zero = (0,) * ctx.m
     x_images = {}
     y_images = {}
-    for i in range(1, k + 1):
-        xi = ctx.zero()
-        yi = ctx.zero()
-        for j in range(1, k + 1):
-            c = matrix[i - 1][j - 1] % ctx.p
-            if c:
-                xi = xi + ctx.x(j).scalar_mul(c)
-                yi = yi + ctx.y(j).scalar_mul(c)
-        x_images[i] = xi
-        y_images[i] = yi
+    for i, row in enumerate(matrix, 1):
+        x_images[i] = Element(ctx, {Monomial((j,), zero): c for j, c in enumerate(row, 1)})
+        y_images[i] = Element(ctx, {Monomial((), zero[:j - 1] + (1,) + zero[j:]): c
+                                    for j, c in enumerate(row, 1)})
     return a.substitute(x_images, y_images)
 
 

@@ -45,22 +45,22 @@ class NotInSpanError(ValueError):
 
 def bockstein(a: Element) -> Element:
     """The degree-1 derivation with beta x_i = y_i and beta y_i = 0."""
-    ctx = a.ctx
     out: dict[Monomial, int] = {}
     for mono, c in a:
         for pos, i in enumerate(mono.xs):
-            # passing beta over `pos` earlier odd factors costs (-1)^pos
-            cc = (ctx.p - c) if pos % 2 else c
-            xs = mono.xs[:pos] + mono.xs[pos + 1 :]
             ys = list(mono.ys)
             ys[i - 1] += 1
-            key = Monomial(xs, tuple(ys))
-            v = (out.get(key, 0) + cc) % ctx.p
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-    return Element._make(ctx, out)
+            key = Monomial(mono.xs[:pos] + mono.xs[pos + 1 :], tuple(ys))
+            # passing beta over `pos` earlier odd factors costs (-1)^pos
+            out[key] = out.get(key, 0) + (-c if pos % 2 else c)
+    p = a.ctx.p
+    return Element._make(a.ctx, {key: r for key, c in out.items() if (r := c % p)})
+
+
+def _check_r(r: int) -> None:
+    # type() rather than isinstance: a bool is an int
+    if type(r) is not int or r < 0:
+        raise ValueError("r must be an integer >= 0, got %r" % (r,))
 
 
 def total_power(a: Element, r_max: int) -> list[Element]:
@@ -70,8 +70,7 @@ def total_power(a: Element, r_max: int) -> list[Element]:
     [x_i], and the series of y_i^e has j-th entry C(e, j) y_i^{e+(p-1)j}.
     The per-monomial series are convolved, which is the Cartan formula.
     """
-    if r_max < 0:
-        raise ValueError("r_max must be >= 0")
+    _check_r(r_max)
     ctx = a.ctx
     p = ctx.p
     out: list[dict[Monomial, int]] = [{} for _ in range(r_max + 1)]
@@ -113,8 +112,7 @@ def p_power(r: int, a: Element) -> Element:
     P^r kills y^e for r > e, and P^r(a) = 0 once r exceeds every
     monomial's y-exponent sum.
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    _check_r(r)
     ctx = a.ctx
     p = ctx.p
     if not ctx.m:  # scalars: only P^0 acts
@@ -143,12 +141,8 @@ def p_power(r: int, a: Element) -> Element:
             c = c * binom_mod(e, left, p) % p
             if c:
                 key = Monomial(xs, head + (e + (p - 1) * left,))
-                v = (out.get(key, 0) + c) % p
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-    return Element._make(ctx, out)
+                out[key] = out.get(key, 0) + c
+    return Element._make(ctx, {key: v for key, c in out.items() if (v := c % p)})
 
 
 def _lucas_terms(e: int, p: int, lo: int, hi: int) -> list[tuple[int, int]]:

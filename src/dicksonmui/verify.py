@@ -469,13 +469,13 @@ def _block_pairing(p: int, n: int, k: int, delta: int, Sp: tuple, Rp: tuple,
 
 
 def _cell_mq_expand(p: int, n: int, k: int, delta: int, s: int, S: tuple, R: tuple) -> dict:
-    target = duality.mq_target(AlgebraContext(p, n), n, s, delta)
+    target = cf.FAMILIES[duality.PAIRED_FAMILIES[delta][0]].target(AlgebraContext(p, n), n, s)
     got = duality.expand_mq(p, n, k, delta, s, S, R)
     return _eq_row(got, milnor_st(S, R, target, k))
 
 
 def _cell_uv_expand(p: int, n: int, k: int, delta: int, Sp: tuple, Rp: tuple) -> dict:
-    uv = duality.uv_target(AlgebraContext(p, k + 1), k, delta)
+    uv = cf.FAMILIES[duality.PAIRED_FAMILIES[delta][1]].target(AlgebraContext(p, k + 1), k)
     got = duality.expand_uv(p, n, k, delta, Sp, Rp)
     return _eq_row(got, milnor_st(Sp, Rp, uv, n))
 
@@ -484,7 +484,7 @@ def _cell_mq_single(p: int, n: int, k: int, delta: int, s: int, r: int) -> dict:
     ctxn = AlgebraContext(p, n)
     R = (r,) + (0,) * (k - 1)
     got = duality.expand_mq(p, n, k, delta, s, (), R)
-    res = cf.FAMILIES["M" if delta else "Q"].power(r, n, s, ctxn)
+    res = cf.FAMILIES[duality.PAIRED_FAMILIES[delta][0]].power(r, n, s, ctxn)
     return _eq_row(got, res.value)
 
 
@@ -492,7 +492,7 @@ def _cell_uv_single(p: int, n: int, k: int, delta: int, r: int) -> dict:
     big = AlgebraContext(p, k + 1)
     Rp = (r,) + (0,) * (n - 1)
     got = duality.expand_uv(p, n, k, delta, (), Rp)
-    res = cf.FAMILIES["U" if delta else "V"].power(r, k, None, big)
+    res = cf.FAMILIES[duality.PAIRED_FAMILIES[delta][1]].power(r, k, None, big)
     return _eq_row(got, res.value)
 
 
@@ -517,8 +517,9 @@ def _duality_tasks(p_values, max_n, grid, seed, cases):
                             yield _task("duality", "uv/" + op, _cell_uv_expand,
                                         (p, n, k, delta, Sp, Rp), est)
                 ctxn = AlgebraContext(p, n)
+                mq = cf.FAMILIES[duality.PAIRED_FAMILIES[delta][0]]
                 for s in range(-delta, n - delta + 1):
-                    q = duality.mq_target(ctxn, n, s, delta).degree()
+                    q = mq.target(ctxn, n, s).degree()
                     for S, R in admissible_indices(q, k):
                         if st_operation_degree(S, R, p) + q <= dm:
                             yield _task("duality", "mq/%s/s%d/S(%s)/R(%s)" % (
@@ -539,7 +540,7 @@ def _rand_monomial(rng: random.Random, ctx: AlgebraContext, max_e: int = 5) -> E
     # One uniform draw: an exterior mask of at most two bits (redrawn until
     # it has), then the exponents in 0..max_e and the coefficient in
     # 1..p-1 as the mixed-radix digits of one randrange.  Valid by
-    # construction, so it skips ctx.monomial's checks.
+    # construction, so it skips the term rule (Element._make).
     m, n = ctx.m, max_e + 1
     mask = rng.getrandbits(m)
     while mask.bit_count() > 2:

@@ -24,6 +24,7 @@ from dicksonmui.algebra import (
     relabel,
     render_text,
 )
+from dicksonmui.grammar import parse_text
 from dicksonmui.invariants import U, V, apply_matrix, gl_generators
 
 
@@ -136,6 +137,97 @@ def test_pow_rules(ctx):
     with pytest.raises(ValueError):
         a**2
     assert (a * a).is_zero()
+
+
+# The term rule's four messages, at m = 2: each probe below names one part.
+_COEFFICIENT = r"^coefficient must be an int, got "
+_EXTERIOR = r"^exterior indices must be a strictly increasing tuple of ints in 1\.\.2, got "
+_EXPONENTS = r"^exponents must be a tuple of 2 ints >= 0, got "
+_INDEX = r"^generator index must be an int in 1\.\.2, got "
+
+
+def _el(xs, ys, c=1):
+    return lambda ctx: Element(ctx, {Monomial(xs, ys): c})
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(_el((), (1, 0), 1.5), _COEFFICIENT, id="Element-float-coefficient"),
+    pytest.param(_el((), (1, 0), True), _COEFFICIENT, id="Element-bool-coefficient"),
+    pytest.param(_el((), (1.5, 0)), _EXPONENTS, id="Element-float-exponent"),
+    pytest.param(_el((), (True, 0)), _EXPONENTS, id="Element-bool-exponent"),
+    pytest.param(_el((True,), (0, 0)), _EXTERIOR, id="Element-bool-index"),
+    pytest.param(_el((), (1,)), _EXPONENTS, id="Element-short-exponents"),
+    pytest.param(_el((), (1, 0, 0)), _EXPONENTS, id="Element-long-exponents"),
+    pytest.param(_el((3,), (0, 0)), _EXTERIOR, id="Element-index-past-m"),
+    pytest.param(_el((0,), (0, 0)), _EXTERIOR, id="Element-index-zero"),
+    pytest.param(_el((2, 1), (0, 0)), _EXTERIOR, id="Element-unsorted-exterior"),
+    pytest.param(_el((1, 1), (0, 0)), _EXTERIOR, id="Element-repeated-exterior"),
+    pytest.param(_el((), (-1, 0)), _EXPONENTS, id="Element-negative-exponent"),
+    pytest.param(lambda ctx: Element(ctx, [(Monomial([1], (0, 0)), 1)]), _EXTERIOR,
+                 id="Element-list-exterior"),
+    pytest.param(lambda ctx: Element(ctx, {(1, 0): 1}), _EXTERIOR, id="Element-bare-exponent-key"),
+    pytest.param(lambda ctx: Element(ctx, {5: 1}), r"^a term key must be a Monomial",
+                 id="Element-int-key"),
+    pytest.param(lambda ctx: ctx.monomial((), (1,), 1.5), _COEFFICIENT, id="monomial-float-coefficient"),
+    pytest.param(lambda ctx: ctx.monomial((), (1,), True), _COEFFICIENT, id="monomial-bool-coefficient"),
+    pytest.param(lambda ctx: ctx.monomial((), (1.5,)), _EXPONENTS, id="monomial-float-exponent"),
+    pytest.param(lambda ctx: ctx.monomial((), (True,)), _EXPONENTS, id="monomial-bool-exponent"),
+    pytest.param(lambda ctx: ctx.monomial((True,)), _EXTERIOR, id="monomial-bool-index"),
+    pytest.param(lambda ctx: ctx.monomial((), (1, 0, 0)), _EXPONENTS, id="monomial-long-exponents"),
+    pytest.param(lambda ctx: ctx.monomial((3,)), _EXTERIOR, id="monomial-index-past-m"),
+    pytest.param(lambda ctx: ctx.monomial((2, 1)), _EXTERIOR, id="monomial-unsorted-exterior"),
+    pytest.param(lambda ctx: ctx.monomial((), (0, -1)), _EXPONENTS, id="monomial-negative-exponent"),
+    pytest.param(lambda ctx: ctx.scalar(1.5), _COEFFICIENT, id="scalar-float"),
+    pytest.param(lambda ctx: ctx.scalar(True), _COEFFICIENT, id="scalar-bool"),
+    pytest.param(lambda ctx: ctx.x(True), _EXTERIOR, id="x-bool-index"),
+    pytest.param(lambda ctx: ctx.x(3), _EXTERIOR, id="x-index-past-m"),
+    pytest.param(lambda ctx: ctx.x(1.0), _EXTERIOR, id="x-float-index"),
+    pytest.param(lambda ctx: ctx.y(1, 1.5), _EXPONENTS, id="y-float-exponent"),
+    pytest.param(lambda ctx: ctx.y(1, True), _EXPONENTS, id="y-bool-exponent"),
+    pytest.param(lambda ctx: ctx.y(1, 0.0), _EXPONENTS, id="y-float-zero-exponent"),
+    pytest.param(lambda ctx: ctx.y(1, -1), _EXPONENTS, id="y-negative-exponent"),
+    pytest.param(lambda ctx: ctx.y(True), _INDEX, id="y-bool-index"),
+    pytest.param(lambda ctx: ctx.y(3), _INDEX, id="y-index-past-m"),
+    pytest.param(lambda ctx: ctx.y(1).scalar_mul(1.5), _COEFFICIENT, id="scalar_mul-float"),
+    pytest.param(lambda ctx: ctx.y(1).scalar_mul(True), _COEFFICIENT, id="scalar_mul-bool"),
+    pytest.param(lambda ctx: ctx.y(1) * True, _COEFFICIENT, id="mul-bool"),
+    pytest.param(lambda ctx: ctx.y(1) + True, _COEFFICIENT, id="add-bool"),
+])
+def test_every_constructor_applies_the_term_rule(ctx, build, message):
+    with pytest.raises(ValueError, match=message):
+        build(ctx)
+
+
+def test_a_valid_term_is_built_alike_by_every_constructor(ctx):
+    a = Element(ctx, {Monomial((1,), (0, 3)): 5, Monomial((), (2, 0)): 1})
+    assert a == ctx.monomial((1,), (0, 3), 2) + ctx.monomial((), (2,))
+    assert a == ctx.x(1) * ctx.y(2, 3) * 2 + ctx.y(1, 2)
+    assert parse_text(render_text(a), ctx) == a
+    assert a.terms == {Monomial((1,), (0, 3)): 2, Monomial((), (2, 0)): 1}
+    # a plain (xs, ys) key is stored as its Monomial
+    b = Element(ctx, {((), (1, 0)): 1})
+    assert b == ctx.y(1) and b.degree() == 2
+    assert all(type(mono) is Monomial for mono in b.terms)
+    # pairs may repeat a key; their coefficients add, mod p
+    assert Element(ctx, [(Monomial((), (1, 0)), 1), (((), (1, 0)), 1)]) == ctx.y(1) * 2
+    assert Element(ctx, [(Monomial((2,), (0, 0)), 1)] * 3).is_zero()
+    # a zero coefficient still meets the rule
+    with pytest.raises(ValueError, match=_EXTERIOR):
+        Element(ctx, {Monomial((2, 1), (0, 0)): 0})
+    assert ctx.y(1, 0) == ctx.one() and ctx.monomial() == ctx.one()
+
+
+def test_equality_never_raises(ctx):
+    a = ctx.one()
+    assert a == 1 and a == 4 and a != 2
+    for other in (True, 1.0, 1.5, "1", None, (), object()):
+        assert not (a == other) and a != other
+
+
+@pytest.mark.parametrize("e", [1.5, 2.0, True])
+def test_pow_refuses_a_non_integer_exponent(ctx, e):
+    with pytest.raises(TypeError):
+        ctx.y(1) ** e
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -168,7 +168,7 @@ def test_rank_zero_mq_expansion_is_the_target(p, n):
     ctxn = AlgebraContext(p, n)
     for delta in (0, 1):
         for s in range(-delta, n - delta + 1):
-            want = duality.mq_target(ctxn, n, s, delta)
+            want = (Mtilde if delta else Q)(ctxn, n, s)
             assert expand_mq(p, n, 0, delta, s, (), ()) == want, (delta, s)
 
 
@@ -177,7 +177,8 @@ def test_rank_zero_mq_expansion_is_the_target(p, n):
 def test_rank_zero_uv_expansion_is_the_target(p, k):
     big = AlgebraContext(p, k + 1)
     for delta in (0, 1):
-        assert expand_uv(p, 0, k, delta, (), ()) == duality.uv_target(big, k, delta), delta
+        want = (U if delta else V)(big, k + 1)
+        assert expand_uv(p, 0, k, delta, (), ()) == want, delta
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -96,6 +96,47 @@ def test_json_rejects_mismatched_context(ctx):
         from_json(data)
 
 
+_EXTERIOR = r"^exterior indices must be a strictly increasing tuple of ints in 1\.\.2, got "
+_EXPONENTS = r"^exponents must be a tuple of 2 ints >= 0, got "
+
+
+@pytest.mark.parametrize("term, message", [
+    ({"c": 1.5}, r"^coefficient must be an int, got 1\.5$"),
+    ({"c": True}, r"^coefficient must be an int, got True$"),
+    ({"c": "1"}, r"^coefficient must be an int, got '1'$"),
+    ({"y": ["1", 0]}, _EXPONENTS),
+    ({"y": [1.0, 0]}, _EXPONENTS),
+    ({"y": [True, 0]}, _EXPONENTS),
+    ({"y": [1]}, _EXPONENTS),
+    ({"y": [1, 0, 0]}, _EXPONENTS),
+    ({"y": [-1, 0]}, _EXPONENTS),
+    ({"x": [True]}, _EXTERIOR),
+    ({"x": ["1"]}, _EXTERIOR),
+    ({"x": [3]}, _EXTERIOR),
+    ({"x": [2, 1]}, _EXTERIOR),
+])
+def test_json_terms_meet_the_term_rule(ctx, term, message):
+    # no field is coerced: "1", 1.5 and true used to pass through int()
+    data = {"p": 3, "m": 2, "terms": [dict({"c": 1, "x": [], "y": [1, 0]}, **term)]}
+    for target in (None, ctx):
+        with pytest.raises(ValueError, match=message):
+            from_json(data, target)
+
+
+def test_json_context_meets_the_context_rule():
+    with pytest.raises(ValueError, match="^p must be an odd prime, got '3'$"):
+        from_json({"p": "3", "m": 2, "terms": []})
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x3", _EXTERIOR), ("x2*x3*y1", _EXTERIOR), ("x0", _EXTERIOR),
+    ("y3", r"^generator index must be an int in 1\.\.2, got 3$"),
+])
+def test_parse_refuses_what_the_term_rule_refuses(ctx, text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_text(text, ctx)
+
+
 def test_latex(ctx):
     a = parse_text("y2^3 + 2*y2*y1^2", ctx)
     assert render_latex(a) == "y_{2}^{3} + 2 y_{2} y_{1}^{2}"

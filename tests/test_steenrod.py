@@ -58,6 +58,16 @@ def test_power_on_generators(c1):
     assert p_power(2, c1.y(1)).is_zero()
 
 
+@pytest.mark.parametrize("r", [1.5, 1.0, True, "1", -1])
+def test_powers_refuse_a_non_integer_r(c1, r):
+    # 1.5 used to end in an AttributeError (pow), 0 (p_power) or a bare
+    # TypeError (total_power)
+    with pytest.raises(ValueError, match=r"^r must be an integer >= 0, got "):
+        p_power(r, c1.y(1))
+    with pytest.raises(ValueError, match=r"^r must be an integer >= 0, got "):
+        total_power(c1.y(1), r)
+
+
 def test_power_binomial_rule():
     ctx = AlgebraContext(5, 1)
     # P^j y^e = C(e, j) y^(e + 4j)
