@@ -796,31 +796,31 @@ def exact_div(a: Element, b: Element) -> Element:
 def relabel(a: Element, new_ctx: AlgebraContext, index_map: Mapping[int, int]) -> Element:
     """Push a through the generator renaming i -> index_map[i].
 
-    The map must be injective on the indices a actually uses; unmapped
-    indices are kept.  Exterior parts are re-sorted with the sign of the
-    permutation this induces.
+    Every index of a's context lands on an int in 1..new_ctx.m (unmapped
+    ones are kept), injectively on those a uses; exterior parts are
+    re-sorted with the sign of the permutation this induces.
     """
     if new_ctx.p != a.ctx.p:
         raise ContextMismatchError("relabel cannot change p")
+    m = new_ctx.m
+    targets = {i: i for i in range(1, a.ctx.m + 1)} | dict(index_map)
+    for i, tgt in targets.items():
+        if type(tgt) is not int or not 1 <= tgt <= m:
+            raise ValueError("index %r maps to %r, not an int in 1..%d" % (i, tgt, m))
     out: dict[Monomial, int] = {}
     get = out.get
     for mono, c in a.terms.items():
-        mapped = [index_map.get(i, i) for i in mono.xs]
+        mapped = [targets[i] for i in mono.xs]
         if len(set(mapped)) != len(mapped):
             raise ValueError("index map is not injective on exterior part")
         inversions = sum(u > v for u, v in combinations(mapped, 2))
-        ys = [0] * new_ctx.m
-        for i, e in enumerate(mono.ys):
+        ys = [0] * m
+        for i, e in enumerate(mono.ys, 1):
             if e:
-                tgt = index_map.get(i + 1, i + 1)
-                if not 1 <= tgt <= new_ctx.m:
-                    raise ValueError("mapped index %d outside target context" % tgt)
+                tgt = targets[i]
                 if ys[tgt - 1]:
                     raise ValueError("index map is not injective on y part")
                 ys[tgt - 1] = e
-        for i in mapped:
-            if not 1 <= i <= new_ctx.m:
-                raise ValueError("mapped index %d outside target context" % i)
         mono2 = Monomial(tuple(sorted(mapped)), tuple(ys))
         out[mono2] = get(mono2, 0) + (-c if inversions % 2 else c)
     p = new_ctx.p

@@ -21,7 +21,7 @@ from . import invariants
 from .algebra import AlgebraContext, Element
 from .arith import digit, inv_mod, multinomial_mod, ratio_mod
 from .invariants import M, Q, U, V, Ltilde, Mtilde, bracket_e, bracket_x, check_family
-from .steenrod import check_index
+from .steenrod import _check_r, check_index
 
 ClosedFormResult = namedtuple("ClosedFormResult", ("value", "applicable", "condition"))
 ClosedFormResult.__doc__ = """One closed-form evaluation: its value, whether the formula applied
@@ -49,11 +49,9 @@ def power_on_u(r: int, k: int, ctx: AlgebraContext) -> ClosedFormResult:
     c (h U_{k+1} + sum_u t_u V_{k+1} Mtilde_{k,u} Q_{k,u}^{-1}) prod Q_{k,i}^{t_i}
     with the inverse power folded into the product before anything is built.
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    check_family("U", k, shift=1)
+    _check_r(r)
     p, h = ctx.p, ctx.h
-    if 2 * r >= p**k:
+    if 2 * r > FAMILIES["U"].degree(p, k):
         return ClosedFormResult(ctx.zero(), False, "2r >= p^k")
     t = _digit_steps(r, k, p)
     if any(ti < 0 for ti in t):
@@ -92,14 +90,11 @@ def power_on_mtilde(
     alpha_{s-1}).  ``resolved=False`` reproduces the source display,
     which stops the exterior sum at u = s; see the note above.
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    _check_r(r)
     if n < 1:
         raise ValueError("n must be >= 1")
-    check_family("Mtilde", n, s)
     p, h = ctx.p, ctx.h
-    bound = p**n + (-1 if s == -1 else -2 * p**s)
-    if 2 * r > bound:
+    if 2 * r > FAMILIES["M"].degree(p, n, s):
         return ClosedFormResult(ctx.zero(), False, "2r beyond the target degree")
 
     def tval(i: int) -> int:
@@ -135,13 +130,12 @@ def power_on_mtilde(
 
 def power_on_v(r: int, k: int, ctx: AlgebraContext) -> ClosedFormResult:
     """P^r V_{k+1}: the top case V^p at r = p^k, else the digit formula."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    check_family("V", k, shift=1)
+    _check_r(r)
     p = ctx.p
-    if r == p**k:
+    deg = FAMILIES["V"].degree(p, k)
+    if 2 * r == deg:
         return ClosedFormResult(V(ctx, k + 1) ** p, True, "r = p^k")
-    if r > p**k:
+    if 2 * r > deg:
         return ClosedFormResult(ctx.zero(), False, "r > p^k")
     t = _digit_steps(r, k, p)
     if any(ti < 0 for ti in t):
@@ -158,16 +152,14 @@ def power_on_q(r: int, n: int, s: int, ctx: AlgebraContext) -> ClosedFormResult:
     """P^r Q_{n,s}: the top case Q^p at r = p^n - p^s, else the digit
     formula with the bumped step at position s folded into Q_{n,s}'s net
     exponent 1 + alpha_s - alpha_{s-1}."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    _check_r(r)
     if n < 1:
         raise ValueError("n must be >= 1")
-    check_family("Q", n, s)
     p = ctx.p
-    top = p**n - p**s
-    if r == top:
+    deg = FAMILIES["Q"].degree(p, n, s)
+    if 2 * r == deg:
         return ClosedFormResult(Q(ctx, n, s) ** p, True, "r = p^n - p^s")
-    if r > top:
+    if 2 * r > deg:
         return ClosedFormResult(ctx.zero(), False, "r > p^n - p^s")
     t = _digit_steps(r, n, p)
     if any(t[i] < 0 for i in range(n) if i != s):
@@ -199,9 +191,15 @@ class ClosedFamily(namedtuple("ClosedFamily", ("front", "shift", "first_s", "pow
     def target(self, ctx: AlgebraContext, idx: int, s: "int | None" = None) -> Element:
         """The invariant acted on at the caller's index, refused in the
         caller's terms; its front is read from invariants by name."""
+        return getattr(invariants, self.front)(ctx, *self._args(idx, s))
+
+    def degree(self, p: int, idx: int, s: "int | None" = None) -> int:
+        """target's degree at p, read from invariants.dimension; builds nothing."""
+        return invariants.dimension(self.front, p, *self._args(idx, s))
+
+    def _args(self, idx: int, s: "int | None") -> tuple:
         check_family(self.front, idx, s, shift=self.shift)
-        args = (idx + self.shift,) if self.first_s is None else (idx, s)
-        return getattr(invariants, self.front)(ctx, *args)
+        return (idx + self.shift,) if self.first_s is None else (idx, s)
 
 
 # The closed-form families by letter.  Closed forms and fronts are called

@@ -25,7 +25,7 @@ from functools import cache
 
 from .algebra import AlgebraContext, Element, embed
 from .closed_forms import FAMILIES
-from .invariants import U, V
+from .invariants import U, V, dimension
 from .steenrod import (
     _candidates,
     _span_coordinates,
@@ -58,7 +58,7 @@ def _mixed_candidates(p: int, k: int, d: int, xcount: int) -> tuple[tuple[tuple,
             continue
         m = 0
         while True:
-            rem = d - (eps + 2 * m) * p**k
+            rem = d - eps * dimension("U", p, k + 1) - m * dimension("V", p, k + 1)
             if rem < 0:
                 break
             for (S, H), _terms in _candidates(p, k, rem, xcount - eps):
@@ -151,6 +151,11 @@ def _check_delta(delta: int) -> None:
 PAIRED_FAMILIES = (("Q", "V"), ("M", "U"))
 
 
+def _mq_total(p: int, n: int, delta: int) -> int:
+    """The M/Q-side target's degree at s less [-2p^s], the same at every s."""
+    return FAMILIES[PAIRED_FAMILIES[delta][0]].degree(p, n, -delta) - dim_bracket(p, -delta)
+
+
 def _signed_mq_pairing(
     p: int, n: int, k: int, delta: int, s: int, target: Element,
     S: tuple, R: tuple, Sp: tuple, Rp: tuple, Hp: tuple,
@@ -210,12 +215,12 @@ def _block_results(
     for e, j in ejs:
         if e not in (0, 1) or j < 0:
             raise ValueError("e must be 0 or 1 and j >= 0, got e = %r, j = %r" % (e, j))
-    key_p = milnor_key(Sp, Rp, (2 - delta) * p**k)
+    key_p = milnor_key(Sp, Rp, uv.degree(p, k))
     if key_p is None:
         return [[(None, "SKIP", _UV_INADMISSIBLE, None, None)] * len(ejs) for _ in heads]
     coords = None
     ctxn = AlgebraContext(p, n)
-    q_mq = (2 - delta) * p**n
+    q_mq = _mq_total(p, n, delta)
     cells = [(e, j, q_mq - e - 2 * j, _matched_s(p, n, delta, e, j)) for e, j in ejs]
     out = []
     for S, R in heads:
@@ -266,25 +271,22 @@ def expand_mq(
     """St^{S,R}(Mtilde_{n,s} if delta else Q_{n,s}) rebuilt over n pairs,
     with every coefficient computed as a pairing on the U/V side.
 
-    (S, R) must pass ``check_index`` with len(R) = k, and delta be 0 or 1.
-    The operation must be admissible on the target (its degree-r0 entry
-    nonnegative); otherwise ValueError.
+    (S, R) must pass ``check_index`` with len(R) = k, delta be 0 or 1, (n, s)
+    meet the M/Q family's index rule, and the operation be admissible on
+    the target (its degree-r0 entry nonnegative); otherwise ValueError.
     """
     _check_delta(delta)
     S, R = check_index(S, R, k)
-    if not -delta <= s <= n - delta:
-        raise ValueError("s out of range")
-    key = milnor_key(S, R, (2 - delta) * p**n + dim_bracket(p, s))
+    mq, uv = (FAMILIES[letter] for letter in PAIRED_FAMILIES[delta])
+    key = milnor_key(S, R, mq.degree(p, n, s))
     if key is None:
         raise ValueError("operation inadmissible on the M/Q target")
     e, j = (1, 0) if s == -1 else (0, p**s)
-    big = AlgebraContext(p, k + 1)
-    uv = FAMILIES[PAIRED_FAMILIES[delta][1]].target(big, k)
-    ctxn = AlgebraContext(p, n)
-    q_uv = (2 - delta) * p**k
-    total = ctxn.zero()
+    uv_target = uv.target(AlgebraContext(p, k + 1), k)
+    q_uv = uv.degree(p, k)
+    total = AlgebraContext(p, n).zero()
     for Sp, Rp in admissible_indices(q_uv, n):
-        img = milnor_st(Sp, Rp, uv, n)
+        img = milnor_st(Sp, Rp, uv_target, n)
         if img.is_zero():
             continue
         c = mixed_decompose(img, k).get(key + (e, j), 0)
@@ -308,16 +310,16 @@ def expand_uv(
     """
     _check_delta(delta)
     Sp, Rp = check_index(Sp, Rp, n)
-    key_p = milnor_key(Sp, Rp, (2 - delta) * p**k)
+    mq, uv = (FAMILIES[letter] for letter in PAIRED_FAMILIES[delta])
+    key_p = milnor_key(Sp, Rp, uv.degree(p, k))
     if key_p is None:
         raise ValueError("operation inadmissible on the U/V target")
     big = AlgebraContext(p, k + 1)
     ctxn = AlgebraContext(p, n)
-    mq = FAMILIES[PAIRED_FAMILIES[delta][0]]
     total = big.zero()
     for s in range(-delta, n - delta + 1):
         target = mq.target(ctxn, n, s)
-        q_mq = target.degree()
+        q_mq = mq.degree(p, n, s)
         tail = U(big, k + 1) if s == -1 else V(big, k + 1) ** (p**s)
         for S, R in admissible_indices(q_mq, k):
             c = _signed_mq_pairing(p, n, k, delta, s, target, S, R, Sp, Rp, key_p[1])

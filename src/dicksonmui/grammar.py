@@ -108,7 +108,14 @@ def from_json(data: dict, ctx: "AlgebraContext | None" = None) -> Element:
         ctx = AlgebraContext(data["p"], data["m"])
     elif ctx.p != data["p"] or ctx.m != data["m"]:
         raise ValueError("JSON context (p=%(p)s, m=%(m)s) does not match" % data)
-    return Element(ctx, [(Monomial(tuple(t["x"]), tuple(t["y"])), t["c"]) for t in data["terms"]])
+    terms = []
+    for t in data["terms"]:
+        if type(t) is not dict or not {"c", "x", "y"} <= t.keys():
+            raise ValueError('a JSON term must be an object with "c", "x" and "y", got %r' % (t,))
+        if type(t["x"]) is not list or type(t["y"]) is not list:
+            raise ValueError('a JSON term\'s "x" and "y" must be lists, got %r' % (t,))
+        terms.append((Monomial(tuple(t["x"]), tuple(t["y"])), t["c"]))
+    return Element(ctx, terms)
 
 
 def render_latex(a: Element) -> str:

@@ -36,7 +36,7 @@ from .algebra import (
     relabel,
 )
 from .arith import binom_mod, inv_mod, mu_mod, solve_exact
-from .invariants import U, V, Ltilde, Mtilde, Q
+from .invariants import U, V, Ltilde, Mtilde, Q, dimension
 
 
 class NotInSpanError(ValueError):
@@ -261,10 +261,10 @@ def _candidates(p: int, n: int, d: int, xcount: int) -> tuple[tuple[Key, dict], 
     """All basis keys (S, H) of degree d with |S| = xcount, paired with
     their raw term maps over n pairs (read-only: shared with the cache)."""
     got = []
-    # over n = 0 pairs the basis is the empty product alone: no weights
-    weights = [p**n - 1] + [2 * (p**n - p**i) for i in range(1, n)] if n else []
+    # the degrees of Ltilde_n, Q_{n,1}, .., Q_{n,n-1}; none over n = 0 pairs
+    weights = [dimension("Q", p, n, i) if i else dimension("Ltilde", p, n) for i in range(n)]
     for S in itertools.combinations(range(n), xcount):
-        rem = d - sum(p**n - 2 * p**s for s in S)
+        rem = d - sum(dimension("Mtilde", p, n, s) for s in S)
         if rem < 0 or rem % 2:
             continue
         for H in _weighted_sums(weights, rem):

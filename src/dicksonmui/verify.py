@@ -337,7 +337,7 @@ def _cell_flag_u2(p: int) -> dict:
     for n in (1, 2):
         for R in itertools.product(range(p + 1), repeat=n):
             for u in range(n):
-                if milnor_key((u,), R, p) is None:
+                if milnor_key((u,), R, dimension("U", p, 2)) is None:
                     continue
                 a = cf.st_on_u2((u,), R, ctx, resolved=True)
                 b = cf.st_on_u2((u,), R, ctx, resolved=False)
@@ -358,7 +358,7 @@ def _cell_flag_v2(p: int) -> dict:
     first = None
     for n in (1, 2):
         for R in itertools.product(range(p + 1), repeat=n):
-            if milnor_key((), R, 2 * p) is None:
+            if milnor_key((), R, dimension("V", p, 2)) is None:
                 continue
             a = cf.st_on_v2(R, ctx, resolved=True)
             b = cf.st_on_v2(R, ctx, resolved=False)
@@ -382,22 +382,17 @@ def _closed_form_tasks(p_values, max_n, grid, seed, cases):
         lim = caps["lim"]
         for k in range(0, lim + 1):
             est = _mc(k + 1, p**k * p)
-            for r in range(p**k // 2 + 4):
-                yield _task("closed-forms", "power/U/p%d/k%d/r%d" % (p, k, r),
-                            _cell_power_family, (p, "U", r, k, 0), est)
-            for r in range(p**k + 4):
-                yield _task("closed-forms", "power/V/p%d/k%d/r%d" % (p, k, r),
-                            _cell_power_family, (p, "V", r, k, 0), est)
+            for f in "UV":
+                for r in range(cf.FAMILIES[f].degree(p, k) // 2 + 4):
+                    yield _task("closed-forms", "power/%s/p%d/k%d/r%d" % (f, p, k, r),
+                                _cell_power_family, (p, f, r, k, 0), est)
         for n in range(1, lim + 1):
             est = _mc(n, p**n * p)
-            for s in range(-1, n):
-                for r in range(dimension("Mtilde", p, n, s) // 2 + 4):
-                    yield _task("closed-forms", "power/M/p%d/n%d/s%d/r%d" % (p, n, s, r),
-                                _cell_power_family, (p, "M", r, n, s), est)
-            for s in range(n + 1):
-                for r in range(dimension("Q", p, n, s) // 2 + 4):
-                    yield _task("closed-forms", "power/Q/p%d/n%d/s%d/r%d" % (p, n, s, r),
-                                _cell_power_family, (p, "Q", r, n, s), est)
+            for f, s_max in (("M", n - 1), ("Q", n)):
+                for s in range(cf.FAMILIES[f].first_s, s_max + 1):
+                    for r in range(cf.FAMILIES[f].degree(p, n, s) // 2 + 4):
+                        yield _task("closed-forms", "power/%s/p%d/n%d/s%d/r%d" % (f, p, n, s, r),
+                                    _cell_power_family, (p, f, r, n, s), est)
         for u in range(caps["vmax"] + 1):
             for v in range(u, caps["vmax"] + 1):
                 yield _task("closed-forms", "bracket/p%d/u%dv%d" % (p, u, v),
@@ -415,10 +410,10 @@ def _closed_form_tasks(p_values, max_n, grid, seed, cases):
             for ln in (1, 2):
                 for R in itertools.product(range(p + 1), repeat=ln):
                     for S in _subsets(ln):
-                        if milnor_key(S, R, p) is not None:
+                        if milnor_key(S, R, dimension("U", p, 2)) is not None:
                             yield _task("closed-forms", "u2/p%d/S(%s)/R(%s)" % (
                                 p, _fmt(S), _fmt(R)), _cell_u2, (p, S, R), _mc(ln + 2, p**ln * p))
-                    if milnor_key((), R, 2 * p) is not None:
+                    if milnor_key((), R, dimension("V", p, 2)) is not None:
                         yield _task("closed-forms", "v2/p%d/R(%s)" % (p, _fmt(R)),
                                     _cell_v2, (p, R), _mc(ln + 2, p**ln * p))
             # the U2/V2 flag cells close the suite's rows
@@ -440,7 +435,7 @@ def _block_pairing(p: int, n: int, k: int, delta: int, Sp: tuple, Rp: tuple,
     block, S and R across each (S, R).  Each row and its params are its
     own dicts; _execute adds only the seconds."""
     base = "pairing/p%d/n%dk%d/d%d/Sp(%s)/Rp(%s)" % (p, n, k, delta, _fmt(Sp), _fmt(Rp))
-    q_mq = (2 - delta) * p**n
+    q_mq = duality._mq_total(p, n, delta)
     ejs = [(e, j) for e in (0, 1) for j in range(p**n + 2) if e + 2 * j <= q_mq + 2]
     tails = ["%d/j%d" % ej for ej in ejs]
     heads = [(S, R) for S in _subsets(k) for R in itertools.product(range(p**n + 2), repeat=k)
@@ -502,10 +497,10 @@ def _duality_tasks(p_values, max_n, grid, seed, cases):
         dm = caps["degmax"]
         for n, k in caps["shapes"]:
             for delta in (0, 1):
-                est = (_mc(n + k + 1, (2 - delta) * p**k * p**n // 2)
-                       + 4 * _mc(k + 1, dm // 2))
+                mq, uv = (cf.FAMILIES[f] for f in duality.PAIRED_FAMILIES[delta])
+                q_uv = uv.degree(p, k)
+                est = _mc(n + k + 1, q_uv * p**n // 2) + 4 * _mc(k + 1, dm // 2)
                 shape = "p%d/n%dk%d/d%d" % (p, n, k, delta)
-                q_uv = (2 - delta) * p**k
                 for Sp in _subsets(n):
                     for Rp in itertools.product(range(p**k + 2), repeat=n):
                         if st_operation_degree(Sp, Rp, p) + q_uv > dm:
@@ -516,10 +511,8 @@ def _duality_tasks(p_values, max_n, grid, seed, cases):
                         if milnor_key(Sp, Rp, q_uv) is not None:
                             yield _task("duality", "uv/" + op, _cell_uv_expand,
                                         (p, n, k, delta, Sp, Rp), est)
-                ctxn = AlgebraContext(p, n)
-                mq = cf.FAMILIES[duality.PAIRED_FAMILIES[delta][0]]
                 for s in range(-delta, n - delta + 1):
-                    q = mq.target(ctxn, n, s).degree()
+                    q = mq.degree(p, n, s)
                     for S, R in admissible_indices(q, k):
                         if st_operation_degree(S, R, p) + q <= dm:
                             yield _task("duality", "mq/%s/s%d/S(%s)/R(%s)" % (

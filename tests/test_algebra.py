@@ -638,6 +638,21 @@ def test_relabel_needs_injective_map(ctx):
         relabel(ctx.y(1) * ctx.y(2), big, {1: 2})
 
 
+@pytest.mark.parametrize("target", [True, 1.5, 0, 3])
+def test_relabel_targets_meet_the_term_rule(ctx, target):
+    # checked once, before the term walk: True used to be stored as an
+    # exterior index, and 1.5 ended in a bare TypeError
+    with pytest.raises(ValueError, match=r"^index 1 maps to .*, not an int in 1\.\.2$"):
+        relabel(ctx.x(1) * ctx.y(2), ctx, {1: target})
+
+
+def test_relabel_keeps_no_index_past_the_target_context(ctx):
+    # an unmapped index is kept, so it must exist in the target context
+    with pytest.raises(ValueError, match=r"^index 3 maps to 3, not an int in 1\.\.2$"):
+        relabel(AlgebraContext(3, 3).y(1), ctx, {})
+    assert relabel(AlgebraContext(3, 3).y(3), ctx, {3: 1}) == ctx.y(1)
+
+
 def test_relabel_tracks_exterior_reordering():
     ctx = AlgebraContext(3, 2)
     big = AlgebraContext(3, 2)

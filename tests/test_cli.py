@@ -133,7 +133,7 @@ def test_out_of_range_s_is_the_library_error(capsys, argv, message):
     (("closed-form", "--p", "3", "--family", "U", "--k", "0", "--r", "0"), 0, "x1", ""),
     (("closed-form", "--p", "3", "--family", "V", "--k", "0", "--r", "1"), 0, "y1^3", ""),
     (("closed-form", "--p", "3", "--family", "Q", "--n", "1", "--s", "0", "--r", "-1"), 2, "",
-     "error: r must be >= 0\n"),
+     "error: r must be an integer >= 0, got -1\n"),
     (("table", "--p", "3", "--family", "V", "--k", "0"), 0, "r  V_1\n0  V_1\n1  V_1^3", ""),
     (("invariant", "--p", "3", "--name", "L", "--n", "0"), 0, "1", ""),
     (("invariant", "--p", "3", "--name", "V", "--k", "0"), 2, "", "error: k must be >= 1\n"),

@@ -5,6 +5,7 @@ import pytest
 
 from dicksonmui.algebra import AlgebraContext, embed, render_text
 from dicksonmui.closed_forms import (
+    FAMILIES,
     V2_MIXED_CASE_RESOLVED_SIGN,
     bracket_identities,
     power_on_mtilde,
@@ -80,6 +81,36 @@ def test_top_powers_are_frobenius():
         ctx = AlgebraContext(p, n)
         res = power_on_q(p**n - p**s, n, s, ctx)
         assert res.applicable and res.value == Q(ctx, n, s) ** p
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_family_degree_is_its_target_degree(p):
+    # degree reads invariants.dimension and builds nothing
+    for letter, fam in FAMILIES.items():
+        for idx in range(3):
+            ctx = AlgebraContext(p, idx + fam.shift)
+            svals = [None] if fam.first_s is None else range(fam.first_s, idx + 1 + fam.first_s)
+            for s in svals:
+                assert fam.degree(p, idx, s) == fam.target(ctx, idx, s).degree(), (letter, idx, s)
+
+
+def test_family_degree_refuses_in_the_callers_terms():
+    with pytest.raises(ValueError, match=r"^k must be >= 0$"):
+        FAMILIES["V"].degree(3, -1)  # V_0 does not exist
+    with pytest.raises(ValueError, match=r"^s must lie in 0\.\.n$"):
+        FAMILIES["Q"].degree(3, 2, 3)
+    with pytest.raises(ValueError, match=r"^s must lie in -1\.\.n-1$"):
+        FAMILIES["M"].degree(3, 2, 2)
+
+
+@pytest.mark.parametrize("r", [True, 1.5, -1, None])
+@pytest.mark.parametrize("letter", "UMVQ")
+def test_closed_forms_share_the_r_rule(letter, r):
+    # the rule of p_power and total_power: power_on_v(True, ...) used to
+    # return P^1 V_2, and 1.5 ended in a bare TypeError
+    ctx = AlgebraContext(3, 2)
+    with pytest.raises(ValueError, match=r"^r must be an integer >= 0, got "):
+        FAMILIES[letter].power(r, 1, None if FAMILIES[letter].first_s is None else 0, ctx)
 
 
 def test_mtilde_resolved_vs_literal_display():

@@ -2,6 +2,7 @@
 operations on the Mtilde/Q family, with both re-expansion directions."""
 
 import itertools
+import re
 
 import pytest
 
@@ -194,8 +195,10 @@ def test_rank_zero_duality_cells_agree(p):
 
 
 def test_expansion_input_validation():
-    with pytest.raises(ValueError):
-        expand_mq(3, 1, 1, 0, 2, (), (0,))  # s out of range
+    # s meets the M/Q family's rule: 0 <= s <= n for Q, -1 <= s <= n-1 for Mtilde
+    for delta, s, rule in [(0, -1, "0..n"), (0, 2, "0..n"), (1, -2, "-1..n-1"), (1, 1, "-1..n-1")]:
+        with pytest.raises(ValueError, match=r"^s must lie in %s$" % re.escape(rule)):
+            expand_mq(3, 1, 1, delta, s, (), (0,))
     with pytest.raises(ValueError):
         expand_uv(3, 1, 1, 0, (), (9,))  # negative dual entry
 

@@ -123,6 +123,25 @@ def test_json_terms_meet_the_term_rule(ctx, term, message):
             from_json(data, target)
 
 
+_FORM = r'^a JSON term must be an object with "c", "x" and "y", got '
+_LISTS = r'^a JSON term\'s "x" and "y" must be lists, got '
+
+
+@pytest.mark.parametrize("term, message", [
+    ({"c": 1, "y": [1, 0]}, _FORM),
+    ({"x": [], "y": [1, 0]}, _FORM),
+    ([1, [], [1, 0]], _FORM),
+    ({"c": 1, "x": 1, "y": [1, 0]}, _LISTS),
+    ({"c": 1, "x": [], "y": "10"}, _LISTS),
+])
+def test_json_terms_have_the_json_form(ctx, term, message):
+    # a missing "x" used to raise a bare KeyError, and "x": 1 a TypeError
+    data = {"p": 3, "m": 2, "terms": [term]}
+    for target in (None, ctx):
+        with pytest.raises(ValueError, match=message):
+            from_json(data, target)
+
+
 def test_json_context_meets_the_context_rule():
     with pytest.raises(ValueError, match="^p must be an odd prime, got '3'$"):
         from_json({"p": "3", "m": 2, "terms": []})
