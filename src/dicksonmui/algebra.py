@@ -367,9 +367,8 @@ class Element:
 
         Unmapped generators stay fixed.  Every x-image must be a sum of
         odd-degree monomials and every y-image even, so Koszul reordering
-        stays consistent.  Each term's image is a chain of products over
-        packed keys (_mul_blocks) at one field width for the whole call;
-        the images add into one accumulator, unpacked once at the end.
+        stays consistent.  The work is _substitute_groups over packed keys;
+        its accumulator is unpacked once at the end.
         """
         ctx = self.ctx
         x_images = dict(x_images or {})
@@ -395,61 +394,7 @@ class Element:
                     if img.terms != {Monomial((), zero[:i - 1] + (1,) + zero[i:]): 1}}
         if not x_images and not y_images:
             return self
-        # One field width for the whole call.  A term's image has y-degree
-        # at most its fixed exponents plus each mapped factor's top y-degree
-        # times its exponent; every partial product stays under that bound,
-        # so no field of any key carries.
-        x_top = {i: _top_degree(img) for i, img in x_images.items()}
-        y_top = [_top_degree(y_images[i]) if i in y_images else 1 for i in range(1, ctx.m + 1)]
-        bound = 0
-        for xs, ys in self.terms:
-            d = sum(map(mul, ys, y_top))
-            for i in xs:
-                d += x_top.get(i, 0)
-            if d > bound:
-                bound = d
-        width = bound.bit_length() or 1
-        x_groups = {i: _mask_groups(img, width) for i, img in x_images.items()}
-        p = ctx.p
-
-        @cache
-        def y_power(idx: int, e: int) -> Groups:
-            if e == 1:
-                return _mask_groups(y_images[idx], width)
-            return _pow_groups(y_power(idx, 1), e, p)
-
-        # every term's image adds into one unreduced accumulator
-        out: Groups = {}
-        for (xs, ys), c in self.terms.items():
-            # pull each mapped exterior factor to the front, keeping their
-            # relative order; each move costs a sign per fixed odd factor
-            # it jumps over
-            fixed_xs = []
-            fixed_mask = 0
-            chain = []  # the factors that multiply on the left, in order
-            for i in xs:
-                if i in x_groups:
-                    if len(fixed_xs) % 2:
-                        c = -c
-                    chain.append(x_groups[i])
-                else:
-                    fixed_xs.append(i)
-                    fixed_mask |= 1 << i
-            chain.reverse()
-            # y-powers are even, so multiplying them on the left costs no sign
-            fixed_ys = []
-            for i, e in enumerate(ys, 1):
-                if e and i in y_images:
-                    chain.append(y_power(i, e))
-                    e = 0
-                fixed_ys.append(e)
-            term = {fixed_mask: (tuple(fixed_xs), {_pack(fixed_ys, width): 1})}
-            *inner, last = chain or [_UNIT_GROUPS]
-            for g in inner:
-                term = _product_groups(g, term, p)
-            # the last product adds c times itself into out
-            _mul_blocks(out, last, term, c)
-        return _unpack_groups(ctx, out, width)
+        return _unpack_groups(ctx, *_substitute_groups(self, x_images, y_images))
 
     # -- rendering ---------------------------------------------------------
 
@@ -591,6 +536,74 @@ def _unpack_groups(ctx: AlgebraContext, groups: Groups, width: int) -> Element:
         terms.update(zip([_new_tuple(Monomial, (xs, ys)) for ys in _unpack_keys(acc, width, m)],
                          acc.values()))
     return Element._make(ctx, terms)
+
+
+def _substitute_groups(a: Element, x_images: Mapping[int, Element],
+                       y_images: Mapping[int, Element], min_width: int = 1) -> tuple[Groups, int]:
+    """The packed core of Element.substitute: (accumulator, field width) of
+    a's image, with coefficients unreduced.  The images must already meet
+    substitute's rules (odd x-images, even y-images, a's context).
+
+    Each term's image is a chain of products over packed keys (_mul_blocks)
+    at one field width for the whole call, at least min_width; the images
+    add into one accumulator.
+    """
+    ctx = a.ctx
+    # One field width for the whole call.  A term's image has y-degree at
+    # most its fixed exponents plus each mapped factor's top y-degree times
+    # its exponent; every partial product stays under that bound, so no
+    # field of any key carries.
+    x_top = {i: _top_degree(img) for i, img in x_images.items()}
+    y_top = [_top_degree(y_images[i]) if i in y_images else 1 for i in range(1, ctx.m + 1)]
+    bound = 0
+    for xs, ys in a.terms:
+        d = sum(map(mul, ys, y_top))
+        for i in xs:
+            d += x_top.get(i, 0)
+        if d > bound:
+            bound = d
+    width = max(bound.bit_length(), min_width)
+    x_groups = {i: _mask_groups(img, width) for i, img in x_images.items()}
+    p = ctx.p
+
+    @cache
+    def y_power(idx: int, e: int) -> Groups:
+        if e == 1:
+            return _mask_groups(y_images[idx], width)
+        return _pow_groups(y_power(idx, 1), e, p)
+
+    # every term's image adds into one unreduced accumulator
+    out: Groups = {}
+    for (xs, ys), c in a.terms.items():
+        # pull each mapped exterior factor to the front, keeping their
+        # relative order; each move costs a sign per fixed odd factor it
+        # jumps over
+        fixed_xs = []
+        fixed_mask = 0
+        chain = []  # the factors that multiply on the left, in order
+        for i in xs:
+            if i in x_groups:
+                if len(fixed_xs) % 2:
+                    c = -c
+                chain.append(x_groups[i])
+            else:
+                fixed_xs.append(i)
+                fixed_mask |= 1 << i
+        chain.reverse()
+        # y-powers are even, so multiplying them on the left costs no sign
+        fixed_ys = []
+        for i, e in enumerate(ys, 1):
+            if e and i in y_images:
+                chain.append(y_power(i, e))
+                e = 0
+            fixed_ys.append(e)
+        term = {fixed_mask: (tuple(fixed_xs), {_pack(fixed_ys, width): 1})}
+        *inner, last = chain or [_UNIT_GROUPS]
+        for g in inner:
+            term = _product_groups(g, term, p)
+        # the last product adds c times itself into out
+        _mul_blocks(out, last, term, c)
+    return out, width
 
 
 # Products of at most this many term pairs go to _mul_pairwise, larger ones

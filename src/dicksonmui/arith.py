@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from itertools import chain
 from math import comb, factorial, gcd
+from operator import mul
 
 
 def is_odd_prime(p: int) -> bool:
@@ -100,53 +101,90 @@ def solve_exact(
     Each column (and the target) is a sparse {key: residue} map; the keys
     index the equations.  Returns the unique coefficient vector, None when
     the system is inconsistent.  Raises ArithmeticError when the columns
-    are linearly dependent, since none of our generating sets should be.
+    are linearly dependent (and the target lies in their span), since none
+    of our generating sets should be.  The columns are factored
+    (factor_columns), then the target is solved against the factors
+    (solve_factored); a caller with many targets factors once.
+    """
+    return solve_factored(factor_columns(columns, p), columns, target, p)
 
-    Rows are reduced in key order (the target's keys, then the columns'
-    other keys) only until every unknown has a pivot; the solution read
-    off that square part is then checked against every equation it touches.
+
+Factors = tuple[list, list[int], list[list[int]], bool]
+
+
+def factor_columns(columns: Sequence[dict], p: int) -> Factors:
+    """The factors of sum_j c_j * columns[j] == target that every target
+    shares: (pivot keys, pivot unknowns, inverse, dependent).
+
+    Rows are reduced in key order (each column's keys in turn; a key shared
+    by several columns may come twice, and its second row reduces to zero)
+    only until every unknown has a pivot.  The inverse is that of the
+    columns of the pivot unknowns at the pivot keys; dependent says that
+    some unknown has no pivot.  The pivot unknowns' columns span what all
+    the columns span.
     """
     ncols = len(columns)
-    # a key shared by several columns may come twice; its second row
-    # reduces to zero
-    keys = chain(target, (key for col in columns for key in col if key not in target))
     # Sparse row-reduction: rows indexed by equation keys, entry j is the
-    # coefficient of unknown c_j; slot ncols holds the right-hand side.
+    # coefficient of unknown c_j.
     pivots: dict[int, dict[int, int]] = {}
-    for key in keys:
+    pivot_keys: dict[int, object] = {}
+    for key in chain.from_iterable(columns):
         if len(pivots) == ncols:
             break
         row = {j: col[key] % p for j, col in enumerate(columns) if col.get(key, 0) % p}
-        t = target.get(key, 0) % p
-        if t:
-            row[ncols] = t
         while row:
             lead = min(row)
-            if lead == ncols:
-                return None  # 0 == nonzero
-            if lead in pivots:
-                factor = row[lead]
-                for j, v in pivots[lead].items():
-                    nv = (row.get(j, 0) - factor * v) % p
-                    if nv:
-                        row[j] = nv
-                    else:
-                        row.pop(j, None)
-            else:
+            if lead not in pivots:
                 inv = inv_mod(row[lead], p)
                 pivots[lead] = {j: v * inv % p for j, v in row.items()}
+                pivot_keys[lead] = key
                 break
-    if len(pivots) < ncols:
-        raise ArithmeticError("linearly dependent columns in exact solve")
-    # Back-substitute to a fully reduced system, then read coefficients.
-    solution = [0] * ncols
-    for lead in range(ncols - 1, -1, -1):
-        row = pivots[lead]
-        val = row.get(ncols, 0)
-        for j, v in row.items():
-            if j != lead and j != ncols:
-                val = (val - v * solution[j]) % p
-        solution[lead] = val
+            factor = row[lead]
+            for j, v in pivots[lead].items():
+                nv = (row.get(j, 0) - factor * v) % p
+                if nv:
+                    row[j] = nv
+                else:
+                    row.pop(j, None)
+    leads = sorted(pivots)
+    keys = [pivot_keys[j] for j in leads]
+    square = [[columns[j].get(key, 0) % p for j in leads] for key in keys]
+    return keys, leads, _inverse(square, p), len(leads) < ncols
+
+
+def _inverse(square: list[list[int]], p: int) -> list[list[int]]:
+    """The inverse of an invertible square matrix over Z/p, by Gauss-Jordan
+    elimination on [square | identity]."""
+    size = len(square)
+    work = [row + [int(i == j) for j in range(size)] for i, row in enumerate(square)]
+    for col in range(size):
+        piv = next(i for i in range(col, size) if work[i][col])
+        work[col], work[piv] = work[piv], work[col]
+        inv = inv_mod(work[col][col], p)
+        work[col] = [v * inv % p for v in work[col]]
+        for i in range(size):
+            f = work[i][col]
+            if i != col and f:
+                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[col])]
+    return [row[size:] for row in work]
+
+
+def solve_factored(
+    factors: Factors, columns: Sequence[dict], target: dict, p: int
+) -> "list[int] | None":
+    """solve_exact for columns already factored by factor_columns.
+
+    The pivot unknowns are read off the target at the pivot keys through
+    the inverse, the others are 0; the solution is then checked against
+    every equation it touches (the target's keys and each used column's).
+    None when that check fails; ArithmeticError when it holds but the
+    columns are dependent.
+    """
+    keys, leads, inverse, dependent = factors
+    rhs = [target.get(key, 0) for key in keys]
+    solution = [0] * len(columns)
+    for j, row in zip(leads, inverse):
+        solution[j] = sum(map(mul, row, rhs)) % p
     # The unread equations: sum_j c_j * columns[j] must equal the target
     # on every key of the target and of each column used.
     residual = {key: -v for key, v in target.items()}
@@ -156,6 +194,8 @@ def solve_exact(
                 residual[key] = residual.get(key, 0) + c * v
     if any(v % p for v in residual.values()):
         return None
+    if dependent:
+        raise ArithmeticError("linearly dependent columns in exact solve")
     return solution
 
 

@@ -181,12 +181,23 @@ def power_on_q(r: int, n: int, s: int, ctx: AlgebraContext) -> ClosedFormResult:
     return ClosedFormResult(val, True, "r < p^n - p^s, digits admissible")
 
 
-class ClosedFamily(namedtuple("ClosedFamily", ("front", "shift", "first_s", "power"))):
+class ClosedFamily(namedtuple("ClosedFamily", ("front", "shift", "power"))):
     """A closed-form family: the invariant family it acts on, that
-    invariant's rank less the caller's index (1 for U_{k+1}), the first s
-    of a table row (None: it takes no s) and power(r, index, s, ctx)."""
+    invariant's rank less the caller's index (1 for U_{k+1}) and
+    power(r, index, s, ctx)."""
 
     __slots__ = ()
+
+    def s_range(self, idx: int) -> "range | None":
+        """The s of the target at the caller's index, read from the family's
+        rule (invariants.s_range); None when it takes no s."""
+        return invariants.s_range(self.front, idx + self.shift)
+
+    @property
+    def first_s(self) -> "int | None":
+        """The first s of a table row; None when the family takes no s."""
+        srange = self.s_range(0)
+        return None if srange is None else srange.start
 
     def target(self, ctx: AlgebraContext, idx: int, s: "int | None" = None) -> Element:
         """The invariant acted on at the caller's index, refused in the
@@ -206,10 +217,10 @@ class ClosedFamily(namedtuple("ClosedFamily", ("front", "shift", "first_s", "pow
 # through their module names, not held here, so a wrapper rebound to a
 # name (as the benchmark tracer does) sees every call.
 FAMILIES = {
-    "U": ClosedFamily("U", 1, None, lambda r, k, s, ctx: power_on_u(r, k, ctx)),
-    "M": ClosedFamily("Mtilde", 0, -1, lambda r, n, s, ctx: power_on_mtilde(r, n, s, ctx)),
-    "V": ClosedFamily("V", 1, None, lambda r, k, s, ctx: power_on_v(r, k, ctx)),
-    "Q": ClosedFamily("Q", 0, 0, lambda r, n, s, ctx: power_on_q(r, n, s, ctx)),
+    "U": ClosedFamily("U", 1, lambda r, k, s, ctx: power_on_u(r, k, ctx)),
+    "M": ClosedFamily("Mtilde", 0, lambda r, n, s, ctx: power_on_mtilde(r, n, s, ctx)),
+    "V": ClosedFamily("V", 1, lambda r, k, s, ctx: power_on_v(r, k, ctx)),
+    "Q": ClosedFamily("Q", 0, lambda r, n, s, ctx: power_on_q(r, n, s, ctx)),
 }
 
 

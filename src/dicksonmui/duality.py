@@ -24,11 +24,12 @@ from collections.abc import Sequence
 from functools import cache
 
 from .algebra import AlgebraContext, Element, embed
+from .arith import solve_exact
 from .closed_forms import FAMILIES
 from .invariants import U, V, dimension
 from .steenrod import (
-    _candidates,
-    _span_coordinates,
+    _basis_keys,
+    _in_span,
     admissible_indices,
     basis_element,
     check_index,
@@ -48,11 +49,11 @@ def dim_bracket(p: int, s: int) -> int:
 
 # ---------------------------------------------------------------- pairings
 
-def _mixed_candidates(p: int, k: int, d: int, xcount: int) -> tuple[tuple[tuple, dict], ...]:
-    """Degree-d keys (S, H, eps, m) with len(S) + eps = xcount, paired with
-    the raw term maps of Mtilde_S Qtilde^H U_{k+1}^eps V_{k+1}^m."""
+def _mixed_candidates(p: int, k: int, d: int, xcount: int) -> tuple[list[tuple], list[dict]]:
+    """The degree-d keys (S, H, eps, m) with len(S) + eps = xcount, and the
+    raw term maps of their Mtilde_S Qtilde^H U_{k+1}^eps V_{k+1}^m."""
     big = AlgebraContext(p, k + 1)
-    got = []
+    keys, columns = [], []
     for eps in (0, 1):
         if eps > xcount:
             continue
@@ -61,15 +62,16 @@ def _mixed_candidates(p: int, k: int, d: int, xcount: int) -> tuple[tuple[tuple,
             rem = d - eps * dimension("U", p, k + 1) - m * dimension("V", p, k + 1)
             if rem < 0:
                 break
-            for (S, H), _terms in _candidates(p, k, rem, xcount - eps):
+            for S, H in _basis_keys(p, k, rem, xcount - eps):
                 elt = embed(basis_element(p, k, S, H), big)
                 if eps:
                     elt = elt * U(big, k + 1)
                 if m:
                     elt = elt * V(big, k + 1) ** m
-                got.append(((S, H, eps, m), elt.terms))
+                keys.append((S, H, eps, m))
+                columns.append(elt.terms)
             m += 1
-    return tuple(got)
+    return keys, columns
 
 
 @cache
@@ -95,7 +97,8 @@ def mixed_decompose(a: Element, k: int) -> dict[tuple, int]:
         by_xcount.setdefault(len(mono.xs), {})[mono] = c
     out: dict[tuple, int] = {}
     for xc, target in by_xcount.items():
-        out.update(_span_coordinates(_mixed_candidates(p, k, d, xc), target, p))
+        keys, columns = _mixed_candidates(p, k, d, xc)
+        out.update(_in_span(keys, solve_exact(columns, target, p)))
     return out
 
 

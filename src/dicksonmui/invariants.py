@@ -72,6 +72,13 @@ def check_family(family: str, k: int, s: "int | None" = None,
         ctx.check_pairs(k)
 
 
+def s_range(family: str, k: int) -> "range | None":
+    """The s that `family` takes at rank k, by its rule; None when it takes
+    no s."""
+    srange = _RULES[family][2]
+    return None if srange is None else range(srange[0], k + srange[1] + 1)
+
+
 def bracket_e(ctx: AlgebraContext, es: Sequence[int]) -> Element:
     """[e_1, ..., e_k]: determinant of the k x k matrix (y_i^(p^e_j))."""
     es = tuple(es)

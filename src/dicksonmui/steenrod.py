@@ -29,13 +29,23 @@ from collections.abc import Iterator, Sequence
 from functools import cache
 
 from .algebra import (
+    _UNIT_GROUPS,
     AlgebraContext,
     Element,
+    Groups,
     Monomial,
+    _mask_groups,
     _new_tuple,
+    _pack,
+    _pow_groups,
+    _product_groups,
+    _substitute_groups,
+    _top_degree,
+    _unpack_groups,
+    _unpack_keys,
     relabel,
 )
-from .arith import binom_mod, inv_mod, mu_mod, solve_exact
+from .arith import Factors, binom_mod, factor_columns, inv_mod, mu_mod, solve_factored
 from .invariants import U, V, Ltilde, Mtilde, Q, dimension
 
 
@@ -185,12 +195,20 @@ def d_star_p(n: int, a: Element) -> Element:
     generator is replaced by its invariant image formed over the block plus
     its own pair (x_j -> (-h!)^n U_{n+1}, y_j -> V_{n+1}).  The map is
     multiplicative only up to (-1)^{nh qr}, so each monomial with k
-    exterior factors first absorbs the sign (-1)^{nh k(k-1)/2}.
+    exterior factors first absorbs the sign (-1)^{nh k(k-1)/2}.  The
+    packed image (_power_map) is unpacked once.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return a
+    return _unpack_groups(*_power_map(n, a))
+
+
+def _power_map(n: int, a: Element) -> tuple[AlgebraContext, Groups, int]:
+    """The packed core of d_star_p for n >= 1: the image's context, its
+    unreduced accumulator (_substitute_groups) and its field width, at
+    least _MIN_WIDTH so that its block keys are basis column keys."""
     ctx = a.ctx
     big = AlgebraContext(ctx.p, ctx.m + n)
     scal = pow(-_h_factorial(ctx), n, ctx.p)
@@ -213,7 +231,7 @@ def d_star_p(n: int, a: Element) -> Element:
         adjusted[mono] = c
     shift = {i: i + n for i in range(1, ctx.m + 1)}
     moved = relabel(Element._make(ctx, adjusted), big, shift)
-    return moved.substitute(x_images, y_images)
+    return (big, *_substitute_groups(moved, x_images, y_images, _MIN_WIDTH))
 
 
 def compose_check(s: int, n: int, a: Element) -> bool:
@@ -228,48 +246,89 @@ def compose_check(s: int, n: int, a: Element) -> bool:
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
+# The field width of packed basis work.  Every basis monomial, every
+# candidate column and every power-map image that is decomposed is packed
+# at one width, so the block part of an image key is a column key as it
+# stands.  10 bits hold every y-degree below 1024, and three block fields
+# stay inside one 30-bit digit of a Python int; a larger degree widens
+# the keys (_field_width).
+_MIN_WIDTH = 10
+
+
+def _field_width(top: int) -> int:
+    """The packed width for y-degrees up to top: at least _MIN_WIDTH."""
+    return max(top.bit_length(), _MIN_WIDTH)
+
+
+def _basis_weights(p: int, n: int) -> list[int]:
+    """The degrees of Ltilde_n, Q_{n,1}, .., Q_{n,n-1}; none over n = 0 pairs."""
+    return [dimension("Q", p, n, i) if i else dimension("Ltilde", p, n) for i in range(n)]
+
 
 def basis_element(p: int, n: int, S: Sequence[int], H: Sequence[int]) -> Element:
     """The invariant monomial Mtilde_{n,s1}..Mtilde_{n,sk} * Ltilde_n^{h0}
     * Q_{n,1}^{h1} .. Q_{n,n-1}^{h_{n-1}} over n pairs; (S, H) must pass
-    ``check_index``."""
-    return _basis_element(p, n, *check_index(S, H, n))
+    ``check_index``.  Unpacked from its cached packed form on every call."""
+    S, H = check_index(S, H, n)
+    d = sum(dimension("Mtilde", p, n, s) for s in S)
+    d += sum(h * w for h, w in zip(H, _basis_weights(p, n)))
+    width = _field_width(d // 2)
+    # a copy of the outer map: unpacking empties it, and the cache holds it
+    return _unpack_groups(AlgebraContext(p, n), dict(_basis_element(p, n, S, H, width)), width)
 
 
 @cache
-def _basis_element(p: int, n: int, S: tuple[int, ...], H: tuple[int, ...]) -> Element:
-    """One product from a cached smaller basis element: peel the last
-    Mtilde factor, else split H = p (H // p) + H % p (the p-th power only
-    scales exponents), else peel one Ltilde_n or Q_{n,i} factor.  The
+def _basis_element(p: int, n: int, S: tuple[int, ...], H: tuple[int, ...], width: int) -> Groups:
+    """basis_element's product packed at field width ``width`` (wide enough
+    for its y-degree; read-only: shared with the cache).  One packed
+    product (_product_groups) from a cached smaller basis element: peel the
+    last Mtilde factor, else split H = p (H // p) + H % p (the p-th power
+    only scales keys), else peel one Ltilde_n or Q_{n,i} factor.  The
     recursion depth is at most |S| + n (p - 1) + log_p(max H) + 1."""
     c = AlgebraContext(p, n)
     if S:
-        return _basis_element(p, n, S[:-1], H) * Mtilde(c, n, S[-1])
+        lower = _basis_element(p, n, S[:-1], H, width)
+        return _product_groups(lower, _mask_groups(Mtilde(c, n, S[-1]), width), p)
     if max(H, default=0) >= p:
-        el = _basis_element(p, n, (), tuple(h // p for h in H)) ** p
+        el = _pow_groups(_basis_element(p, n, (), tuple(h // p for h in H), width), p, p)
         low = tuple(h % p for h in H)
-        return el * _basis_element(p, n, (), low) if any(low) else el
+        return _product_groups(el, _basis_element(p, n, (), low, width), p) if any(low) else el
     i = max((i for i, h in enumerate(H) if h), default=None)
     if i is None:
-        return c.one()
-    lower = H[:i] + (H[i] - 1,) + H[i + 1 :]
-    return _basis_element(p, n, (), lower) * (Ltilde(c, n) if i == 0 else Q(c, n, i))
+        return _UNIT_GROUPS
+    lower = _basis_element(p, n, (), H[:i] + (H[i] - 1,) + H[i + 1 :], width)
+    factor = Ltilde(c, n) if i == 0 else Q(c, n, i)
+    return _product_groups(lower, _mask_groups(factor, width), p)
 
 
-@cache
-def _candidates(p: int, n: int, d: int, xcount: int) -> tuple[tuple[Key, dict], ...]:
-    """All basis keys (S, H) of degree d with |S| = xcount, paired with
-    their raw term maps over n pairs (read-only: shared with the cache)."""
-    got = []
-    # the degrees of Ltilde_n, Q_{n,1}, .., Q_{n,n-1}; none over n = 0 pairs
-    weights = [dimension("Q", p, n, i) if i else dimension("Ltilde", p, n) for i in range(n)]
+def _basis_keys(p: int, n: int, d: int, xcount: int) -> Iterator[Key]:
+    """All basis keys (S, H) of degree d with |S| = xcount over n pairs."""
+    weights = _basis_weights(p, n)
     for S in itertools.combinations(range(n), xcount):
         rem = d - sum(dimension("Mtilde", p, n, s) for s in S)
         if rem < 0 or rem % 2:
             continue
         for H in _weighted_sums(weights, rem):
-            got.append(((S, H), basis_element(p, n, S, H).terms))
-    return tuple(got)
+            yield S, H
+
+
+@cache
+def _candidates(p: int, n: int, d: int, xcount: int,
+                width: int) -> tuple[tuple[Key, ...], tuple[dict[int, int], ...], Factors]:
+    """The basis keys of degree d with |S| = xcount (_basis_keys), their
+    basis monomials as solver columns, and the columns' factors
+    (factor_columns), so that every target of this shape is solved against
+    one factorisation (read-only: shared with the cache).  A column is
+    keyed by each term's packed y-key at field width ``width``, shifted
+    past its exterior mask (bits 1..n), as _decompose keys a block."""
+    keys = tuple(_basis_keys(p, n, d, xcount))
+    columns = tuple(
+        {k << (n + 1) | mask: c
+         for mask, (_, group) in _basis_element(p, n, S, H, width).items()
+         for k, c in group.items()}
+        for S, H in keys
+    )
+    return keys, columns, factor_columns(columns, p)
 
 
 def _weighted_sums(weights: list[int], total: int) -> Iterator[tuple[int, ...]]:
@@ -284,14 +343,13 @@ def _weighted_sums(weights: list[int], total: int) -> Iterator[tuple[int, ...]]:
             yield (e,) + rest
 
 
-def _span_coordinates(cands: Sequence[tuple], target: dict, p: int) -> list[tuple]:
-    """The nonzero (key, coefficient) pairs writing the term map ``target``
-    over the (key, term map) columns ``cands``; raises NotInSpanError when
-    target lies outside their span, as it does when there are none."""
-    sol = solve_exact([terms for _, terms in cands], target, p)
-    if sol is None:
+def _in_span(keys: Sequence, solution: "list[int] | None") -> list[tuple]:
+    """The nonzero (key, coefficient) pairs of a solution over the columns
+    that keys name; raises NotInSpanError when there is none (the target
+    lies outside their span, as it does when there are no columns)."""
+    if solution is None:
         raise NotInSpanError("element is outside the span of the invariant basis")
-    return [(key, c) for (key, _), c in zip(cands, sol) if c]
+    return [(key, c) for key, c in zip(keys, solution) if c]
 
 
 def invariant_decompose(a: Element, n: int) -> dict[Key, Element]:
@@ -309,28 +367,55 @@ def invariant_decompose(a: Element, n: int) -> dict[Key, Element]:
         raise ValueError("block size must lie in 0..m")
     if n == 0:
         return {} if a.is_zero() else {((), ()): a}
-    # (tail xs, tail ys) -> (head degree, head exterior count) -> {head: c};
-    # xs is sorted, so the block's exterior indices come first
-    groups: dict[tuple, dict[tuple[int, int], dict[Monomial, int]]] = {}
-    for (xs, ys), c in a.terms.items():
-        k = bisect_right(xs, n)
-        head_ys = ys[:n]
-        tail = (xs[k:], ys[n:])
-        shapes = groups.get(tail)
-        if shapes is None:
-            shapes = groups[tail] = {}
-        shape = (k + 2 * sum(head_ys), k)
-        target = shapes.get(shape)
-        if target is None:
-            target = shapes[shape] = {}
-        target[Monomial(xs[:k], head_ys)] = c
+    width = _field_width(_top_degree(a))
+    return _decompose(ctx, _mask_groups(a, width), width, n)
+
+
+def _decompose(ctx: AlgebraContext, groups: Groups, width: int, n: int) -> dict[Key, Element]:
+    """invariant_decompose (n >= 1) of the packed, possibly unreduced
+    accumulator ``groups`` over ctx at field width ``width``, which must be
+    at least _field_width of its top y-degree; groups is only read.
+
+    A key's top n fields are the block's exponents (its head) and mask bits
+    1..n the block's exterior indices; the rest is the tail.  Terms group
+    by tail and by the head's exterior count and y-degree, each group is
+    one target, and each head shifted past its mask bits is a _candidates
+    column key as it stands.
+    """
+    p, m = ctx.p, ctx.m - n
+    tail_bits = width * m
+    tail_keys = (1 << tail_bits) - 1
+    head_bits = (1 << (n + 1)) - 1
+    # field n - 1 of head * ones is the sum of head's fields: each partial
+    # sum is at most a y-degree, below 2**width, so none carries
+    ones = _pack((1,) * n, width)
+    sum_shift = width * (n - 1)
+    field = (1 << width) - 1
+    tail_xs: dict[int, tuple[int, ...]] = {}
+    # (tail mask, tail key, head exterior count, head y-degree) -> target
+    targets: dict[tuple[int, int, int, int], dict[int, int]] = {}
+    for mask, (xs, acc) in groups.items():
+        head_mask = mask & head_bits
+        k = head_mask.bit_count()
+        tail_mask = mask >> (n + 1)
+        tail_xs[tail_mask] = xs[k:]
+        for key, c in acc.items():
+            c %= p
+            if c:
+                head = key >> tail_bits
+                shape = (tail_mask, key & tail_keys, k, head * ones >> sum_shift & field)
+                target = targets.get(shape)
+                if target is None:
+                    target = targets[shape] = {}
+                target[head << (n + 1) | head_mask] = c
     entries: dict[Key, dict[Monomial, int]] = {}
-    for (txs, tys), shapes in groups.items():
-        tail = Monomial(tuple(i - n for i in txs), tys)
-        for (d, xc), target in shapes.items():
-            for key, coef in _span_coordinates(_candidates(ctx.p, n, d, xc), target, ctx.p):
-                entries.setdefault(key, {})[tail] = coef
-    tail_ctx = AlgebraContext(ctx.p, ctx.m - n)
+    for (tail_mask, tail_key, k, y_degree), target in targets.items():
+        keys, columns, factors = _candidates(p, n, k + 2 * y_degree, k, width)
+        tail = _new_tuple(Monomial, (tuple(i - n for i in tail_xs[tail_mask]),
+                                     _unpack_keys((tail_key,), width, m)[0]))
+        for key, coef in _in_span(keys, solve_factored(factors, columns, target, p)):
+            entries.setdefault(key, {})[tail] = coef
+    tail_ctx = AlgebraContext(ctx.p, m)
     return {key: Element._make(tail_ctx, terms) for key, terms in entries.items()}
 
 
@@ -368,15 +453,22 @@ def milnor_sign(S: Sequence[int], R: Sequence[int]) -> int:
     return (len(S) + sum(S) + sum(i * r for i, r in enumerate(R, start=1))) % 2
 
 
+def _rescaling(n: int, a: Element) -> int:
+    """mu(q)^-n mod p for homogeneous ``a`` of degree q (ValueError
+    otherwise): the rescaling of every Milnor operation on ``a``."""
+    return inv_mod(mu_mod(a.degree(), a.ctx.p, n), a.ctx.p)
+
+
 # Power-map expansions are expensive and endlessly re-read during the
 # Milnor sweeps; Elements hash by value, so (n, a) is a sound memo key.
 @cache
 def power_expansion(n: int, a: Element) -> tuple[int, dict[Key, Element]]:
     """(mu(q)^-n mod p, invariant_decompose(d_star_p(n, a), n)) for
     homogeneous ``a`` of degree q: the rescaling and the coordinates that
-    every Milnor operation on ``a`` reads."""
-    inv_mu = inv_mod(mu_mod(a.degree(), a.ctx.p, n), a.ctx.p)
-    return inv_mu, invariant_decompose(d_star_p(n, a), n)
+    every Milnor operation on ``a`` reads.  The image is decomposed
+    packed, as _power_map leaves it."""
+    inv_mu = _rescaling(n, a)
+    return inv_mu, _decompose(*_power_map(n, a), n) if n else invariant_decompose(a, 0)
 
 
 def milnor_st(S: Sequence[int], R: Sequence[int], a: Element, n: "int | None" = None) -> Element:
@@ -398,10 +490,18 @@ def milnor_st(S: Sequence[int], R: Sequence[int], a: Element, n: "int | None" = 
     key = milnor_key(S, R, q)
     if key is None:
         raise ValueError("(S=%s, R=%s) is inadmissible in degree %d" % (S, R, q))
-    inv_mu, coords = power_expansion(n, a)
+    return _read_milnor(S, R, key, power_expansion(n, a), a.ctx)
+
+
+def _read_milnor(S: tuple[int, ...], R: tuple[int, ...], key: Key,
+                 expansion: tuple[int, dict[Key, Element]], ctx: AlgebraContext) -> Element:
+    """St^{S,R} read off an expansion, power_expansion's pair, at its
+    milnor_key ``key``: the cofactor there, rescaled; zero over ctx when
+    the expansion has none."""
+    inv_mu, coords = expansion
     tail = coords.get(key)
     if tail is None:
-        return a.ctx.zero()
+        return ctx.zero()
     return tail.scalar_mul(-inv_mu if milnor_sign(S, R) else inv_mu)
 
 

@@ -40,15 +40,19 @@ from .invariants import (
     sl_generators,
 )
 from .steenrod import (
+    _read_milnor,
+    _rescaling,
     admissible_indices,
     basis_element,
     bockstein,
     compose_check,
     d_star_p,
+    invariant_decompose,
     milnor_key,
     milnor_sign,
     milnor_st,
     p_power,
+    power_expansion,
     total_power,
 )
 
@@ -206,6 +210,12 @@ def _named_element(p: int, name: str) -> Element:
 def assemble_from_milnor(n: int, a: Element) -> Element:
     """Rebuild the n-block power-map image of ``a`` from its extracted
     Milnor operation values — the round trip behind the extraction."""
+    return _assemble(n, a, power_expansion(n, a))
+
+
+def _assemble(n: int, a: Element, expansion: tuple) -> Element:
+    """assemble_from_milnor with every Milnor value read off ``expansion``,
+    a (rescaling, coordinates) pair as power_expansion(n, a) returns it."""
     ctx = a.ctx
     p, q = ctx.p, a.degree()
     big = AlgebraContext(p, ctx.m + n)
@@ -213,11 +223,12 @@ def assemble_from_milnor(n: int, a: Element) -> Element:
     scale0 = mu_mod(q, p, n)
     out = big.zero()
     for S, R in admissible_indices(q, n):
-        st = milnor_st(S, R, a, n)
+        key = milnor_key(S, R, q)
+        st = _read_milnor(S, R, key, expansion, ctx)
         if st.is_zero():
             continue
         c = (p - scale0) % p if milnor_sign(S, R) else scale0
-        head = embed(basis_element(p, n, *milnor_key(S, R, q)), big)
+        head = embed(basis_element(p, n, *key), big)
         out = out + head * relabel(st, big, shift).scalar_mul(c)
     return out
 
@@ -239,7 +250,11 @@ def _cell_milnor_inadmissible(p: int, name: str) -> dict:
 
 def _cell_reassemble(p: int, name: str, n: int) -> dict:
     a = _named_element(p, name)
-    return _eq_row(assemble_from_milnor(n, a), d_star_p(n, a))
+    # one power map per cell: its image is one side, and the other is
+    # rebuilt from the Milnor values read off that image's decomposition
+    image = d_star_p(n, a)
+    expansion = (_rescaling(n, a), invariant_decompose(image, n))
+    return _eq_row(_assemble(n, a, expansion), image)
 
 
 def _cell_compose(p: int, name: str, s: int, n: int) -> dict:
@@ -388,8 +403,8 @@ def _closed_form_tasks(p_values, max_n, grid, seed, cases):
                                 _cell_power_family, (p, f, r, k, 0), est)
         for n in range(1, lim + 1):
             est = _mc(n, p**n * p)
-            for f, s_max in (("M", n - 1), ("Q", n)):
-                for s in range(cf.FAMILIES[f].first_s, s_max + 1):
+            for f in "MQ":
+                for s in cf.FAMILIES[f].s_range(n):
                     for r in range(cf.FAMILIES[f].degree(p, n, s) // 2 + 4):
                         yield _task("closed-forms", "power/%s/p%d/n%d/s%d/r%d" % (f, p, n, s, r),
                                     _cell_power_family, (p, f, r, n, s), est)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dicksonmui.arith import inv_mod, ratio_mod, solve_exact
+from dicksonmui.arith import factor_columns, inv_mod, ratio_mod, solve_exact, solve_factored
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -148,3 +148,91 @@ def test_solve_zero_target():
     assert solve_exact([{"a": 1, "b": 2}, {"b": 1}], {}, 7) == [0, 0]
     assert solve_exact([], {}, 3) == []
     assert solve_exact([], {"a": 1}, 3) is None
+
+
+# One factorisation (factor_columns) serving many targets (solve_factored),
+# as each invariant basis shape is factored once and solved for every
+# target of that shape.
+
+
+def _independent_systems(rng, p, count):
+    # random systems whose columns the fresh reduction finds independent
+    out = []
+    while len(out) < count:
+        ncols = rng.randint(1, 6)
+        columns, _, _, _ = _random_system(rng, p, ncols)
+        if _outcome(columns, {}, p, _reference_solve) != "dependent":
+            out.append(columns)
+    return out
+
+
+def _combination(columns, coefs, p):
+    target = {}
+    for c, col in zip(coefs, columns):
+        for key, v in col.items():
+            target[key] = (target.get(key, 0) + c * v) % p
+    return {k: v for k, v in target.items() if v}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_factored_solve_matches_fresh_reduction(p):
+    rng = random.Random(300 + p)
+    for columns in _independent_systems(rng, p, 40):
+        factors = factor_columns(columns, p)
+        for _ in range(8):
+            coefs = [rng.randrange(p) for _ in columns]
+            target = _combination(columns, coefs, p)
+            assert solve_factored(factors, columns, target, p) == coefs
+            assert _reference_solve(columns, target, p) == coefs
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_factored_solve_refuses_inconsistent_targets(p):
+    rng = random.Random(400 + p)
+    refused = 0
+    for columns in _independent_systems(rng, p, 40):
+        factors = factor_columns(columns, p)
+        for _ in range(8):
+            target = _combination(columns, [rng.randrange(p) for _ in columns], p)
+            key = rng.randrange(12)
+            target[key] = (target.get(key, 0) + rng.randrange(1, p)) % p
+            want = _reference_solve(columns, target, p)
+            assert solve_factored(factors, columns, target, p) == want
+            refused += want is None
+        # a key no column has
+        assert solve_factored(factors, columns, {"absent": 1}, p) is None
+    assert refused
+    # the target's keys pin every unknown, and only a key outside its
+    # support shows the mismatch
+    columns = [{"a": 1, "z": 1}, {"b": 1}, {"c": 2}]
+    factors = factor_columns(columns, p)
+    half = inv_mod(2, p)
+    assert solve_factored(factors, columns, {"a": 1, "b": 2, "c": 1}, p) is None
+    assert solve_factored(factors, columns, {"a": 1, "b": 2, "c": 1, "z": 1}, p) == [1, 2, half]
+    assert solve_factored(factors, columns, {"a": 1, "b": 2, "c": 1, "z": 2}, p) is None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_factored_solve_dependent_columns_raise(p):
+    # the second column is twice the first
+    columns = [{"a": 1, "b": 2}, {"a": 2, "b": 4}, {"c": 1}]
+    factors = factor_columns(columns, p)
+    for target in ({"a": 1, "b": 2}, {"c": 3}, {"a": 2, "b": 4, "c": 1}, {}):
+        with pytest.raises(ArithmeticError):
+            solve_factored(factors, columns, target, p)
+    # a target outside the span is refused as the fresh reduction refuses it
+    for target in ({"a": 1}, {"d": 1}, {"a": 1, "b": 1, "c": 1}):
+        assert _reference_solve(columns, target, p) is None
+        assert solve_factored(factors, columns, target, p) is None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_factored_solve_zero_target(p):
+    rng = random.Random(500 + p)
+    for columns in _independent_systems(rng, p, 20):
+        factors = factor_columns(columns, p)
+        zeros = [0] * len(columns)
+        assert solve_factored(factors, columns, {}, p) == zeros
+        # unreduced zeros, on keys of the columns
+        assert solve_factored(factors, columns, {key: p for key in columns[0]}, p) == zeros
+    assert solve_factored(factor_columns([], p), [], {}, p) == []

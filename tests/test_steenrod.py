@@ -8,7 +8,7 @@ import random
 import pytest
 
 from dicksonmui import duality
-from dicksonmui.algebra import AlgebraContext, Element, Monomial, embed, render_text
+from dicksonmui.algebra import AlgebraContext, Element, Monomial, embed, relabel, render_text
 from dicksonmui.arith import binom_mod, mu_mod
 from dicksonmui.closed_forms import st_on_rank1, st_on_u2, st_on_v2
 from dicksonmui.duality import _block_results, duality_case, expand_mq, expand_uv
@@ -16,7 +16,7 @@ from dicksonmui.grammar import parse_text
 from dicksonmui.invariants import Ltilde, Mtilde, Q, U, V
 from dicksonmui.steenrod import (
     NotInSpanError,
-    _candidates,
+    _basis_keys,
     admissible_indices,
     basis_element,
     bockstein,
@@ -244,6 +244,30 @@ def test_d_star_p_is_multiplicative(c1):
     assert d_star_p(1, a * b) == d_star_p(1, a) * d_star_p(1, b)
 
 
+# (p, n, element over two pairs): the milnor-extract anchors, whose
+# power-map images have 360 to 9816 terms
+POWER_MAP_ANCHORS = [(5, 3, "U2"), (3, 3, "V2"), (3, 3, "x1*y2^2 + x2*y1^2"), (7, 2, "V2"),
+                     (5, 2, "U2*V2")]
+
+
+def _anchor(p, name):
+    ctx = AlgebraContext(p, 2)
+    named = {"U2": lambda: U(ctx, 2), "V2": lambda: V(ctx, 2),
+             "U2*V2": lambda: U(ctx, 2) * V(ctx, 2)}
+    return named[name]() if name in named else parse_text(name, ctx)
+
+
+def _rebuild_by_products(p, n, coords, m):
+    # sum over (S, H) of basis_element(S, H) * cofactor, the cofactor moved
+    # past the block: a route that solves nothing
+    big = AlgebraContext(p, n + m)
+    shift = {i: n + i for i in range(1, m + 1)}
+    total = big.zero()
+    for (S, H), tail in coords.items():
+        total = total + embed(basis_element(p, n, S, H), big) * relabel(tail, big, shift)
+    return total
+
+
 def test_invariant_decompose_round_trip(c1):
     y1 = c1.y(1)
     assert assemble_from_milnor(1, y1) == d_star_p(1, y1)
@@ -251,6 +275,14 @@ def test_invariant_decompose_round_trip(c1):
     tails = {H: tail for (_, H), tail in invariant_decompose(d_star_p(1, y1), 1).items()}
     assert render_text(tails[(0,)]) == "y1^3"
     assert render_text(tails[(2,)]) == "2*y1"
+    # the packed decomposition of each anchor's image, rebuilt by products,
+    # and the same image decomposed from its unpacked Element
+    for p, n, name in POWER_MAP_ANCHORS:
+        a = _anchor(p, name)
+        image = d_star_p(n, a)
+        coords = power_expansion(n, a)[1]
+        assert _rebuild_by_products(p, n, coords, 2) == image, (p, n, name)
+        assert invariant_decompose(image, n) == coords, (p, n, name)
 
 
 def test_decompose_rejects_non_span(c2):
@@ -295,7 +327,7 @@ BASIS_SHAPES = [
 
 @pytest.mark.parametrize("p, n, d, xcount", BASIS_SHAPES)
 def test_basis_element_matches_product_definition(p, n, d, xcount):
-    keys = [key for key, _ in _candidates(p, n, d, xcount)]
+    keys = list(_basis_keys(p, n, d, xcount))
     assert keys
     for S, H in keys:
         assert basis_element(p, n, S, H) == _basis_by_definition(p, n, S, H)

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import jsonschema
 import pytest
 
-from dicksonmui import duality, verify
+from dicksonmui import duality, steenrod, verify
 from dicksonmui.algebra import AlgebraContext
 from dicksonmui.arith import st_operation_degree
 from dicksonmui.duality import duality_case
@@ -204,6 +204,24 @@ def _reference_block_rows(task, share):
         row["seconds"] = share
         final.append(row)
     return final
+
+
+def test_reassemble_cell_runs_one_power_map(monkeypatch):
+    # the image is built once: one side is the image, the other is rebuilt
+    # from its decomposition, however cold the power-expansion memo is
+    calls = []
+    real = steenrod._power_map
+
+    def counted(n, a):
+        calls.append((n, a))
+        return real(n, a)
+
+    monkeypatch.setattr(steenrod, "_power_map", counted)
+    for p, name, n in ((3, "V2", 2), (5, "U2", 1), (3, "x*y", 2)):
+        steenrod.power_expansion.cache_clear()
+        calls.clear()
+        assert verify._cell_reassemble(p, name, n) == {"status": "PASS"}
+        assert [m for m, _ in calls] == [n]
 
 
 def test_pairing_rows_match_the_reference_rows(monkeypatch):
