@@ -9,6 +9,7 @@ independent Cartan-formula oracle (see ``verify.run_suite``).
 import sys as _sys
 
 from .algebra import (
+    MAX_PAIRS,
     AlgebraContext,
     ContextMismatchError,
     Element,
@@ -72,6 +73,7 @@ def clear_caches() -> None:
 
 
 __all__ = [
+    "MAX_PAIRS",
     "AlgebraContext",
     "ClosedFormResult",
     "ContextMismatchError",

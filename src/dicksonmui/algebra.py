@@ -43,8 +43,11 @@ Monomial.degree = _monomial_degree
 
 
 def monomial_sort_key(mono: Monomial):
-    """Display order: total degree first, highest-index generators dominant."""
-    return (mono.degree(), tuple(reversed(mono.ys)), tuple(reversed(mono.xs)))
+    """Display order: total degree first, highest-index generators dominant.
+    The degree is Monomial.degree's, written out: this key runs once per
+    term of every rendered Element."""
+    xs, ys = mono
+    return (len(xs) + 2 * sum(ys), ys[::-1], xs[::-1])
 
 
 def _grlex_key(mono: Monomial):
@@ -104,11 +107,18 @@ def _check_term(key, c, m: int) -> Monomial:
     return key
 
 
+# The most generator pairs a context may have.  Every monomial stores a
+# dense m-tuple of exponents, so a context of 10**9 pairs would fill memory
+# with its first term.  Far above what the suites build: 4 pairs on the
+# default grid, 5 on the rank-5 invariants.
+MAX_PAIRS = 1024
+
+
 class AlgebraContext:
     """The ambient algebra E(x_1..x_m) (x) P(y_1..y_m) over Z/p.
 
     Immutable; equal to another context with the same p and m, and hashed
-    by (p, m)."""
+    by (p, m).  m is at most MAX_PAIRS."""
 
     __slots__ = ("p", "m")
 
@@ -118,6 +128,9 @@ class AlgebraContext:
             raise ValueError("p must be an odd prime, got %r" % (p,))
         if type(m) is not int or m < 0:
             raise ValueError("m must be an integer >= 0, got %r" % (m,))
+        if m > MAX_PAIRS:
+            raise ValueError("m = %d generator pairs is over the limit MAX_PAIRS = %d"
+                             % (m, MAX_PAIRS))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "m", m)
 
@@ -226,7 +239,8 @@ class Element:
         return not self.terms
 
     def degree_set(self) -> set[int]:
-        return {mono.degree() for mono in self.terms}
+        # Monomial.degree, written out
+        return {len(xs) + 2 * sum(ys) for xs, ys in self.terms}
 
     def is_homogeneous(self) -> bool:
         return len(self.degree_set()) <= 1
@@ -273,9 +287,11 @@ class Element:
         return None
 
     def __add__(self, other) -> "Element":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        # an operand over this very context object needs no coercion
+        if other.__class__ is not Element or other.ctx is not self.ctx:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         p = self.ctx.p
         out = dict(self.terms)
         for mono, c in other.terms.items():
@@ -302,6 +318,8 @@ class Element:
         return -(self - other)
 
     def __mul__(self, other) -> "Element":
+        if other.__class__ is Element and other.ctx is self.ctx:
+            return _mul(self, other)
         if isinstance(other, int):
             return self.scalar_mul(other)
         other = self._coerce(other)
@@ -343,6 +361,8 @@ class Element:
     # -- comparisons -------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if other.__class__ is Element and other.ctx is self.ctx:
+            return self.terms == other.terms
         if type(other) is int:  # not a bool: that compares unequal, and never raises
             other = self.ctx.scalar(other)
         elif not isinstance(other, Element):
@@ -635,12 +655,20 @@ def _mul(a: Element, b: Element) -> Element:
 
 
 def _mul_pairwise(a: Element, b: Element) -> Element:
-    """The graded product a*b, one pair of Monomials at a time.
+    """The graded product a*b, one pair of Monomials at a time
+    (_mul_pairwise_into), reduced once."""
+    acc: dict[Monomial, int] = {}
+    _mul_pairwise_into(acc, a, b)
+    return _reduce_acc(a.ctx, acc)
+
+
+def _mul_pairwise_into(acc: dict[Monomial, int], a: Element, b: Element, scale: int = 1) -> None:
+    """Add scale * (a * b) into acc, unreduced, one pair of Monomials at a
+    time.
 
     No set-up beyond one bitmask per term (bit i for x_i): a shared bit
     kills the pair, and the Koszul sign is the parity of the pairs i in
     the x's of a, j in those of b with i > j, one popcount per j.
-    Coefficients accumulate unreduced, with one % p per output Monomial.
     """
     rows_b = []
     for (xs, ys), c in b.terms.items():
@@ -648,9 +676,9 @@ def _mul_pairwise(a: Element, b: Element) -> Element:
         for i in xs:
             mask |= 1 << i
         rows_b.append((mask, xs, ys, c))
-    acc: dict[Monomial, int] = {}
     get = acc.get
     for (xs_a, ys_a), ca in a.terms.items():
+        ca *= scale
         xa = 0
         for i in xs_a:
             xa |= 1 << i
@@ -669,13 +697,30 @@ def _mul_pairwise(a: Element, b: Element) -> Element:
                 xs = xs_a or xs_b
             mono = _new_tuple(Monomial, (xs, tuple(map(add, ys_a, ys_b))))
             acc[mono] = get(mono, 0) + c
-    p = a.ctx.p
-    terms: dict[Monomial, int] = {}
-    for mono, c in acc.items():
-        c %= p
-        if c:
-            terms[mono] = c
-    return Element._make(a.ctx, terms)
+
+
+def _mul_into(acc: dict[Monomial, int], a: Element, b: Element, scale: int = 1) -> None:
+    """Add scale * (a * b) into acc, unreduced: pairwise up to
+    PAIRWISE_MAX_PAIRS term pairs, as _mul chooses; above that the packed
+    product's terms."""
+    if len(a.terms) * len(b.terms) <= PAIRWISE_MAX_PAIRS:
+        _mul_pairwise_into(acc, a, b, scale)
+    else:
+        _add_into(acc, _mul_packed(a, b), scale)
+
+
+def _add_into(acc: dict[Monomial, int], a: Element, scale: int = 1) -> None:
+    """Add scale * a into acc, unreduced."""
+    get = acc.get
+    for mono, c in a.terms.items():
+        acc[mono] = get(mono, 0) + scale * c
+
+
+def _reduce_acc(ctx: AlgebraContext, acc: Mapping[Monomial, int]) -> Element:
+    """The Element of an unreduced {Monomial: int} accumulator over ctx:
+    every coefficient reduced mod p once, zeros dropped."""
+    p = ctx.p
+    return Element._make(ctx, {mono: r for mono, c in acc.items() if (r := c % p)})
 
 
 def _mul_packed(a: Element, b: Element) -> Element:
@@ -836,8 +881,7 @@ def relabel(a: Element, new_ctx: AlgebraContext, index_map: Mapping[int, int]) -
                 ys[tgt - 1] = e
         mono2 = Monomial(tuple(sorted(mapped)), tuple(ys))
         out[mono2] = get(mono2, 0) + (-c if inversions % 2 else c)
-    p = new_ctx.p
-    return Element._make(new_ctx, {mono: r for mono, c in out.items() if (r := c % p)})
+    return _reduce_acc(new_ctx, out)
 
 
 def embed(a: Element, new_ctx: AlgebraContext) -> Element:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import cache
 
-from .algebra import AlgebraContext, Element, embed
+from .algebra import AlgebraContext, Element, Monomial, _add_into, _mul_into, _reduce_acc, embed
 from .arith import solve_exact
 from .closed_forms import FAMILIES
 from .invariants import U, V, dimension
@@ -287,7 +287,7 @@ def expand_mq(
     e, j = (1, 0) if s == -1 else (0, p**s)
     uv_target = uv.target(AlgebraContext(p, k + 1), k)
     q_uv = uv.degree(p, k)
-    total = AlgebraContext(p, n).zero()
+    acc: dict[Monomial, int] = {}
     for Sp, Rp in admissible_indices(q_uv, n):
         img = milnor_st(Sp, Rp, uv_target, n)
         if img.is_zero():
@@ -297,8 +297,8 @@ def expand_mq(
             continue
         if pairing_sign_exp(p, n, k, delta, s, S, R, Sp, Rp):
             c = p - c
-        total = total + basis_element(p, n, *milnor_key(Sp, Rp, q_uv)).scalar_mul(c)
-    return total
+        _add_into(acc, basis_element(p, n, *milnor_key(Sp, Rp, q_uv)), c)
+    return _reduce_acc(AlgebraContext(p, n), acc)
 
 
 def expand_uv(
@@ -319,7 +319,7 @@ def expand_uv(
         raise ValueError("operation inadmissible on the U/V target")
     big = AlgebraContext(p, k + 1)
     ctxn = AlgebraContext(p, n)
-    total = big.zero()
+    acc: dict[Monomial, int] = {}
     for s in range(-delta, n - delta + 1):
         target = mq.target(ctxn, n, s)
         q_mq = mq.degree(p, n, s)
@@ -329,5 +329,5 @@ def expand_uv(
             if not c:
                 continue
             head = embed(basis_element(p, k, *milnor_key(S, R, q_mq)), big)
-            total = total + (head * tail).scalar_mul(c)
-    return total
+            _mul_into(acc, head, tail, c)
+    return _reduce_acc(big, acc)

@@ -39,6 +39,7 @@ from .algebra import (
     _pack,
     _pow_groups,
     _product_groups,
+    _reduce_acc,
     _substitute_groups,
     _top_degree,
     _unpack_groups,
@@ -56,15 +57,14 @@ class NotInSpanError(ValueError):
 def bockstein(a: Element) -> Element:
     """The degree-1 derivation with beta x_i = y_i and beta y_i = 0."""
     out: dict[Monomial, int] = {}
-    for mono, c in a:
-        for pos, i in enumerate(mono.xs):
-            ys = list(mono.ys)
-            ys[i - 1] += 1
-            key = Monomial(mono.xs[:pos] + mono.xs[pos + 1 :], tuple(ys))
+    for (xs, ys), c in a.terms.items():
+        for pos, i in enumerate(xs):
+            beta_ys = list(ys)
+            beta_ys[i - 1] += 1
+            key = _new_tuple(Monomial, (xs[:pos] + xs[pos + 1 :], tuple(beta_ys)))
             # passing beta over `pos` earlier odd factors costs (-1)^pos
             out[key] = out.get(key, 0) + (-c if pos % 2 else c)
-    p = a.ctx.p
-    return Element._make(a.ctx, {key: r for key, c in out.items() if (r := c % p)})
+    return _reduce_acc(a.ctx, out)
 
 
 def _check_r(r: int) -> None:
@@ -83,17 +83,29 @@ def total_power(a: Element, r_max: int) -> list[Element]:
     _check_r(r_max)
     ctx = a.ctx
     p = ctx.p
+    # exponent e -> the entries (j, C(e, j) mod p, (e + (p-1) j,)) of its
+    # series up to r_max with C(e, j) nonzero mod p, built once per call;
+    # C(e, j) is taken exactly, C(e, j-1) (e-j+1) / j, then reduced
+    rows: dict[int, list[tuple[int, int, tuple[int]]]] = {}
     out: list[dict[Monomial, int]] = [{} for _ in range(r_max + 1)]
     for (xs, ys), coeff in a.terms.items():
         # the convolution so far, flat: (r, exponents so far, coefficient).
         # Distinct j give distinct exponents, so no two entries share a key.
         series = [(0, (), coeff)]
         for e in ys:
-            factor = []
-            for j in range(min(e, r_max) + 1):
-                cj = binom_mod(e, j, p)
-                if cj:
-                    factor.append((j, cj, (e + (p - 1) * j,)))
+            factor = rows.get(e)
+            if factor is None:
+                factor = rows[e] = [(0, 1, (e,))]
+                binom = 1
+                for j in range(1, min(e, r_max) + 1):
+                    binom = binom * (e - j + 1) // j
+                    if cj := binom % p:
+                        factor.append((j, cj, (e + (p - 1) * j,)))
+            if len(factor) == 1:
+                # only j = 0, where C(e, 0) = 1: append e, no convolution
+                exp = factor[0][2]
+                series = [(r, head + exp, c) for r, head, c in series]
+                continue
             nxt = []
             for r, head, c in series:
                 for j, cj, exp in factor:
@@ -152,7 +164,7 @@ def p_power(r: int, a: Element) -> Element:
             if c:
                 key = Monomial(xs, head + (e + (p - 1) * left,))
                 out[key] = out.get(key, 0) + c
-    return Element._make(ctx, {key: v for key, c in out.items() if (v := c % p)})
+    return _reduce_acc(ctx, out)
 
 
 def _lucas_terms(e: int, p: int, lo: int, hi: int) -> list[tuple[int, int]]:

@@ -22,7 +22,18 @@ from collections.abc import Iterable, Sequence
 
 from . import closed_forms as cf
 from . import duality
-from .algebra import AlgebraContext, Element, Monomial, embed, exact_div, relabel, render_text
+from .algebra import (
+    AlgebraContext,
+    Element,
+    Monomial,
+    _mul_into,
+    _new_tuple,
+    _reduce_acc,
+    embed,
+    exact_div,
+    relabel,
+    render_text,
+)
 from .arith import mu_mod, st_operation_degree
 from .grammar import from_json, parse_text, render_latex, to_json
 from .invariants import (
@@ -221,7 +232,7 @@ def _assemble(n: int, a: Element, expansion: tuple) -> Element:
     big = AlgebraContext(p, ctx.m + n)
     shift = {i: i + n for i in range(1, ctx.m + 1)}
     scale0 = mu_mod(q, p, n)
-    out = big.zero()
+    acc: dict[Monomial, int] = {}
     for S, R in admissible_indices(q, n):
         key = milnor_key(S, R, q)
         st = _read_milnor(S, R, key, expansion, ctx)
@@ -229,8 +240,8 @@ def _assemble(n: int, a: Element, expansion: tuple) -> Element:
             continue
         c = (p - scale0) % p if milnor_sign(S, R) else scale0
         head = embed(basis_element(p, n, *key), big)
-        out = out + head * relabel(st, big, shift).scalar_mul(c)
-    return out
+        _mul_into(acc, head, relabel(st, big, shift), c)
+    return _reduce_acc(big, acc)
 
 
 def _cell_milnor_vs_power(p: int, name: str, r: int) -> dict:
@@ -544,11 +555,11 @@ def _duality_tasks(p_values, max_n, grid, seed, cases):
 # -------------------------------------------------------------- properties
 
 
-def _rand_monomial(rng: random.Random, ctx: AlgebraContext, max_e: int = 5) -> Element:
+def _rand_term(rng: random.Random, ctx: AlgebraContext, max_e: int) -> tuple[Monomial, int]:
     # One uniform draw: an exterior mask of at most two bits (redrawn until
     # it has), then the exponents in 0..max_e and the coefficient in
     # 1..p-1 as the mixed-radix digits of one randrange.  Valid by
-    # construction, so it skips the term rule (Element._make).
+    # construction, so it skips the term rule.
     m, n = ctx.m, max_e + 1
     mask = rng.getrandbits(m)
     while mask.bit_count() > 2:
@@ -560,15 +571,22 @@ def _rand_monomial(rng: random.Random, ctx: AlgebraContext, max_e: int = 5) -> E
             xs.append(i)
         r, e = divmod(r, n)
         ys.append(e)
-    return Element._make(ctx, {Monomial(tuple(xs), tuple(ys)): r + 1})
+    return _new_tuple(Monomial, (tuple(xs), tuple(ys))), r + 1
+
+
+def _rand_monomial(rng: random.Random, ctx: AlgebraContext, max_e: int = 5) -> Element:
+    mono, c = _rand_term(rng, ctx, max_e)
+    return Element._make(ctx, {mono: c})
 
 
 def _rand_element(rng: random.Random, ctx: AlgebraContext, terms: int = 2,
                   max_e: int = 5) -> Element:
-    a = ctx.zero()
+    # 1..terms draws, added into one accumulator
+    acc: dict[Monomial, int] = {}
     for _ in range(rng.randint(1, terms)):
-        a = a + _rand_monomial(rng, ctx, max_e)
-    return a
+        mono, c = _rand_term(rng, ctx, max_e)
+        acc[mono] = acc.get(mono, 0) + c
+    return _reduce_acc(ctx, acc)
 
 
 def _cell_property(p: int, family: str, seed: int, cases: int) -> dict:
@@ -577,10 +595,11 @@ def _cell_property(p: int, family: str, seed: int, cases: int) -> dict:
     for i in range(cases):
         if family == "commutativity":
             a, b = _rand_monomial(rng, ctx), _rand_monomial(rng, ctx)
-            ba = b * a
-            if a.degree() * b.degree() % 2:
-                ba = ba.scalar_mul(p - 1)
-            if a * b != ba:
+            # a b - (-1)^(|a| |b|) b a, in one accumulator
+            acc = {}
+            _mul_into(acc, a, b)
+            _mul_into(acc, b, a, 1 if a.degree() * b.degree() % 2 else -1)
+            if _reduce_acc(ctx, acc):
                 return {"status": "FAIL", "reason": "case %d: %s vs %s" % (
                     i, render_text(a), render_text(b))}
         elif family == "cartan":
@@ -589,16 +608,18 @@ def _cell_property(p: int, family: str, seed: int, cases: int) -> dict:
             ta, tb = total_power(a, rmax), total_power(b, rmax)
             tab = total_power(a * b, rmax)
             for r in range(rmax + 1):
-                want = ctx.zero()
+                # the convolution adds into one accumulator, reduced once
+                acc = {}
                 for u in range(r + 1):
-                    want = want + ta[u] * tb[r - u]
-                if tab[r] != want:
+                    _mul_into(acc, ta[u], tb[r - u])
+                if tab[r] != _reduce_acc(ctx, acc):
                     return {"status": "FAIL", "reason": "case %d r=%d: %s | %s" % (
                         i, r, render_text(a), render_text(b))}
             am = _rand_monomial(rng, ctx)
-            prod_rule = bockstein(am) * b + am.scalar_mul(
-                p - 1 if am.degree() % 2 else 1) * bockstein(b)
-            if bockstein(am * b) != prod_rule:
+            acc = {}
+            _mul_into(acc, bockstein(am), b)
+            _mul_into(acc, am, bockstein(b), -1 if am.degree() % 2 else 1)
+            if bockstein(am * b) != _reduce_acc(ctx, acc):
                 return {"status": "FAIL", "reason": "case %d: bockstein derivation" % i}
         elif family == "bockstein":
             a = _rand_element(rng, ctx, 3)

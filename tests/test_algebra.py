@@ -9,15 +9,19 @@ import random
 import pytest
 
 from dicksonmui.algebra import (
+    MAX_PAIRS,
     PAIRWISE_MAX_PAIRS,
     AlgebraContext,
     ContextMismatchError,
     Element,
     InexactDivisionError,
     Monomial,
+    _add_into,
+    _mul_into,
     _mul_packed,
     _mul_pairwise,
     _pack,
+    _reduce_acc,
     _unpack_keys,
     embed,
     exact_div,
@@ -39,6 +43,14 @@ def test_context_validation():
     with pytest.raises(ValueError):
         AlgebraContext(9, 1)
     assert AlgebraContext(7, 4).h == 3
+
+
+def test_context_pair_count_is_bounded():
+    assert AlgebraContext(3, MAX_PAIRS).m == MAX_PAIRS
+    for m in (MAX_PAIRS + 1, 10**9):
+        with pytest.raises(ValueError, match=r"^m = %d generator pairs is over the limit "
+                           r"MAX_PAIRS = %d$" % (m, MAX_PAIRS)):
+            AlgebraContext(3, m)
 
 
 @pytest.mark.parametrize("p, m", [
@@ -590,6 +602,58 @@ def test_mul_matches_pairwise_reference(p, m):
     for a in operands:
         for b in operands:
             _kernels_match_reference(a, b)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_accumulated_sums_match_element_chains(p, m):
+    # sum of c * a * b and c * a, added into one unreduced dict and reduced
+    # once, against the same sum built with +, scalar_mul and *; operands
+    # carry exterior parts, scales lie outside 0..p-1
+    rng = random.Random(300 * p + m)
+    ctx = AlgebraContext(p, m)
+    sizes = set()
+    for _ in range(30):
+        acc, want = {}, ctx.zero()
+        summands = []
+        for _ in range(rng.randint(1, 4)):
+            a = _random_element(rng, ctx, rng.randint(1, 8), 3)
+            b = _random_element(rng, ctx, rng.randint(1, 8), 3) if rng.randrange(3) else None
+            c = rng.randrange(-2 * p, 2 * p)
+            summands.append((a, b, c))
+            if b is None:
+                _add_into(acc, a, c)
+                want = want + a.scalar_mul(c)
+            else:
+                sizes.add(len(a) * len(b))
+                _mul_into(acc, a, b, c)
+                want = want + (a * b).scalar_mul(c)
+        got = _reduce_acc(ctx, acc)
+        assert got.ctx is ctx and got.terms == want.terms
+        assert all(0 < v < p for v in got.terms.values())
+        # each summand again with its scale negated: exactly zero
+        for a, b, c in summands:
+            if b is None:
+                _add_into(acc, a, -c)
+            else:
+                _mul_into(acc, a, b, -c)
+        assert _reduce_acc(ctx, acc).terms == {}
+    # both kernels behind _mul_into
+    assert min(sizes) <= PAIRWISE_MAX_PAIRS < max(sizes)
+
+
+def test_same_context_fast_paths_keep_the_context_rules():
+    # operators compare contexts by identity first; an equal context object
+    # takes the general path and gives the same answers
+    a, twin = AlgebraContext(5, 2), AlgebraContext(5, 2)
+    u = a.x(1) * a.y(2) + a.y(1)
+    v = twin.x(1) * twin.y(2) + twin.y(1)
+    assert u == v and (u + v).terms == (u + u).terms and (u * v).terms == (u * u).terms
+    other = AlgebraContext(5, 3).y(1)
+    for op in (lambda: u + other, lambda: u * other):
+        with pytest.raises(ContextMismatchError):
+            op()
+    assert u != other and u != AlgebraContext(7, 2).y(1)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

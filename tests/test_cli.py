@@ -10,7 +10,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from dicksonmui.algebra import exact_div
+from dicksonmui.algebra import MAX_PAIRS, exact_div
 from dicksonmui.arith import ratio_mod
 from dicksonmui.cli import main
 from dicksonmui.verify import run_suite
@@ -429,3 +429,28 @@ def test_p_power_on_a_huge_exponent_is_immediate():
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "y1^300000000000"
     assert time.monotonic() - t0 < 10
+
+
+def _cap_address_space():
+    # a child that builds a 10**9-long tuple fails with MemoryError
+    # instead of filling the host's memory
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ("--expr", "y1000000000"),
+    ("--expr", "y1", "--pairs", "1000000000"),
+], ids=["inferred", "given"])
+def test_a_pair_count_over_the_limit_is_refused_at_once(argv):
+    # every monomial holds a dense tuple of one exponent per pair, so the
+    # refusal must come before the first one is built
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    t0 = time.monotonic()
+    out = subprocess.run([sys.executable, "-m", "dicksonmui", "steenrod", "apply", "--p", "3",
+                          "--op", "P^1", *argv], env=env, capture_output=True, text=True,
+                         timeout=60, preexec_fn=_cap_address_space)
+    assert time.monotonic() - t0 < 1
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == ("error: m = 1000000000 generator pairs is over the limit "
+                          "MAX_PAIRS = %d\n" % MAX_PAIRS)

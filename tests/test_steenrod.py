@@ -150,6 +150,27 @@ def test_total_power_matches_reference(p, m):
             assert got == _reference_total_power(a, r_max), (render_text(a), r_max)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_total_power_on_repeated_exponents_matches_reference(p):
+    # the terms draw their exponents from one short list, so total_power's
+    # per-call factor rows are read again within a term and across terms;
+    # 0, and p below r = p, have only their j = 0 entry
+    rng = random.Random(7100 + p)
+    ctx = AlgebraContext(p, 3)
+    pool = [0, 1, p - 1, p, p + 1, p * p]
+    for _ in range(20):
+        terms = {}
+        for _ in range(rng.randint(2, 8)):
+            xs = tuple(sorted(rng.sample(range(1, 4), rng.randint(0, 2))))
+            e = rng.choice(pool)
+            ys = tuple(rng.choice((e, e, rng.choice(pool))) for _ in range(3))
+            terms[Monomial(xs, ys)] = rng.randrange(1, p)
+        a = Element(ctx, terms)
+        for r_max in (0, 1, p - 1, p, p + 2):
+            assert total_power(a, r_max) == _reference_total_power(a, r_max), (
+                render_text(a), r_max)
+
+
 def _random_power_source(rng, ctx):
     # exponents near multiples of p and p^2, where Lucas's theorem zeroes
     # many binomials, next to small ones

@@ -21,6 +21,7 @@ from dicksonmui.verify import (
     _duality_tasks,
     _execute,
     _fmt,
+    _rand_element,
     _rand_monomial,
     _subsets,
     run_suite,
@@ -145,6 +146,28 @@ def test_rand_monomial_draws_valid_uniform_terms():
             # 300 draws reach every exterior mask, exponent and coefficient
             assert masks == {(), (1,), (2,), (1, 2)}
             assert exponents == set(range(4)) and coeffs == set(range(1, 5))
+
+
+# The random stream of the `core` suite: at p = 3, 5 and 7, two seeds each,
+# 200 rounds of one _rand_monomial, one 1-3 term and one 1-2 term
+# (exponents <= 3) _rand_element over 2 pairs, as _cell_property draws
+# them.  A core row reads only "PASS, N cases", so FULL_REPORT_SHA256
+# cannot see a changed draw; this digest can.
+RAND_STREAM_SHA256 = "1e48e56dfa00f54ef1f8626d6bb69b2be44275cad57572428e4caa548370ca54"
+
+
+def test_random_stream_is_unchanged():
+    digest = hashlib.sha256()
+    for p in (3, 5, 7):
+        ctx = AlgebraContext(p, 2)
+        for seed in (p, 1_000_003 + 10_007 + p):
+            rng = random.Random(seed)
+            for _ in range(200):
+                for a in (_rand_monomial(rng, ctx), _rand_element(rng, ctx, 3),
+                          _rand_element(rng, ctx, 2, 3)):
+                    terms = sorted((xs, ys, c) for (xs, ys), c in a.terms.items())
+                    digest.update(repr(terms).encode())
+    assert digest.hexdigest() == RAND_STREAM_SHA256
 
 
 # The full p = 3, 5, 7 report up to n = 3 with nothing skipped on budget
