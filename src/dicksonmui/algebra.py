@@ -354,7 +354,7 @@ class Element:
             # caller expand such products explicitly via mul
             raise ValueError("pow with e >= 2 needs a purely polynomial element")
         # one field width for every partial power: e times the top y-degree
-        width = (e * _top_degree(self)).bit_length() or 1
+        width = _field_width(e * _top_degree(self))
         groups = _pow_groups(_mask_groups(self, width), e, self.ctx.p)
         return _unpack_groups(self.ctx, groups, width)
 
@@ -439,6 +439,20 @@ Groups = dict[int, tuple[tuple[int, ...], dict[int, int]]]
 
 # the unit element 1 in that shape, at every width
 _UNIT_GROUPS: Groups = {0: ((), {0: 1})}
+
+# The field width of packed work.  Products, powers, substitutions, basis
+# monomials and candidate columns are all packed at least this wide, so
+# the block part of a power-map image key is a column key as it stands.
+# 10 bits hold every y-degree below 1024, and three fields stay inside one
+# 30-bit digit of a Python int; a larger degree widens the keys.  exact_div
+# (graded keys with a guard bit) and invariants._alternant_quotient (lex
+# keys) pack other layouts, each at its own width.
+_MIN_WIDTH = 10
+
+
+def _field_width(top: int) -> int:
+    """The packed width for y-degrees up to top: at least _MIN_WIDTH."""
+    return max(top.bit_length(), _MIN_WIDTH)
 
 
 def _mask_groups(a: Element, width: int) -> Groups:
@@ -559,14 +573,14 @@ def _unpack_groups(ctx: AlgebraContext, groups: Groups, width: int) -> Element:
 
 
 def _substitute_groups(a: Element, x_images: Mapping[int, Element],
-                       y_images: Mapping[int, Element], min_width: int = 1) -> tuple[Groups, int]:
+                       y_images: Mapping[int, Element]) -> tuple[Groups, int]:
     """The packed core of Element.substitute: (accumulator, field width) of
     a's image, with coefficients unreduced.  The images must already meet
     substitute's rules (odd x-images, even y-images, a's context).
 
     Each term's image is a chain of products over packed keys (_mul_blocks)
-    at one field width for the whole call, at least min_width; the images
-    add into one accumulator.
+    at one field width for the whole call (_field_width); the images add
+    into one accumulator.
     """
     ctx = a.ctx
     # One field width for the whole call.  A term's image has y-degree at
@@ -582,7 +596,7 @@ def _substitute_groups(a: Element, x_images: Mapping[int, Element],
             d += x_top.get(i, 0)
         if d > bound:
             bound = d
-    width = max(bound.bit_length(), min_width)
+    width = _field_width(bound)
     x_groups = {i: _mask_groups(img, width) for i, img in x_images.items()}
     p = ctx.p
 
@@ -726,13 +740,12 @@ def _reduce_acc(ctx: AlgebraContext, acc: Mapping[Monomial, int]) -> Element:
 def _mul_packed(a: Element, b: Element) -> Element:
     """The graded product a*b over packed exponent keys (_mul_blocks).
 
-    Every field is bit_length(da + db) bits wide, da and db the operands'
-    largest y-degree sums, so no field of ka + kb carries into its
-    neighbour.  Coefficients accumulate unreduced, with one % p per output
-    key.
+    Every field is _field_width(da + db) bits wide, da and db the
+    operands' largest y-degree sums, so no field of ka + kb carries into
+    its neighbour.  Coefficients accumulate unreduced, with one % p per
+    output key.
     """
-    # unpacking needs a nonzero width
-    width = (_top_degree(a) + _top_degree(b)).bit_length() or 1
+    width = _field_width(_top_degree(a) + _top_degree(b))
     out: Groups = {}
     _mul_blocks(out, _mask_groups(a, width), _mask_groups(b, width), 1)
     return _unpack_groups(a.ctx, out, width)

@@ -252,6 +252,7 @@ def _cmd_table(args) -> int:
     latex = args.format == "latex"
     mixed = family in ("U", "V")
     grid: dict[int, dict] = {}
+    code = 0  # 1 once a cell fails its oracle check, after the whole grid prints
     for r in range(rmax + 1):
         for s, target in columns:
             # idx is n for M/Q and k for U/V; each family reads its own
@@ -259,13 +260,13 @@ def _cmd_table(args) -> int:
             entry = _symbolic(res.value, idx, mixed, latex)
             ok = res.value == p_power(r, target)
             if not ok:
-                entry = "MISMATCH(%s)" % entry
+                entry, code = "MISMATCH(%s)" % entry, 1
             grid.setdefault(r, {})[s] = {"symbolic": entry, "verified": ok}
     if args.format == "json":
         rows = [{"r": r, "cells": [
             {"s": s, **grid[r][s]} for s in svals]} for r in sorted(grid)]
         print(json.dumps({"family": family, "p": p, "index": idx, "rows": rows}))
-        return 0
+        return code
     header = ["r"] + (["%s_%d" % (family, idx + 1)] if mixed
                       else ["s=%d" % s for s in svals])
     body = [[str(r)] + [grid[r][s]["symbolic"] for s in svals] for r in sorted(grid)]
@@ -275,11 +276,11 @@ def _cmd_table(args) -> int:
         for row in body:
             print(" & ".join(row) + " \\\\")
         print("\\end{array}")
-        return 0
+        return code
     widths = [max(len(line[i]) for line in [header] + body) for i in range(len(header))]
     for line in [header] + body:
         print("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip())
-    return 0
+    return code
 
 
 # ------------------------------------------------------------------ main

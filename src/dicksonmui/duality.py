@@ -23,20 +23,16 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import cache
 
-from .algebra import AlgebraContext, Element, Monomial, _add_into, _mul_into, _reduce_acc, embed
-from .arith import solve_exact
+from .algebra import (
+    AlgebraContext, Element, Monomial, _add_into, _field_width, _mask_groups, _mul_into,
+    _pow_groups, _product_groups, _reduce_acc, _top_degree, embed,
+)
+from .arith import Factors, factor_columns
 from .closed_forms import FAMILIES
 from .invariants import U, V, dimension
 from .steenrod import (
-    _basis_keys,
-    _in_span,
-    admissible_indices,
-    basis_element,
-    check_index,
-    invariant_decompose,
-    milnor_key,
-    milnor_sign,
-    milnor_st,
+    _basis_element, _basis_keys, _column, _decompose, admissible_indices, basis_element,
+    check_index, invariant_decompose, milnor_key, milnor_sign, milnor_st,
 )
 
 
@@ -49,29 +45,36 @@ def dim_bracket(p: int, s: int) -> int:
 
 # ---------------------------------------------------------------- pairings
 
-def _mixed_candidates(p: int, k: int, d: int, xcount: int) -> tuple[list[tuple], list[dict]]:
-    """The degree-d keys (S, H, eps, m) with len(S) + eps = xcount, and the
-    raw term maps of their Mtilde_S Qtilde^H U_{k+1}^eps V_{k+1}^m."""
-    big = AlgebraContext(p, k + 1)
+@cache
+def _mixed_candidates(p: int, n: int, d: int, xcount: int,
+                      width: int) -> tuple[tuple[tuple, ...], tuple[dict[int, int], ...], Factors]:
+    """The mixed basis keys (S, H, eps, m) of degree d over n = k + 1 pairs
+    with len(S) + eps = xcount, their monomials Mtilde_S Qtilde^H U_n^eps
+    V_n^m as columns, and factors, as _candidates gives the invariant basis
+    (read-only: shared with the cache).  A column is the packed basis
+    monomial over k pairs with a zero y_n field appended, times U_n, then
+    V_n^m (the small factor first; V_n^m only for an (eps, m) with a key)."""
+    k = n - 1
+    big = AlgebraContext(p, n)
+    u = _mask_groups(U(big, n), width)
+    v = _mask_groups(V(big, n), width)
     keys, columns = [], []
-    for eps in (0, 1):
-        if eps > xcount:
-            continue
+    for eps in range(min(xcount, 1) + 1):
         m = 0
-        while True:
-            rem = d - eps * dimension("U", p, k + 1) - m * dimension("V", p, k + 1)
-            if rem < 0:
-                break
-            for S, H in _basis_keys(p, k, rem, xcount - eps):
-                elt = embed(basis_element(p, k, S, H), big)
+        while (rem := d - eps * dimension("U", p, n) - m * dimension("V", p, n)) >= 0:
+            heads = list(_basis_keys(p, k, rem, xcount - eps))
+            v_m = _pow_groups(v, m, p) if heads and m else None
+            for S, H in heads:
+                col = {mask: (xs, {key << width: c for key, c in group.items()})
+                       for mask, (xs, group) in _basis_element(p, k, S, H, width).items()}
                 if eps:
-                    elt = elt * U(big, k + 1)
+                    col = _product_groups(col, u, p)
                 if m:
-                    elt = elt * V(big, k + 1) ** m
+                    col = _product_groups(col, v_m, p)
                 keys.append((S, H, eps, m))
-                columns.append(elt.terms)
+                columns.append(_column(col, n))
             m += 1
-    return keys, columns
+    return tuple(keys), tuple(columns), factor_columns(columns, p)
 
 
 @cache
@@ -81,7 +84,8 @@ def mixed_decompose(a: Element, k: int) -> dict[tuple, int]:
     k must be >= 0 and a homogeneous over k+1 pairs (ValueError
     otherwise, the zero element included), and a must lie in the span
     (NotInSpanError otherwise).  Zero coordinates are omitted.  The result
-    is cached and shared: read it, do not mutate it.
+    is cached and shared: read it, do not mutate it.  One _decompose over
+    all k+1 pairs against _mixed_candidates, whose cofactors are scalars.
     """
     if k < 0:
         raise ValueError("k must be >= 0, got %r" % (k,))
@@ -89,17 +93,9 @@ def mixed_decompose(a: Element, k: int) -> dict[tuple, int]:
         raise ValueError("element must live over k+1 generator pairs")
     if not a.is_homogeneous():
         raise ValueError("mixed decomposition needs a homogeneous element")
-    if a.is_zero():
-        return {}
-    p, d = a.ctx.p, a.degree()
-    by_xcount: dict[int, dict] = {}
-    for mono, c in a.terms.items():
-        by_xcount.setdefault(len(mono.xs), {})[mono] = c
-    out: dict[tuple, int] = {}
-    for xc, target in by_xcount.items():
-        keys, columns = _mixed_candidates(p, k, d, xc)
-        out.update(_in_span(keys, solve_exact(columns, target, p)))
-    return out
+    width = _field_width(_top_degree(a))
+    coords = _decompose(a.ctx, _mask_groups(a, width), width, k + 1, _mixed_candidates)
+    return {key: tail.constant_term() for key, tail in coords.items()}
 
 
 @cache

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from functools import cache
 
 from .algebra import (
@@ -34,6 +34,7 @@ from .algebra import (
     Element,
     Groups,
     Monomial,
+    _field_width,
     _mask_groups,
     _new_tuple,
     _pack,
@@ -220,7 +221,7 @@ def d_star_p(n: int, a: Element) -> Element:
 def _power_map(n: int, a: Element) -> tuple[AlgebraContext, Groups, int]:
     """The packed core of d_star_p for n >= 1: the image's context, its
     unreduced accumulator (_substitute_groups) and its field width, at
-    least _MIN_WIDTH so that its block keys are basis column keys."""
+    least algebra._MIN_WIDTH, so that its block keys are basis column keys."""
     ctx = a.ctx
     big = AlgebraContext(ctx.p, ctx.m + n)
     scal = pow(-_h_factorial(ctx), n, ctx.p)
@@ -243,7 +244,7 @@ def _power_map(n: int, a: Element) -> tuple[AlgebraContext, Groups, int]:
         adjusted[mono] = c
     shift = {i: i + n for i in range(1, ctx.m + 1)}
     moved = relabel(Element._make(ctx, adjusted), big, shift)
-    return (big, *_substitute_groups(moved, x_images, y_images, _MIN_WIDTH))
+    return (big, *_substitute_groups(moved, x_images, y_images))
 
 
 def compose_check(s: int, n: int, a: Element) -> bool:
@@ -257,19 +258,6 @@ def compose_check(s: int, n: int, a: Element) -> bool:
 # --- invariant-basis bookkeeping -------------------------------------------
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
-
-# The field width of packed basis work.  Every basis monomial, every
-# candidate column and every power-map image that is decomposed is packed
-# at one width, so the block part of an image key is a column key as it
-# stands.  10 bits hold every y-degree below 1024, and three block fields
-# stay inside one 30-bit digit of a Python int; a larger degree widens
-# the keys (_field_width).
-_MIN_WIDTH = 10
-
-
-def _field_width(top: int) -> int:
-    """The packed width for y-degrees up to top: at least _MIN_WIDTH."""
-    return max(top.bit_length(), _MIN_WIDTH)
 
 
 def _basis_weights(p: int, n: int) -> list[int]:
@@ -334,13 +322,15 @@ def _candidates(p: int, n: int, d: int, xcount: int,
     keyed by each term's packed y-key at field width ``width``, shifted
     past its exterior mask (bits 1..n), as _decompose keys a block."""
     keys = tuple(_basis_keys(p, n, d, xcount))
-    columns = tuple(
-        {k << (n + 1) | mask: c
-         for mask, (_, group) in _basis_element(p, n, S, H, width).items()
-         for k, c in group.items()}
-        for S, H in keys
-    )
+    columns = tuple(_column(_basis_element(p, n, S, H, width), n) for S, H in keys)
     return keys, columns, factor_columns(columns, p)
+
+
+def _column(groups: Groups, n: int) -> dict[int, int]:
+    """A packed basis monomial over n pairs as a solver column: each term's
+    packed y-key shifted past its exterior mask (bits 1..n), as _decompose
+    keys a block's head."""
+    return {k << (n + 1) | mask: c for mask, (_, group) in groups.items() for k, c in group.items()}
 
 
 def _weighted_sums(weights: list[int], total: int) -> Iterator[tuple[int, ...]]:
@@ -353,15 +343,6 @@ def _weighted_sums(weights: list[int], total: int) -> Iterator[tuple[int, ...]]:
     for e in range(total // w + 1):
         for rest in _weighted_sums(weights[1:], total - e * w):
             yield (e,) + rest
-
-
-def _in_span(keys: Sequence, solution: "list[int] | None") -> list[tuple]:
-    """The nonzero (key, coefficient) pairs of a solution over the columns
-    that keys name; raises NotInSpanError when there is none (the target
-    lies outside their span, as it does when there are no columns)."""
-    if solution is None:
-        raise NotInSpanError("element is outside the span of the invariant basis")
-    return [(key, c) for key, c in zip(keys, solution) if c]
 
 
 def invariant_decompose(a: Element, n: int) -> dict[Key, Element]:
@@ -380,19 +361,24 @@ def invariant_decompose(a: Element, n: int) -> dict[Key, Element]:
     if n == 0:
         return {} if a.is_zero() else {((), ()): a}
     width = _field_width(_top_degree(a))
-    return _decompose(ctx, _mask_groups(a, width), width, n)
+    return _decompose(ctx, _mask_groups(a, width), width, n, _candidates)
 
 
-def _decompose(ctx: AlgebraContext, groups: Groups, width: int, n: int) -> dict[Key, Element]:
-    """invariant_decompose (n >= 1) of the packed, possibly unreduced
+def _decompose(ctx: AlgebraContext, groups: Groups, width: int, n: int,
+               candidates: Callable[..., tuple]) -> dict[tuple, Element]:
+    """The coordinates (n >= 1) of the packed, possibly unreduced
     accumulator ``groups`` over ctx at field width ``width``, which must be
-    at least _field_width of its top y-degree; groups is only read.
+    at least _field_width of its top y-degree, in the basis over the
+    leading n pairs that ``candidates`` builds: {basis key: cofactor over
+    the trailing pairs}, zero cofactors omitted; groups is only read.
+    NotInSpanError when a target is outside the span of its candidates.
 
     A key's top n fields are the block's exponents (its head) and mask bits
     1..n the block's exterior indices; the rest is the tail.  Terms group
     by tail and by the head's exterior count and y-degree, each group is
-    one target, and each head shifted past its mask bits is a _candidates
-    column key as it stands.
+    one target, and each head shifted past its mask bits is a column key
+    of ``candidates(p, n, degree, exterior count, width)`` as it stands
+    (_candidates or duality._mixed_candidates: keys, columns, factors).
     """
     p, m = ctx.p, ctx.m - n
     tail_bits = width * m
@@ -420,13 +406,17 @@ def _decompose(ctx: AlgebraContext, groups: Groups, width: int, n: int) -> dict[
                 if target is None:
                     target = targets[shape] = {}
                 target[head << (n + 1) | head_mask] = c
-    entries: dict[Key, dict[Monomial, int]] = {}
+    entries: dict[tuple, dict[Monomial, int]] = {}
     for (tail_mask, tail_key, k, y_degree), target in targets.items():
-        keys, columns, factors = _candidates(p, n, k + 2 * y_degree, k, width)
+        keys, columns, factors = candidates(p, n, k + 2 * y_degree, k, width)
+        solution = solve_factored(factors, columns, target, p)
+        if solution is None:
+            raise NotInSpanError("element is outside the span of the invariant basis")
         tail = _new_tuple(Monomial, (tuple(i - n for i in tail_xs[tail_mask]),
                                      _unpack_keys((tail_key,), width, m)[0]))
-        for key, coef in _in_span(keys, solve_factored(factors, columns, target, p)):
-            entries.setdefault(key, {})[tail] = coef
+        for key, coef in zip(keys, solution):
+            if coef:
+                entries.setdefault(key, {})[tail] = coef
     tail_ctx = AlgebraContext(ctx.p, m)
     return {key: Element._make(tail_ctx, terms) for key, terms in entries.items()}
 
@@ -480,7 +470,7 @@ def power_expansion(n: int, a: Element) -> tuple[int, dict[Key, Element]]:
     every Milnor operation on ``a`` reads.  The image is decomposed
     packed, as _power_map leaves it."""
     inv_mu = _rescaling(n, a)
-    return inv_mu, _decompose(*_power_map(n, a), n) if n else invariant_decompose(a, 0)
+    return inv_mu, _decompose(*_power_map(n, a), n, _candidates) if n else invariant_decompose(a, 0)
 
 
 def milnor_st(S: Sequence[int], R: Sequence[int], a: Element, n: "int | None" = None) -> Element:

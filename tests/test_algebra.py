@@ -896,6 +896,37 @@ def test_substitute_at_field_width_bound():
         _substitute_matches_reference(a, x_images, y_images)
 
 
+@pytest.mark.parametrize("top", [1023, 1024])
+def test_packed_kernels_at_the_floor_width_bound(top):
+    # packed keys are at least 10 bits a field, so y-degree 1023 = 2^10 - 1
+    # fills a floor-width field and 1024 needs 11 bits.  Each case puts the
+    # whole degree into the last field, so a field one bit short carries
+    # into its neighbour: substitute, ** and * above PAIRWISE_MAX_PAIRS.
+    ctx = AlgebraContext(5, 3)
+    x1, x2 = ctx.x(1), ctx.x(2)
+    x_images = {1: x1 * ctx.y(2, 3) + x2 * ctx.y(3, 3)}
+    y_images = {2: ctx.y(1, 2) + ctx.y(3, 2)}
+    # x1 y2^2 y3^(top - 7) -> x2 y3^3 (y1^2 + y3^2)^2 y3^(top - 7) + ...
+    a = x1 * ctx.y(2, 2) * ctx.y(3, top - 7)
+    image = a.substitute(x_images, y_images)
+    assert image.coefficient(Monomial((2,), (0, 0, top))) == 1
+    assert max(sum(mono.ys) for mono in image.terms) == top
+    _substitute_matches_reference(a, x_images, y_images)
+
+    ctx = AlgebraContext(5, 2)
+    y1, y2 = ctx.y(1), ctx.y(2)
+    binomials = Element(ctx, {((), (j, top - j)): math.comb(top, j) for j in range(top + 1)})
+    assert (y1 + y2) ** top == binomials
+    assert binomials.coefficient(Monomial((), (0, top))) == 1
+
+    a = sum((ctx.monomial((), (i, 512 - i)) for i in range(5)), ctx.zero())
+    b = sum((ctx.monomial((), (i, top - 512 - i)) for i in range(5)), ctx.zero())
+    assert len(a) * len(b) > PAIRWISE_MAX_PAIRS
+    product = a * b
+    assert product == _mul_pairwise(a, b)
+    assert product.coefficient(Monomial((), (0, top))) == 1
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_substitute_y_powers_across_frobenius(p):
     # y-exponents p - 1, p, p^2 and p^2 + 1: just under, at and past the

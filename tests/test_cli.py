@@ -217,6 +217,30 @@ def test_table_json_is_verified(capsys):
     assert first["s"] == -1 and first["symbolic"] == "Lt_2"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+def test_table_exits_one_on_a_failed_oracle_check(capsys, monkeypatch, fmt):
+    # a wrong oracle fails every nonzero cell: each prints as MISMATCH(...)
+    # ("verified": false in JSON), the whole grid still prints, and the
+    # exit code is 1, as for a failed verify cell
+    import dicksonmui.cli as cli
+
+    argv = ("table", "--p", "3", "--family", "V", "--k", "1", "--format", fmt)
+    code, good, _ = run(capsys, *argv)
+    assert code == 0 and "MISMATCH" not in good
+    monkeypatch.setattr(cli, "p_power", lambda r, a: a.ctx.zero())
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and err == ""
+    if fmt == "json":
+        good, out = json.loads(good), json.loads(out)
+        assert len(out["rows"]) == len(good["rows"])
+        cells = [c for row in out["rows"] for c in row["cells"]]
+        assert [c["verified"] for c in cells] == [False] * 4  # r = 0..3
+        assert all(c["symbolic"].startswith("MISMATCH(") for c in cells)
+    else:
+        assert len(out.splitlines()) == len(good.splitlines())
+        assert out.count("MISMATCH(") == 4  # r = 0..3, each P^r V_2 nonzero
+
+
 def test_verify_text_and_exit_code(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "closed-forms", "--p", "3",
                        "--max-n", "1")

@@ -2,12 +2,13 @@
 operations on the Mtilde/Q family, with both re-expansion directions."""
 
 import itertools
+import random
 import re
 
 import pytest
 
-from dicksonmui import duality
-from dicksonmui.algebra import AlgebraContext, embed
+from dicksonmui import clear_caches, duality
+from dicksonmui.algebra import AlgebraContext, Element, _pack, embed
 from dicksonmui.arith import st_operation_degree
 from dicksonmui.duality import (
     _block_results,
@@ -21,9 +22,16 @@ from dicksonmui.duality import (
     pairing_sign_exp,
     duality_case,
 )
-from dicksonmui.invariants import Ltilde, Mtilde, Q, U, V
-from dicksonmui.steenrod import NotInSpanError, admissible_indices, check_index, milnor_st
-from dicksonmui.verify import _subsets
+from dicksonmui.invariants import Ltilde, Mtilde, Q, U, V, dimension
+from dicksonmui.steenrod import (
+    NotInSpanError,
+    _basis_keys,
+    admissible_indices,
+    basis_element,
+    check_index,
+    milnor_st,
+)
+from dicksonmui.verify import _subsets, run_suite
 
 
 def test_dim_bracket():
@@ -68,6 +76,105 @@ def test_mixed_decompose_rejects_empty_basis():
     # V_2 (degree 10), so y1 has no candidate to be solved against
     with pytest.raises(NotInSpanError):
         mixed_decompose(AlgebraContext(5, 2).y(1), 1)
+
+
+def _reference_mixed_candidates(p, k, d, xcount):
+    # the mixed basis as Element products: the degree-d keys (S, H, eps, m)
+    # with len(S) + eps = xcount, and the terms of their Mtilde_S Qtilde^H
+    # U_{k+1}^eps V_{k+1}^m; a reference for the packed columns
+    big = AlgebraContext(p, k + 1)
+    keys, columns = [], []
+    for eps in (0, 1):
+        if eps > xcount:
+            continue
+        m = 0
+        while True:
+            rem = d - eps * dimension("U", p, k + 1) - m * dimension("V", p, k + 1)
+            if rem < 0:
+                break
+            for S, H in _basis_keys(p, k, rem, xcount - eps):
+                elt = embed(basis_element(p, k, S, H), big) * U(big, k + 1) ** eps
+                keys.append((S, H, eps, m))
+                columns.append((elt * V(big, k + 1) ** m).terms)
+            m += 1
+    return keys, columns
+
+
+# the largest degree that run_suite("duality") decomposes in the mixed
+# basis at each p (test_the_duality_grid_reads_the_reference_range)
+_GRID_TOP_DEGREE = {3: 54, 5: 50, 7: 98}
+
+
+def test_the_duality_grid_reads_the_reference_range(monkeypatch):
+    # every mixed basis shape the default duality grid reads lies inside
+    # the range that the packed columns are checked over, below
+    shapes = set()
+    real = duality._mixed_candidates
+
+    def recorded(p, n, d, xcount, width):
+        shapes.add((p, n - 1, d, xcount))
+        return real(p, n, d, xcount, width)
+
+    clear_caches()
+    monkeypatch.setattr(duality, "_mixed_candidates", recorded)
+    assert run_suite("duality")["counts"]["fail"] == 0
+    assert {p for p, *_ in shapes} == {3, 5, 7}
+    for p, k, d, xcount in shapes:
+        assert k <= 2 and d <= _GRID_TOP_DEGREE[p] and xcount <= k + 1
+    assert {p: max(d for q, _, d, _ in shapes if q == p) for p in (3, 5, 7)} == _GRID_TOP_DEGREE
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_packed_mixed_columns_match_products(p, k):
+    # term for term: each packed column is its Element product, keyed as
+    # _decompose keys a block of k + 1 pairs
+    n = k + 1
+    for d in range(_GRID_TOP_DEGREE[p] + 1):
+        for xcount in range(n + 1):
+            keys, columns, _ = duality._mixed_candidates(p, n, d, xcount, 10)
+            want_keys, want_columns = _reference_mixed_candidates(p, k, d, xcount)
+            assert list(keys) == want_keys, (d, xcount)
+            for got, terms in zip(columns, want_columns):
+                assert got == {_pack(ys, 10) << (n + 1) | sum(1 << i for i in xs): c
+                               for (xs, ys), c in terms.items()}
+
+
+@pytest.mark.parametrize("p, k, d", [(3, 1, 54), (3, 2, 51), (5, 1, 48), (7, 1, 96)])
+def test_mixed_decompose_round_trip(p, k, d):
+    # a random combination of every mixed column of degree d, over all
+    # exterior counts at once, decomposes back to its coefficients
+    rng = random.Random(100 * p + 10 * k + d)
+    big = AlgebraContext(p, k + 1)
+    terms, want = [], {}
+    for xcount in range(k + 2):
+        keys, columns = _reference_mixed_candidates(p, k, d, xcount)
+        for key, column in zip(keys, columns):
+            c = rng.randrange(p)
+            if c:
+                want[key] = c
+                terms += [(mono, c * v) for mono, v in column.items()]
+    assert len(want) > 1
+    assert mixed_decompose(Element(big, terms), k) == want
+
+
+def test_mixed_candidates_are_factored_once_per_shape(monkeypatch):
+    # cold caches, then repeated decompositions: one factorisation per
+    # (p, k, d, xcount), however often the shape is read
+    factored = []
+    real = duality.factor_columns
+    monkeypatch.setattr(duality, "factor_columns",
+                        lambda columns, p: factored.append(p) or real(columns, p))
+    clear_caches()
+    ctx = AlgebraContext(3, 2)
+    elements = [U(ctx, 2), V(ctx, 2), V(ctx, 2) ** 2, U(ctx, 2) * V(ctx, 2),
+                milnor_st((), (1,), V(ctx, 2), 1), ctx.y(1, 3) * V(ctx, 2)]
+    for _ in range(3):
+        mixed_decompose.cache_clear()
+        for a in elements:
+            mixed_decompose(a, 1)
+    shapes = {(a.degree(), len(mono.xs)) for a in elements for mono, _ in a}
+    assert len(factored) == len(shapes)
 
 
 def test_invariant_pairing_reads_embedded_invariants():
