@@ -13,14 +13,26 @@ from math import comb, factorial, gcd
 from operator import mul
 
 
+# Miller-Rabin to the 13 prime bases <= 41 is exact below psi_13 (Sorenson
+# and Webster, Math. Comp. 86, 2017); no larger p is decided.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 def is_odd_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError for p >= PRIME_LIMIT."""
     if p < 3 or p % 2 == 0:
         return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
+    if p >= PRIME_LIMIT:
+        raise ValueError("p = %d is over the primality limit %d" % (p, PRIME_LIMIT))
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    twos = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^twos d, d odd
+    for a in _MR_BASES:
+        x = pow(a, (p - 1) >> twos, p)
+        if x != 1 and all(pow(x, 1 << j, p) != p - 1 for j in range(twos)):
+            return False  # a witnesses that p is composite
     return True
 
 
@@ -198,21 +210,3 @@ def solve_factored(
         raise ArithmeticError("linearly dependent columns in exact solve")
     return solution
 
-
-def matrix_rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
-    work = [list(r) for r in rows]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(work)) if work[i][col] % p), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = inv_mod(work[rank][col], p)
-        work[rank] = [v * inv % p for v in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col] % p:
-                f = work[i][col]
-                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[rank])]
-        rank += 1
-    return rank

@@ -45,15 +45,15 @@ def dim_bracket(p: int, s: int) -> int:
 
 # ---------------------------------------------------------------- pairings
 
-@cache
 def _mixed_candidates(p: int, n: int, d: int, xcount: int,
                       width: int) -> tuple[tuple[tuple, ...], tuple[dict[int, int], ...], Factors]:
     """The mixed basis keys (S, H, eps, m) of degree d over n = k + 1 pairs
     with len(S) + eps = xcount, their monomials Mtilde_S Qtilde^H U_n^eps
-    V_n^m as columns, and factors, as _candidates gives the invariant basis
-    (read-only: shared with the cache).  A column is the packed basis
-    monomial over k pairs with a zero y_n field appended, times U_n, then
-    V_n^m (the small factor first; V_n^m only for an (eps, m) with a key)."""
+    V_n^m as columns, and factors, as _candidates gives the invariant basis.
+    Not cached: mixed_decompose is, and its misses almost never repeat a
+    shape.  A column is the packed basis monomial over k pairs with a zero
+    y_n field appended, times U_n, then V_n^m (the small factor first;
+    V_n^m only for an (eps, m) with a key)."""
     k = n - 1
     big = AlgebraContext(p, n)
     u = _mask_groups(U(big, n), width)

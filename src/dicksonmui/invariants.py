@@ -44,7 +44,7 @@ from .algebra import (
     determinant,
     embed,
 )
-from .arith import matrix_rank_mod
+from .arith import factor_columns
 
 # Each invariant is built once per (p, params) in its minimal context by
 # a cached builder; the public fronts validate, then embed the result in
@@ -297,13 +297,19 @@ def V(ctx: AlgebraContext, k: int) -> Element:
 
 @cache
 def _v(p: int, k: int) -> Element:
-    """V_k = sum_{s<k} (-1)^(k-1-s) Q_{k-1,s} y_k^(p^s): expanding L_k
-    along its last row.  Each s gives its own power of y_k, so the terms
-    never meet; no product and no division."""
+    return _last_row(p, [_q(p, k - 1, s) for s in range(k)])
+
+
+def _last_row(p: int, row: Sequence[Element]) -> Element:
+    """V_k = sum_{s<k} (-1)^(k-1-s) Q_{k-1,s} y_k^(p^s) from the row
+    (Q_{k-1,0}, ..., Q_{k-1,k-1}): expanding L_k along its last row.  Each
+    s gives its own power of y_k, so the terms never meet; no product and
+    no division."""
+    k = len(row)
     terms = {}
-    for s in range(k):
+    for s, q in enumerate(row):
         e, neg = (p**s,), (k - 1 - s) % 2
-        for mono, c in _q(p, k - 1, s).terms.items():
+        for mono, c in q.terms.items():
             terms[Monomial((), mono.ys + e)] = p - c if neg else c
     return Element._make(AlgebraContext(p, k), terms)
 
@@ -347,12 +353,12 @@ def Q_recursion(ctx: AlgebraContext, n: int, s: int) -> Element:
 
 @cache
 def _q_recursion_row(p: int, n: int) -> tuple[Element, ...]:
-    """(Q_{n,0}, ..., Q_{n,n}) by the recursion, built from row n - 1 once."""
+    """(Q_{n,0}, ..., Q_{n,n}) by the recursion, and V_n, from row n - 1."""
     c = AlgebraContext(p, n)
     if n == 0:
         return (c.one(),)
     prev = [embed(q, c) for q in _q_recursion_row(p, n - 1)]
-    v_pow = V(c, n) ** (p - 1)
+    v_pow = _last_row(p, _q_recursion_row(p, n - 1)) ** (p - 1)
     row = [prev[0] * v_pow]  # Q_{n-1,-1} = 0
     for s in range(1, n):
         row.append(prev[s - 1] ** p + prev[s] * v_pow)
@@ -360,10 +366,9 @@ def _q_recursion_row(p: int, n: int) -> tuple[Element, ...]:
     return tuple(row)
 
 
-# The degree of each family's invariant at its indices; Ls is L_{k,s}.
+# The degree of each family's invariant at its indices; L_k, or L_{k,s}.
 _DEGREES = {
-    "L": lambda p, k: 2 * (p**k - 1) // (p - 1),
-    "Ls": lambda p, k, s: 2 * ((p ** (k + 1) - 1) // (p - 1) - p**s),
+    "L": lambda p, k, s=None: 2 * sum(p**e for e in range(k + (s is not None)) if e != s),
     "M": lambda p, k, s: 1 + 2 * ((p**k - 1) // (p - 1) - p**s),
     "Ltilde": lambda p, n: p**n - 1,
     "Q": lambda p, n, s: 2 * (p**n - p**s),
@@ -374,11 +379,15 @@ _DEGREES = {
 
 
 def dimension(name: str, p: int, *args: int) -> int:
-    """The degree of the invariant `name` at the indices args, which must
-    meet its family's rule."""
+    """The degree of the invariant `name` at the indices args, its rank and
+    then its s (optional for L), which must meet its family's rule."""
     if name not in _DEGREES:
         raise ValueError("unknown invariant family %r" % name)
-    check_family("L" if name == "Ls" else name, *args)
+    counts = (1, 2) if name == "L" else (2,) if _RULES[name][2] else (1,)
+    if len(args) not in counts:
+        raise ValueError("wrong number of indices for %s: got %d, it takes %s"
+                         % (name, len(args), " or ".join(map(str, counts))))
+    check_family(name, *args)
     return _DEGREES[name](p, *args)
 
 
@@ -391,7 +400,7 @@ def apply_matrix(a: Element, matrix: Sequence[Sequence[int]]) -> Element:
     for row in matrix:
         if len(row) != k:
             raise ValueError("matrix must be square")
-    if matrix_rank_mod(matrix, ctx.p) < k:
+    if factor_columns([dict(enumerate(col)) for col in zip(*matrix)], ctx.p)[3]:
         raise ValueError("matrix is singular mod %d" % ctx.p)
     zero = (0,) * ctx.m
     x_images = {}

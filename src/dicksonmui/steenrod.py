@@ -334,10 +334,14 @@ def _column(groups: Groups, n: int) -> dict[int, int]:
 
 
 def _weighted_sums(weights: list[int], total: int) -> Iterator[tuple[int, ...]]:
-    """All exponent tuples e with sum e_i * weights[i] == total."""
-    if not weights:
-        if total == 0:
-            yield ()
+    """All exponent tuples e with sum e_i * weights[i] == total, in lex
+    order; the last exponent is read off the rest, not searched."""
+    if len(weights) < 2:
+        if not weights:
+            if total == 0:
+                yield ()
+        elif total >= 0 and total % weights[0] == 0:
+            yield (total // weights[0],)
         return
     w = weights[0]
     for e in range(total // w + 1):
@@ -515,14 +519,6 @@ def admissible_indices(q: int, n: int) -> Iterator[tuple[tuple[int, ...], tuple[
             budget = (q - xc) // 2
             if budget < 0:
                 continue
-            for R in _bounded_tuples(n, budget):
-                yield S, R
-
-
-def _bounded_tuples(length: int, total_max: int) -> Iterator[tuple[int, ...]]:
-    if length == 0:
-        yield ()
-        return
-    for first in range(total_max + 1):
-        for rest in _bounded_tuples(length - 1, total_max - first):
-            yield (first,) + rest
+            # the R with sum R <= budget: n + 1 unit weights, the last the slack
+            for R in _weighted_sums([1] * (n + 1), budget):
+                yield S, R[:-1]

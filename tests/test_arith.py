@@ -6,7 +6,38 @@ from fractions import Fraction
 
 import pytest
 
-from dicksonmui.arith import factor_columns, inv_mod, ratio_mod, solve_exact, solve_factored
+from dicksonmui.arith import (
+    PRIME_LIMIT, factor_columns, inv_mod, is_odd_prime, ratio_mod, solve_exact, solve_factored,
+)
+
+
+def test_is_odd_prime_matches_trial_division():
+    # an odd sieve of Eratosthenes below 10**5
+    top = 10**5
+    sieve = bytearray([1]) * top
+    sieve[0:2] = b"\0\0"
+    for d in range(2, int(top**0.5) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, top, d)))
+    assert [n for n in range(-3, top) if is_odd_prime(n)] == [
+        n for n in range(3, top) if sieve[n] and n % 2]
+
+
+@pytest.mark.parametrize("n", [
+    3825123056546413051,  # a strong pseudoprime to every prime base <= 23
+    318665857834031151167461,  # and to every prime base <= 37
+])
+def test_is_odd_prime_rejects_strong_pseudoprimes(n):
+    assert not is_odd_prime(n)
+
+
+def test_is_odd_prime_decides_large_primes_up_to_its_limit():
+    assert is_odd_prime(10**18 + 3) and is_odd_prime(2**61 - 1)
+    assert not is_odd_prime((2**31 - 1) * (10**9 + 7))
+    assert not is_odd_prime(PRIME_LIMIT - 1)  # even
+    for p in (PRIME_LIMIT, PRIME_LIMIT + 2, 10**40 + 121):
+        with pytest.raises(ValueError, match="over the primality limit %d$" % PRIME_LIMIT):
+            is_odd_prime(p)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 from dicksonmui.algebra import MAX_PAIRS, exact_div
-from dicksonmui.arith import ratio_mod
+from dicksonmui.arith import PRIME_LIMIT, ratio_mod
 from dicksonmui.cli import main
 from dicksonmui.verify import run_suite
 
@@ -478,3 +478,18 @@ def test_a_pair_count_over_the_limit_is_refused_at_once(argv):
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr == ("error: m = 1000000000 generator pairs is over the limit "
                           "MAX_PAIRS = %d\n" % MAX_PAIRS)
+
+
+def test_a_large_prime_is_decided_at_once():
+    # Miller-Rabin, not trial division to sqrt(p): V_1 = y1 at p = 10**18 + 3
+    t0 = time.monotonic()
+    out = _module_run("invariant", "--p", "1000000000000000003", "--name", "V", "--k", "1")
+    assert time.monotonic() - t0 < 1
+    assert out.returncode == 0 and out.stdout == "y1\n"
+
+
+def test_a_prime_over_the_primality_limit_is_refused():
+    out = _module_run("invariant", "--p", str(PRIME_LIMIT + 2), "--name", "V", "--k", "1")
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == "error: p = %d is over the primality limit %d\n" % (
+        PRIME_LIMIT + 2, PRIME_LIMIT)

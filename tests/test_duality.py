@@ -158,25 +158,6 @@ def test_mixed_decompose_round_trip(p, k, d):
     assert mixed_decompose(Element(big, terms), k) == want
 
 
-def test_mixed_candidates_are_factored_once_per_shape(monkeypatch):
-    # cold caches, then repeated decompositions: one factorisation per
-    # (p, k, d, xcount), however often the shape is read
-    factored = []
-    real = duality.factor_columns
-    monkeypatch.setattr(duality, "factor_columns",
-                        lambda columns, p: factored.append(p) or real(columns, p))
-    clear_caches()
-    ctx = AlgebraContext(3, 2)
-    elements = [U(ctx, 2), V(ctx, 2), V(ctx, 2) ** 2, U(ctx, 2) * V(ctx, 2),
-                milnor_st((), (1,), V(ctx, 2), 1), ctx.y(1, 3) * V(ctx, 2)]
-    for _ in range(3):
-        mixed_decompose.cache_clear()
-        for a in elements:
-            mixed_decompose(a, 1)
-    shapes = {(a.degree(), len(mono.xs)) for a in elements for mono, _ in a}
-    assert len(factored) == len(shapes)
-
-
 def test_invariant_pairing_reads_embedded_invariants():
     # Q_{2,1} embedded over three pairs has the constant cofactor 1
     big = AlgebraContext(3, 3)

@@ -55,10 +55,21 @@ def test_degrees_match_dimension():
     # an index no invariant has meets its family's rule, not a number
     for args, message in [(("Q", 3, -1, 0), "n must be >= 0"), (("U", 3, 0), "k must be >= 1"),
                           (("Q", 3, 2, 5), "s must lie in 0..n"),
-                          (("Ls", 3, 1, 2), "s must lie in 0..k"),
-                          (("Mtilde", 3, 1, 1), "s must lie in -1..n-1")]:
+                          (("L", 3, 1, 2), "s must lie in 0..k"),
+                          (("Mtilde", 3, 1, 1), "s must lie in -1..n-1"),
+                          (("Q", 3, 2), "wrong number of indices for Q: got 1, it takes 2"),
+                          (("Ltilde", 3, 2, 0),
+                           "wrong number of indices for Ltilde: got 2, it takes 1"),
+                          (("L", 3), "wrong number of indices for L: got 0, it takes 1 or 2")]:
         with pytest.raises(ValueError, match="^%s$" % message):
             dimension(*args)
+    # L takes its s or not, as its front does
+    assert dimension("L", 3, 2, 1) == 20 == L(AlgebraContext(3, 3), 2, 1).degree()
+    for p in (3, 5):
+        ctx = AlgebraContext(p, 3)
+        for k in (0, 1, 2):
+            assert dimension("L", p, k) == L(ctx, k).degree()
+            assert all(dimension("L", p, k, s) == L(ctx, k, s).degree() for s in range(k + 1))
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2)])
@@ -265,6 +276,12 @@ def test_apply_matrix_rejects_singular():
         apply_matrix(ctx.y(1), [[1, 1], [2, 2]])
     with pytest.raises(ValueError):
         apply_matrix(ctx.y(1), [[1, 0]])
+    # rank 2 mod 5: the last row is twice the first plus the second
+    ctx = AlgebraContext(5, 3)
+    with pytest.raises(ValueError, match="^matrix is singular mod 5$"):
+        apply_matrix(ctx.y(1), [[1, 2, 3], [0, 1, 4], [2, 5, 10]])
+    assert apply_matrix(ctx.y(1), [[1, 2, 3], [0, 1, 4], [2, 5, 11]]) == (
+        ctx.y(1) + ctx.y(2).scalar_mul(2) + ctx.y(3).scalar_mul(3))
 
 
 def test_dimension_unknown_name():

@@ -17,6 +17,7 @@ from dicksonmui.invariants import Ltilde, Mtilde, Q, U, V
 from dicksonmui.steenrod import (
     NotInSpanError,
     _basis_keys,
+    _weighted_sums,
     admissible_indices,
     basis_element,
     bockstein,
@@ -492,6 +493,24 @@ def test_admissible_indices():
     assert ((), (0,)) in idx and ((0,), (0,)) in idx
     assert all(milnor_key(S, R, 2) is not None for S, R in idx)
     assert all(len(R) == 1 for _, R in idx)
+
+
+@pytest.mark.parametrize("weights", [[], [1], [3], [1, 1, 1], [2, 16, 18], [4, 48, 40, 24]])
+def test_weighted_sums_lists_every_solution_in_lex_order(weights):
+    for total in range(-1, 40):
+        want = [e for e in itertools.product(*(range(total // w + 1) for w in weights))
+                if sum(map(math.prod, zip(e, weights))) == total]
+        assert list(_weighted_sums(weights, total)) == want
+
+
+@pytest.mark.parametrize("q, n", [(0, 0), (5, 0), (1, 2), (12, 2), (9, 3), (20, 3), (7, 4)])
+def test_admissible_indices_order(q, n):
+    # exterior count, then S, then R in lex order: the order of the
+    # verification report's rows
+    want = [(S, R) for xc in range(n + 1) for S in itertools.combinations(range(n), xc)
+            for R in itertools.product(range(max(q - xc, 0) // 2 + 1), repeat=n)
+            if q >= xc and 2 * sum(R) <= q - xc]
+    assert list(admissible_indices(q, n)) == want
 
 
 def _compositions(d, parts):
