@@ -5,10 +5,11 @@ family directly from p-adic digit data, without touching the Cartan
 oracle.  The two must agree exactly; the verification suites sweep that
 comparison over every admissible parameter cell.
 
-Coefficients are assembled as exact ratios of integers and reduced mod
-p at the end.  Within each formula's stated range the denominators stay
-prime to p (digit bounds force every factorial argument below p), which
-``ratio_mod`` enforces by refusing non-invertible denominators.
+Coefficients are multinomials mod p (``arith.multinomial_mod``) or exact
+ratios of integers reduced mod p at the end.  Within each formula's stated
+range the ratios' denominators stay prime to p (digit bounds force every
+factorial argument below p), which ``ratio_mod`` enforces by refusing
+non-invertible denominators.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections.abc import Sequence
 
 from . import invariants
 from .algebra import AlgebraContext, Element
-from .arith import digit, inv_mod, multinomial_mod, ratio_mod
+from .arith import digit, inv_mod, multinomial_mod, ratio_mod, st_operation_degree
 from .invariants import M, Q, U, V, Ltilde, Mtilde, bracket_e, bracket_x, check_family
 from .steenrod import _check_r, check_index
 
@@ -56,12 +57,8 @@ def power_on_u(r: int, k: int, ctx: AlgebraContext) -> ClosedFormResult:
     t = _digit_steps(r, k, p)
     if any(ti < 0 for ti in t):
         return ClosedFormResult(ctx.zero(), False, "digits decrease")
-    cm = ratio_mod(
-        math.factorial(h - 1),
-        math.factorial(h - digit(r, k - 1, p))
-        * math.prod(math.factorial(ti) for ti in t),
-        p,
-    )
+    # (h - 1)! / ((h - alpha_{k-1})! prod t_i!), the t_i summing to alpha_{k-1}
+    cm = multinomial_mod(h, t, p) * inv_mod(h, p) % p
     val = _q_product(U(ctx, k + 1).scalar_mul(cm * h), k, t)
     for u in range(k):
         if not t[u]:
@@ -96,32 +93,24 @@ def power_on_mtilde(
     p, h = ctx.p, ctx.h
     if 2 * r > FAMILIES["M"].degree(p, n, s):
         return ClosedFormResult(ctx.zero(), False, "2r beyond the target degree")
-
-    def tval(i: int) -> int:
-        base = digit(r, i, p) - digit(r, i - 1, p)
-        return base + 1 if i == s else base
-
-    t = [tval(i) for i in range(n)]
-    t_head = tval(-1)  # 1 exactly when s = -1
-    t_top = h - digit(r, n - 1, p)
+    t = [ti + (i == s) for i, ti in enumerate(_digit_steps(r, n, p))]
+    t_head = int(s == -1)  # the step at position -1 is the bump alone
     if any(ti < 0 for ti in t):
         return ClosedFormResult(ctx.zero(), False, "digits decrease")
     a_s = digit(r, s, p)
     hi = s if (not resolved or s == -1) else n - 1
+    hinv = inv_mod(h, p)
     total = ctx.zero()
     for u in range(-1, hi + 1):
         tu = t_head if u == -1 else t[u]
         if tu == 0:
             continue
+        exps = [ti - (i == u) for i, ti in enumerate(t)]
+        # num (h - 1)! / ((h - alpha_{n-1})! prod exps_i!); the exps_i sum to alpha_{n-1}
         num = -(a_s + 1) if u > s else h - a_s
-        denom = math.factorial(t_top) * math.factorial(tu - 1)
-        for i in range(n):
-            if i != u:
-                denom *= math.factorial(t[i])
-        cm = ratio_mod(num * math.factorial(h - 1), denom, p)
+        cm = num * multinomial_mod(h, exps, p) * hinv % p
         if not cm:
             continue
-        exps = [ti - (i == u) for i, ti in enumerate(t)]
         total = total + _q_product(Mtilde(ctx, n, u), n, exps).scalar_mul(cm)
     if total.is_zero():
         return ClosedFormResult(total, True, "in range; coefficients vanish")
@@ -141,7 +130,7 @@ def power_on_v(r: int, k: int, ctx: AlgebraContext) -> ClosedFormResult:
     if any(ti < 0 for ti in t):
         return ClosedFormResult(ctx.zero(), False, "digits decrease")
     lead = digit(r, k - 1, p)
-    cm = ratio_mod(math.factorial(lead), math.prod(math.factorial(ti) for ti in t), p)
+    cm = multinomial_mod(lead, t, p)  # the t_i sum to lead
     if lead % 2:
         cm = p - cm
     val = _q_product(V(ctx, k + 1).scalar_mul(cm), k, t)
@@ -242,7 +231,7 @@ def st_on_rank1(
     p = ctx.p
     if len(S) >= 2:
         return ctx.zero()
-    weight = sum((p**i - 1) * r for i, r in enumerate(R, start=1))
+    weight = st_operation_degree((), R, p) // 2
     cm = multinomial_mod(b, R, p)
     if not cm:
         return ctx.zero()
@@ -276,7 +265,7 @@ def st_on_u2(
     cm = multinomial_mod(h, R, p)
     if not cm:
         return ctx.zero()
-    weight = sum((p**i - 1) * r for i, r in enumerate(R, start=1))
+    weight = st_operation_degree((), R, p) // 2
     hinv = inv_mod(h, p)
 
     def ltilde_power(numerator: int) -> Element:
@@ -334,9 +323,12 @@ def st_on_v2(R: Sequence[int], ctx: AlgebraContext, resolved: bool = True) -> El
     if len(nonzero) == 1 and full[nonzero[0]] == p:
         return V(ctx, 2) ** (p ** nonzero[0])
     if all(0 <= ri < p for ri in full):
-        num = math.factorial(p - 1)
-        den = math.prod(math.factorial(ri) for ri in full)
-        weight = sum((p**i - 1) * r for i, r in enumerate(R, start=1))
+        # (p - 1)! / r_0! = (-1)^m m! mod p with m = sum R - 1 (Wilson's
+        # theorem), so no factorial of size p is taken
+        m = sum(R) - 1
+        num = (-1) ** m * math.factorial(m)
+        den = math.prod(math.factorial(ri) for ri in R)
+        weight = st_operation_degree((), R, p) // 2
         val = ctx.zero()
         for s in range(n):
             cm = ratio_mod(num * sum(R[s:]), den, p)

@@ -44,7 +44,7 @@ from .algebra import (
     determinant,
     embed,
 )
-from .arith import factor_columns
+from .arith import _inverse
 
 # Each invariant is built once per (p, params) in its minimal context by
 # a cached builder; the public fronts validate, then embed the result in
@@ -400,8 +400,7 @@ def apply_matrix(a: Element, matrix: Sequence[Sequence[int]]) -> Element:
     for row in matrix:
         if len(row) != k:
             raise ValueError("matrix must be square")
-    if factor_columns([dict(enumerate(col)) for col in zip(*matrix)], ctx.p)[3]:
-        raise ValueError("matrix is singular mod %d" % ctx.p)
+    _inverse([[c % ctx.p for c in row] for row in matrix], ctx.p)  # refuses a singular one
     zero = (0,) * ctx.m
     x_images = {}
     y_images = {}

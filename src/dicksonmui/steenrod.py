@@ -47,7 +47,8 @@ from .algebra import (
     _unpack_keys,
     relabel,
 )
-from .arith import Factors, binom_mod, factor_columns, inv_mod, mu_mod, solve_factored
+from .arith import (Factors, binom_mod, factor_columns, h_factorial_mod, inv_mod, mu_mod,
+                    solve_factored)
 from .invariants import U, V, Ltilde, Mtilde, Q, dimension
 
 
@@ -174,8 +175,8 @@ def _lucas_terms(e: int, p: int, lo: int, hi: int) -> list[tuple[int, int]]:
 
     By Lucas's theorem those j are the ones whose base-p digits each lie
     at or under the digit of e in the same place.  They are built most
-    significant digit first; a prefix is dropped once no choice of the
-    lower digits, which add between 0 and e mod place, lands in [lo, hi].
+    significant digit first; each digit t is tried only where some choice of
+    the lower digits, which add between 0 and e mod place, lands in [lo, hi].
     """
     digits = []
     n = e
@@ -190,14 +191,10 @@ def _lucas_terms(e: int, p: int, lo: int, hi: int) -> list[tuple[int, int]]:
         out = [
             (j + t * place, c * math.comb(d, t) % p)
             for j, c in out
-            for t in range(d + 1)
-            if lo <= j + t * place + low_max and j + t * place <= hi
+            for t in range(max(0, -((j + low_max - lo) // place)),
+                           min(d, (hi - j) // place) + 1)
         ]
     return [(j, c) for j, c in out if lo <= j <= hi]
-
-
-def _h_factorial(ctx: AlgebraContext) -> int:
-    return math.factorial(ctx.h) % ctx.p
 
 
 def d_star_p(n: int, a: Element) -> Element:
@@ -224,7 +221,7 @@ def _power_map(n: int, a: Element) -> tuple[AlgebraContext, Groups, int]:
     least algebra._MIN_WIDTH, so that its block keys are basis column keys."""
     ctx = a.ctx
     big = AlgebraContext(ctx.p, ctx.m + n)
-    scal = pow(-_h_factorial(ctx), n, ctx.p)
+    scal = pow(-h_factorial_mod(ctx.p), n, ctx.p)
     mini = AlgebraContext(ctx.p, n + 1)
     u_img = U(mini, n + 1)
     v_img = V(mini, n + 1)

@@ -423,8 +423,8 @@ def _closed_form_tasks(p_values, max_n, grid, seed, cases):
             for v in range(u, caps["vmax"] + 1):
                 yield _task("closed-forms", "bracket/p%d/u%dv%d" % (p, u, v),
                             _cell_bracket, (p, u, v), _mc(2, p**v))
-        for ln in (1, 2):
-            for R in itertools.product(range(p), repeat=ln):
+        for ln in (1, 2):  # milnor_key at degree eps + 2b <= 9 keeps only entries <= 4
+            for R in itertools.product(range(min(p, 5)), repeat=ln):
                 for S in _subsets(ln):
                     for eps in (0, 1):
                         for b in range(5):

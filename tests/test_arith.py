@@ -1,13 +1,17 @@
 """Exact residues of ratios, and the linear solver behind the invariant
 decompositions."""
 
+import itertools
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from dicksonmui.arith import (
-    PRIME_LIMIT, factor_columns, inv_mod, is_odd_prime, ratio_mod, solve_exact, solve_factored,
+    H_FACTORIAL_LIMIT, PRIME_LIMIT, _inverse, factor_columns, h_factorial_mod, inv_mod,
+    is_odd_prime, multinomial_mod, ratio_mod, solve_exact, solve_factored,
 )
 
 
@@ -38,6 +42,57 @@ def test_is_odd_prime_decides_large_primes_up_to_its_limit():
     for p in (PRIME_LIMIT, PRIME_LIMIT + 2, 10**40 + 121):
         with pytest.raises(ValueError, match="over the primality limit %d$" % PRIME_LIMIT):
             is_odd_prime(p)
+
+
+def test_h_factorial_mod_matches_the_exact_factorial():
+    for p in range(3, 10**4, 2):
+        if is_odd_prime(p):
+            assert h_factorial_mod(p) == math.factorial((p - 1) // 2) % p, p
+
+
+def test_h_factorial_mod_refuses_a_prime_past_its_limit():
+    for p in (4000037, 10**18 + 3):
+        msg = "p = %d is over the h! limit %d" % (p, H_FACTORIAL_LIMIT)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(msg)):
+            h_factorial_mod(p)
+
+
+def test_multinomial_mod_matches_the_exact_quotient():
+    # b! / ((b - sum R)! prod r_i!), and 0 for a negative entry, sum R > b or b < 0
+    rng = random.Random(11)
+    for _ in range(5000):
+        p = rng.choice((3, 5, 7, 11, 13))
+        b = rng.randint(-3, 40)
+        R = [rng.randint(-2, 15) for _ in range(rng.randint(0, 4))]
+        if min(R, default=0) < 0 or sum(R) > b:
+            want = 0
+        else:
+            want = math.factorial(b) // math.factorial(b - sum(R))
+            want = want // math.prod(map(math.factorial, R)) % p
+        assert multinomial_mod(b, R, p) == want, (b, R, p)
+
+
+def _det(m):
+    # Leibniz's formula, exact
+    return sum(
+        (-1) ** sum(perm[i] > perm[j] for i in range(len(m)) for j in range(i))
+        * math.prod(m[i][perm[i]] for i in range(len(m)))
+        for perm in itertools.permutations(range(len(m))))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_inverse_inverts_or_refuses_a_singular_matrix(p):
+    rng = random.Random(p)
+    for size in range(4):
+        for _ in range(60):
+            m = [[rng.randrange(p) for _ in range(size)] for _ in range(size)]
+            if _det(m) % p:
+                inv = _inverse(m, p)
+                assert [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*inv)]
+                        for row in m] == [[int(i == j) for j in range(size)] for i in range(size)]
+            else:
+                with pytest.raises(ValueError, match="^matrix is singular mod %d$" % p):
+                    _inverse(m, p)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 from dicksonmui.algebra import MAX_PAIRS, exact_div
-from dicksonmui.arith import PRIME_LIMIT, ratio_mod
+from dicksonmui.arith import H_FACTORIAL_LIMIT, PRIME_LIMIT, ratio_mod
 from dicksonmui.cli import main
 from dicksonmui.verify import run_suite
 
@@ -486,6 +486,33 @@ def test_a_large_prime_is_decided_at_once():
     out = _module_run("invariant", "--p", "1000000000000000003", "--name", "V", "--k", "1")
     assert time.monotonic() - t0 < 1
     assert out.returncode == 0 and out.stdout == "y1\n"
+
+
+_HUGE_P = "1000000000000000003"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("table", "--family", "V", "--p", _HUGE_P, "--k", "1", "--max-r", "2"), 0),
+    (("closed-form", "--family", "U", "--p", _HUGE_P, "--k", "1", "--r", "1"), 0),
+    (("closed-form", "--family", "M", "--p", _HUGE_P, "--n", "1", "--s", "0", "--r", "1"), 0),
+    (("steenrod", "milnor", "--p", _HUGE_P, "--S=", "--R", "1", "--expr", "y1^2"), 2),
+], ids=["table-V", "closed-form-U", "closed-form-M", "milnor"])
+def test_a_huge_prime_answers_or_is_refused_at_once(argv, code):
+    # no coefficient walks an h- or p-sized range: the Lucas digit window,
+    # the multinomials and the h! limit
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    t0 = time.monotonic()
+    out = subprocess.run([sys.executable, "-m", "dicksonmui", *argv], env=env,
+                         capture_output=True, text=True, timeout=60,
+                         preexec_fn=_cap_address_space)
+    assert time.monotonic() - t0 < 1
+    assert out.returncode == code, out.stderr
+    if code:
+        assert out.stdout == ""
+        assert out.stderr == "error: p = %s is over the h! limit %d\n" % (
+            _HUGE_P, H_FACTORIAL_LIMIT)
+    else:
+        assert out.stdout and out.stderr == ""
 
 
 def test_a_prime_over_the_primality_limit_is_refused():

@@ -206,3 +206,15 @@ def test_bracket_identities(p, vmax):
 def test_bracket_identities_validation():
     with pytest.raises(ValueError):
         bracket_identities(2, 1, AlgebraContext(3, 2))
+
+
+def test_closed_forms_match_the_oracle_at_a_huge_prime():
+    # at p = 10**18 + 3 the coefficients come from multinomials mod p, not
+    # from factorials of size h or p; the Cartan oracle checks each value
+    p = 10**18 + 3
+    c1, c2 = AlgebraContext(p, 1), AlgebraContext(p, 2)
+    assert power_on_u(1, 1, c2).value == p_power(1, U(c2, 2))
+    assert power_on_mtilde(1, 1, 0, c1).value == p_power(1, Mtilde(c1, 1, 0))
+    for r in range(3):
+        assert power_on_v(r, 1, c2).value == p_power(r, V(c2, 2))
+        assert power_on_q(r, 1, 0, c1).value == p_power(r, Q(c1, 1, 0))

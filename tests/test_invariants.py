@@ -284,6 +284,15 @@ def test_apply_matrix_rejects_singular():
         ctx.y(1) + ctx.y(2).scalar_mul(2) + ctx.y(3).scalar_mul(3))
 
 
+def test_apply_matrix_reduces_entries_before_the_singularity_check():
+    # entries >= p or < 0 are read mod p: [[3, 1], [0, 1]] is singular mod 3
+    ctx = ctx3(2)
+    for matrix in ([[3, 1], [0, 1]], [[1, -1], [-2, 2]], [[4, 5], [-1, 7]]):
+        with pytest.raises(ValueError, match="^matrix is singular mod 3$"):
+            apply_matrix(ctx.y(1), matrix)
+    assert apply_matrix(ctx.x(1), [[4, -1], [0, 5]]) == apply_matrix(ctx.x(1), [[1, 2], [0, 2]])
+
+
 def test_dimension_unknown_name():
     with pytest.raises(ValueError):
         dimension("W", 3, 1)

@@ -17,6 +17,7 @@ from dicksonmui.invariants import Ltilde, Mtilde, Q, U, V
 from dicksonmui.steenrod import (
     NotInSpanError,
     _basis_keys,
+    _lucas_terms,
     _weighted_sums,
     admissible_indices,
     basis_element,
@@ -616,6 +617,26 @@ def test_binom_mod_matches_comb(p):
         for k in ks:
             assert binom_mod(n, k, p) == math.comb(n, k) % p, (n, k)
         assert binom_mod(n, -1, p) == binom_mod(n, n + 1, p) == 0
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_lucas_terms_match_a_brute_force_reference(p):
+    rng = random.Random(p)
+    for _ in range(300):
+        e = rng.randrange(400)  # six base-3 digits, three base-11 ones
+        lo = rng.randint(-p, e + p)
+        hi = rng.randint(lo - 2, e + p)
+        want = [(j, math.comb(e, j) % p) for j in range(max(lo, 0), min(hi, e) + 1)
+                if math.comb(e, j) % p]
+        assert _lucas_terms(e, p, lo, hi) == want, (e, lo, hi)
+
+
+def test_lucas_terms_at_a_huge_prime_build_only_the_bounded_window():
+    # C(p - 1, j) = (-1)^j mod p; the digit p - 1 must not be walked in full
+    p = 10**18 + 3
+    for lo, hi in ((5, 9), (p - 3, p + 5)):
+        assert _lucas_terms(p - 1, p, lo, hi) == [
+            (j, (-1) ** (j % 2) % p) for j in range(lo, min(hi, p - 1) + 1)]
 
 
 def test_compose_check(c1):

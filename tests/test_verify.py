@@ -17,10 +17,14 @@ from dicksonmui import duality, steenrod, verify
 from dicksonmui.algebra import AlgebraContext
 from dicksonmui.arith import st_operation_degree
 from dicksonmui.duality import duality_case
+from dicksonmui.steenrod import milnor_key
 from dicksonmui.verify import (
+    _cell_rank1,
+    _closed_form_tasks,
     _duality_tasks,
     _execute,
     _fmt,
+    _mc,
     _rand_element,
     _rand_monomial,
     _subsets,
@@ -31,6 +35,21 @@ from dicksonmui.verify import (
 def _schema():
     return json.loads(
         resources.files("dicksonmui").joinpath("report_schema.json").read_text())
+
+
+@pytest.mark.parametrize("p", [11, 101])
+def test_rank1_cells_are_those_of_the_full_index_walk(p):
+    # the reference walks every R in (Z/p)^ln; the suite walks entries <= 4,
+    # which are all that milnor_key keeps at degree eps + 2b <= 9
+    want = [("rank1/p%d/S(%s)/R(%s)/e%d/b%d" % (p, _fmt(S), _fmt(R), eps, b),
+             (p, S, R, eps, b), _mc(2, b * p**ln))
+            for ln in (1, 2) for R in itertools.product(range(p), repeat=ln)
+            for S in _subsets(ln) for eps in (0, 1) for b in range(5)
+            if milnor_key(S, R, eps + 2 * b) is not None]
+    tasks = list(_closed_form_tasks([p], 3, "full", 0, 10))
+    got = [(t["cell"], t["args"], t["est"]) for t in tasks if t["fn"] is _cell_rank1]
+    assert got == want
+    assert [t["cell"] for t in tasks if t["cell"].startswith("rank1/")] == [w[0] for w in want]
 
 
 def test_every_row_carries_seconds():
